@@ -33,7 +33,7 @@ from .configurations import (
     relative_shape,
     weak_edge_position,
 )
-from .epochs import EpochTemplate
+from .epochs import CompiledEpoch, EpochTemplate
 from .errors import (
     ConfigError,
     DuplicateLabel,
@@ -81,10 +81,12 @@ from .rules import (
     is_decoherent,
     mark_ready,
     phantom_records,
+    ready_indices,
     trigger,
 )
 from .runner import (
     TrajectoryResult,
+    analyze_log,
     derive_rng,
     run,
     run_trajectory,

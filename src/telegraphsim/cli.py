@@ -4,93 +4,47 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .analysis import (
-    WeakTiming,
-    classify_weak_timing,
-    interval_stats,
-    segment_telegraph,
-)
-from .config import RunConfig, parse_config, with_overrides
-from .errors import ConfigError, EmptyLog
+from .config import _PARSERS, RunConfig, parse_config, with_overrides
+from .errors import ConfigError
 from .eventlog import read_log
-from .runner import run
+from .runner import analyze_log, run
+
+
+def _flag(key: str) -> str:
+    """The command-line spelling of a config key."""
+    return "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="key=value config file; flags override it")
-    p.add_argument("--kind", choices=["v", "lambda", "cascade_weak_up", "cascade_weak_down"])
-    p.add_argument("--lasers", choices=["strong_only", "weak_only", "both"])
-    p.add_argument("--mode", choices=["nurules", "original_with_observer", "original_no_observer"])
-    p.add_argument("--k-strong-absorb", type=float, dest="k_strong_absorb")
-    p.add_argument("--k-strong-emit", type=float, dest="k_strong_emit")
-    p.add_argument("--k-weak-absorb", type=float, dest="k_weak_absorb")
-    p.add_argument("--k-weak-emit", type=float, dest="k_weak_emit")
-    p.add_argument("--duration", type=float)
-    p.add_argument("--dt-max", type=float, dest="dt_max")
-    p.add_argument("--seed", type=int, dest="master_seed")
-    p.add_argument("--trajectories", type=int)
-    p.add_argument("--threshold-gap", dest="threshold_gap")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--max-depth", type=int, dest="max_depth")
-    p.add_argument("--engine", choices=["auto", "renewal", "steps"])
-    p.add_argument("--out")
+    for key in _PARSERS:
+        p.add_argument(_flag(key), dest=key, help=f"config key {key}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults) with every given flag parsed like a file value."""
     if args.config is not None:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         cfg = RunConfig()
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "kind",
-            "lasers",
-            "mode",
-            "k_strong_absorb",
-            "k_strong_emit",
-            "k_weak_absorb",
-            "k_weak_emit",
-            "duration",
-            "dt_max",
-            "master_seed",
-            "trajectories",
-            "depth",
-            "max_depth",
-            "engine",
-            "out",
-        )
-    }
-    cfg = with_overrides(cfg, **overrides)
-    if args.threshold_gap is not None:
-        if str(args.threshold_gap).lower() == "auto":
-            cfg = replace(cfg, threshold_gap=None)
-        else:
-            cfg = with_overrides(cfg, threshold_gap=float(args.threshold_gap))
-    return cfg
+    overrides = {}
+    for key, parse in _PARSERS.items():
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                overrides[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{_flag(key)}: {exc}") from None
+    return with_overrides(cfg, **overrides)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     return run(cfg)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+def _cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     for path in args.logs:
         try:
             records = read_log(path)
@@ -98,23 +52,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1
         print(f"{path}:")
-        try:
-            seg = segment_telegraph(records, cfg.resolved_threshold())
-        except EmptyLog:
+        a = analyze_log(cfg, records)
+        if a is None:
             print("  no hits")
             continue
-        stats = interval_stats(seg)
         print(
-            f"  bright={stats.bright_count} (mean {stats.bright_mean:.4g})"
-            f" dark={stats.dark_count}"
-            + (f" (mean {stats.dark_mean:.4g})" if stats.dark_count else "")
+            f"  bright={a['bright_intervals']} (mean {a['bright_mean']:.4g})"
+            f" dark={a['dark_intervals']}"
+            + (f" (mean {a['dark_mean']:.4g})" if a["dark_intervals"] else "")
         )
-        if cfg.lasers == "both" and stats.dark_count:
-            timing = classify_weak_timing(records, seg, cfg.config_kind(), cfg.rate_set())
+        if "timing" in a:
+            t = a["timing"]
             print(
-                f"  weak timing: at_end={timing.count(WeakTiming.AT_END)}"
-                f" at_start={timing.count(WeakTiming.AT_START)}"
-                f" ambiguous={timing.count(WeakTiming.AMBIGUOUS)}"
+                f"  weak timing: at_end={t['at_end']} at_start={t['at_start']}"
+                f" ambiguous={t['ambiguous']}"
             )
     return 0
 
@@ -136,7 +87,12 @@ def main(argv=None) -> int:
     p_an.set_defaults(func=_cmd_analyze)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _config_from_args(args)
+    except (ConfigError, OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    return args.func(cfg, args)
 
 
 if __name__ == "__main__":

@@ -161,8 +161,10 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply already-parsed override values (e.g. from command-line flags)."""
-    present = {k: v for k, v in overrides.items() if v is not None}
-    out = replace(cfg, **present)
+    """Apply already-parsed override values (e.g. from command-line flags).
+
+    Every given key is applied; ``threshold_gap=None`` selects auto.
+    """
+    out = replace(cfg, **overrides)
     _validate(out)
     return out

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import InvalidDepth, NoWeakBranch, NotExtensible
 from .flow import RateSet
@@ -253,16 +252,11 @@ def chain_from_graph(
     mode: Mode = Mode.NU_RULES,
     time: float = 0.0,
     epoch: int = 0,
-    masses: Optional[dict] = None,
 ) -> ChainState:
-    """Seed a chain state on an epoch graph (all mass at the root by default)."""
-    if masses is None:
-        values = [1.0 if lab == graph.root else 0.0 for lab in graph.labels]
-    else:
-        values = [masses.get(lab, 0.0) for lab in graph.labels]
+    """Seed a chain state on an epoch graph with all mass at the root."""
     return ChainState(
         labels=graph.labels,
-        masses=values,
+        masses=[1.0 if lab == graph.root else 0.0 for lab in graph.labels],
         edges=graph.edges,
         time=time,
         epoch=epoch,

@@ -27,17 +27,23 @@ of the mass parcel arriving at the hit is proportional to
 whose weighted median localizes the emission at the end of the dark
 period when the slow stage precedes the weak edge, and at the beginning
 when the slow stage follows it.
+
+Both engines run every epoch on a CompiledEpoch: the graph, flow system
+and ready targets of one (root atom, depth), compiled once per
+trajectory for a root with an empty photon ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .configurations import EpochGraph
 from .flow import FlowSystem
-from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
+from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge, Mode
 
 FAST_SPAN_EFOLDS = 60.0
 TAIL_EFOLDS = 50.0
@@ -58,12 +64,11 @@ class EpochTemplate:
 
     def __init__(
         self,
-        labels: Sequence[ComponentLabel],
-        active_edges: Sequence[FlowEdge],
+        system: FlowSystem,
         ready_labels: Sequence[ComponentLabel],
         initial: np.ndarray,
     ):
-        self.system = FlowSystem(labels, active_edges)
+        self.system = system
         self.labels = self.system.labels
         self.index = self.system.index
         self.sink_labels = tuple(ready_labels)
@@ -94,7 +99,7 @@ class EpochTemplate:
     @classmethod
     def from_chain(cls, state: ChainState, active: Sequence[FlowEdge]) -> "EpochTemplate":
         ready = tuple(lab for lab in state.labels if lab.ready.any())
-        return cls(state.labels, active, ready, state.masses)
+        return cls(FlowSystem(state.labels, active), ready, state.masses)
 
     def _build_grid(self) -> tuple[np.ndarray, list[tuple[int, float]]]:
         outflow = -np.diag(self.system.generator)
@@ -233,3 +238,55 @@ class EpochTemplate:
         span = cum[k] - lo
         frac = 0.0 if span <= 0 else (half - lo) / span
         return float(cand[k] + frac * (cand[k + 1] - cand[k]))
+
+
+class CompiledEpoch:
+    """One epoch's flow problem for a canonical root (photon ledger zero).
+
+    The rules stall the chain at the first ready component until a hit
+    lands there, so within an epoch the flow graph is fixed, and from one
+    epoch to the next it only translates with the root's photon ledger.
+    An epoch is therefore compiled once per (root atom, depth): the graph,
+    one FlowSystem over its active edges (whose propagators every step and
+    the template share), and the ready targets in chain order. The engines
+    run on these canonical labels and shift what they record by the root.
+    """
+
+    def __init__(self, graph: EpochGraph, active: Sequence[FlowEdge]):
+        self.graph = graph
+        self.system = FlowSystem(graph.labels, active)
+        self.ready = graph.ready_labels
+        self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
+        self.frontier_idx = sorted(self.system.index[lab] for lab in graph.frontier)
+        self.root_masses = np.zeros(len(graph.labels))
+        self.root_masses[0] = 1.0  # build_epoch lists the root first
+        # the next-deeper epoch of the same root and where each label sits in it
+        self.deeper: Optional[tuple[CompiledEpoch, np.ndarray]] = None
+
+    @cached_property
+    def template(self) -> EpochTemplate:
+        """Delivery curves of an epoch that starts with all mass at the root."""
+        return EpochTemplate(self.system, self.ready, self.root_masses)
+
+    def chain(
+        self, mode: Mode, time: float, epoch: int, masses: Optional[np.ndarray] = None
+    ) -> ChainState:
+        """A chain on this epoch's labels that steps on the compiled system."""
+        state = ChainState(
+            self.graph.labels,
+            self.root_masses if masses is None else masses,
+            self.graph.edges,
+            time=time,
+            epoch=epoch,
+            mode=mode,
+        )
+        state._system = self.system
+        return state
+
+    def index_in(self, deeper: "CompiledEpoch") -> np.ndarray:
+        """Where each label sits in a deeper build of the same root.
+
+        Deeper builds only raise the budgets, so they keep every label and
+        copying masses through this map carries all of them.
+        """
+        return np.array([deeper.system.index[lab] for lab in self.graph.labels], dtype=np.intp)

@@ -13,7 +13,7 @@ makes the hit certain, a dormant (zero-inflow) phantom is never hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set
+from typing import Iterable, Optional, Sequence, Set
 
 import numpy as np
 
@@ -104,9 +104,17 @@ class HitEvent:
     delivered_mass_at_hit: float
 
 
+def ready_indices(
+    labels: Sequence[ComponentLabel], ready_targets: Iterable[ComponentLabel]
+) -> tuple[int, ...]:
+    """Positions of the ready targets among a chain's labels, in chain order."""
+    ready = set(ready_targets)
+    return tuple(i for i, lab in enumerate(labels) if lab in ready)
+
+
 def trigger(
     report: CurrentReport,
-    ready_targets: Iterable[ComponentLabel],
+    ready_idx: Sequence[int],
     dt: float,
     rng: np.random.Generator,
 ) -> Optional[HitEvent]:
@@ -122,18 +130,19 @@ def trigger(
     with zero inflow (a dormant phantom) is never chosen regardless of
     its frozen mass.
 
+    ``ready_idx`` holds the targets' chain positions in chain order (see
+    ``ready_indices``); they are resolved once per epoch, not per step.
     Consumes exactly one uniform per sub-interval when any target is
     live, in time order; at most one hit is returned per call.
     """
-    targets, idx = _resolve_targets(report, ready_targets)
-    if not targets:
+    if not ready_idx:
         return None
     for sub in report.substeps:
         m_start, m_end = sub.m_start, sub.m_end
         held = 0.0
         total = 0.0
         deltas = []
-        for i in idx:
+        for i in ready_idx:
             a = m_start[i]
             held += a
             d = m_end[i] - a
@@ -147,7 +156,7 @@ def trigger(
         u = rng.random()
         if u < total / survival:
             acc = 0.0
-            j = len(targets) - 1
+            j = len(ready_idx) - 1
             for k, d in enumerate(deltas):
                 acc += d / survival
                 if u < acc:
@@ -156,33 +165,11 @@ def trigger(
             t_hit = 0.5 * (sub.t_start + sub.t_end)
             return HitEvent(
                 time=t_hit,
-                target=targets[j],
+                target=report.labels[ready_idx[j]],
                 epoch=report.epoch,
-                delivered_mass_at_hit=float(m_end[idx[j]]),
+                delivered_mass_at_hit=float(m_end[ready_idx[j]]),
             )
     return None
-
-
-# Last-resolved trigger targets; steps within an epoch reuse the same
-# labels tuple and ready set, so identity comparison is safe here (the
-# cache holds references, keeping the ids alive).
-_target_cache: Optional[tuple] = None
-
-
-def _resolve_targets(report: CurrentReport, ready_targets) -> tuple[list, list]:
-    global _target_cache
-    cache = _target_cache
-    if cache is not None and cache[0] is report.labels and cache[1] is ready_targets:
-        return cache[2], cache[3]
-    ready = (
-        ready_targets
-        if isinstance(ready_targets, (set, frozenset))
-        else set(ready_targets)
-    )
-    targets = [lab for lab in report.labels if lab in ready]
-    idx = [report.index[lab] for lab in targets]
-    _target_cache = (report.labels, ready_targets, targets, idx)
-    return targets, idx
 
 
 def collapse(state: ChainState, hit: HitEvent) -> ChainState:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,20 +35,13 @@ from .analysis import (
     segment_telegraph,
 )
 from .config import RunConfig
-from .configurations import (
-    ConfigKind,
-    EpochGraph,
-    LaserDrive,
-    build_epoch,
-    chain_from_graph,
-    extend_frontier,
-)
-from .epochs import EpochTemplate
+from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier
+from .epochs import CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
 from .eventlog import EventKind, EventRecord, hits, serialize_log
-from .flow import FlowSystem, RateSet, step
-from .rules import active_edges, apply_mode, collapse, trigger
-from .state import AtomLevel, ChainState, ComponentLabel, Mode, make_label
+from .flow import step
+from .rules import FULL_RULES, RuleProfile, active_edges, apply_mode, collapse, trigger
+from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
 EXTENSION_MASS_EPS = 1e-10
@@ -73,35 +66,46 @@ class TrajectoryResult:
     final_time: float = 0.0
 
 
-class _TemplateCache:
-    """Epoch templates for canonical roots (ledger counts zeroed).
+def _compile(graph: EpochGraph) -> CompiledEpoch:
+    return CompiledEpoch(graph, active_edges(chain_from_graph(graph)))
 
-    The epoch graph's shape depends only on the configuration, depth and
-    the root's atom level; detector and photon counts just translate the
-    labels. One template per root atom therefore serves every epoch.
+
+class _CompiledEpochs(dict):
+    """One trajectory's compiled epochs at the configured depth, keyed by root atom.
+
+    Each is built on first use; deeper ones hang off ``CompiledEpoch.deeper``.
     """
 
-    def __init__(self, kind: ConfigKind, rates: RateSet, depth: int):
-        self.kind = kind
-        self.rates = rates
-        self.depth = depth
-        self._by_atom: dict[tuple[AtomLevel, int], EpochTemplate] = {}
+    def __init__(self, cfg: RunConfig, profile: RuleProfile = FULL_RULES):
+        super().__init__()
+        self.kind = cfg.config_kind()
+        self.rates = cfg.rate_set()
+        self.depth = cfg.depth
+        self.profile = profile
 
-    def get(self, root: ComponentLabel, depth: Optional[int] = None) -> EpochTemplate:
-        depth = self.depth if depth is None else depth
-        key = (root.atom, depth)
-        tpl = self._by_atom.get(key)
-        if tpl is None:
-            canonical = make_label(root.atom, 0, 0, 0)
-            graph = build_epoch(self.kind, canonical, self.rates, depth)
-            chain = chain_from_graph(graph)
-            tpl = EpochTemplate.from_chain(chain, active_edges(chain))
-            if tpl.conservation_residual > MASS_ABORT_TOL:
-                raise InvariantBreach(
-                    f"epoch template violates conservation by {tpl.conservation_residual:.3e}"
-                )
-            self._by_atom[key] = tpl
-        return tpl
+    def __missing__(self, atom: AtomLevel) -> CompiledEpoch:
+        root = make_label(atom, 0, 0, 0)
+        compiled = self[atom] = _compile(
+            build_epoch(self.kind, root, self.rates, self.depth, self.profile)
+        )
+        return compiled
+
+
+def _extended(ep: CompiledEpoch, frontier_label: ComponentLabel):
+    """The epoch one cycle deeper than ``ep`` and where ``ep``'s labels sit in it."""
+    if ep.deeper is None:
+        grown = _compile(extend_frontier(ep.graph, frontier_label))
+        ep.deeper = (grown, ep.index_in(grown))
+    return ep.deeper
+
+
+def _template(ep: CompiledEpoch) -> EpochTemplate:
+    tpl = ep.template
+    if tpl.conservation_residual > MASS_ABORT_TOL:
+        raise InvariantBreach(
+            f"epoch template violates conservation by {tpl.conservation_residual:.3e}"
+        )
+    return tpl
 
 
 def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
@@ -130,9 +134,7 @@ def _crossing_records(
 
 def run_trajectory_renewal(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryResult:
     """Event-driven trajectory: one uniform draw per epoch."""
-    kind = cfg.config_kind()
-    rates = cfg.rate_set()
-    cache = _TemplateCache(kind, rates, cfg.depth)
+    epochs = _CompiledEpochs(cfg)
     records: list[EventRecord] = []
     root = make_label(AtomLevel.GROUND, 0, 0, 0)
     t = 0.0
@@ -140,7 +142,7 @@ def run_trajectory_renewal(cfg: RunConfig, rng: np.random.Generator) -> Trajecto
     residual = 0.0
     while t < cfg.duration:
         records.append(EventRecord.for_label(t, EventKind.EPOCH_START, epoch, root))
-        tpl = cache.get(root)
+        tpl = _template(epochs[root.atom])
         residual = max(residual, tpl.conservation_residual)
         if not tpl.has_sinks:
             t = cfg.duration
@@ -174,33 +176,31 @@ def run_trajectory_steps(
     rng: np.random.Generator,
     max_steps: Optional[int] = None,
 ) -> TrajectoryResult:
-    """Per-step trajectory with explicit transport, trigger, and collapse."""
-    kind = cfg.config_kind()
-    rates = cfg.rate_set()
-    profile = apply_mode(cfg.mode_enum())
-    cache = _TemplateCache(kind, rates, cfg.depth)
-    propagators: dict[tuple, dict] = {}
+    """Per-step trajectory with explicit transport, trigger, and collapse.
+
+    Every epoch steps the canonical chain of its compiled epoch; the hit
+    target is shifted by the epoch's root when it is recorded.
+    """
+    mode = cfg.mode_enum()
+    profile = apply_mode(mode)
+    epochs = _CompiledEpochs(cfg, profile)
 
     records: list[EventRecord] = []
     res = TrajectoryResult(records=records, epochs=0)
     root = make_label(AtomLevel.GROUND, 0, 0, 0)
     t = 0.0
     epoch = 0
-    depth = cfg.depth
 
     while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
         records.append(EventRecord.for_label(t, EventKind.EPOCH_START, epoch, root))
-        graph = build_epoch(kind, root, rates, depth, profile)
-        state = chain_from_graph(graph, mode=cfg.mode_enum(), time=t, epoch=epoch)
-        state._system = _shared_system(state, propagators, (root.atom, depth))
-        active = active_edges(state)
-        ready = set(graph.ready_labels)
+        ep = epochs[root.atom]
+        state = ep.chain(mode, t, epoch)
         t_epoch = t
         hit = None
 
         while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
             dt = min(cfg.dt_max, cfg.duration - t)
-            state, report = step(state, active, dt)
+            state, report = step(state, ep.system.edges, dt)
             res.steps_taken += 1
             t = state.time
             drift = abs(float(state.masses.sum()) - 1.0)
@@ -209,82 +209,45 @@ def run_trajectory_steps(
                     f"mass conservation broke at t={t}: residual {drift:.3e}"
                 )
             res.max_mass_residual = max(res.max_mass_residual, drift)
-            if profile.trigger_enabled and ready:
-                hit = trigger(report, ready, dt, rng)
+            if profile.trigger_enabled and ep.ready_idx:
+                hit = trigger(report, ep.ready_idx, dt, rng)
                 if hit is not None:
                     break
             if (
                 res.steps_taken % EXTENSION_CHECK_EVERY == 0
-                and graph.depth < cfg.max_depth
-                and graph.frontier
+                and ep.graph.depth < cfg.max_depth
             ):
-                grown = _maybe_extend(graph, state)
-                if grown is not None:
-                    graph, state = grown
-                    state._system = _shared_system(
-                        state, propagators, (root.atom, graph.depth)
-                    )
-                    active = active_edges(state)
-                    ready = set(graph.ready_labels)
+                live = [i for i in ep.frontier_idx if state.masses[i] > EXTENSION_MASS_EPS]
+                if live:
+                    ep, index = _extended(ep, ep.graph.labels[live[0]])
+                    masses = np.zeros(len(ep.graph.labels))
+                    masses[index] = state.masses
+                    state = ep.chain(mode, state.time, epoch, masses)
                     res.extensions += 1
 
         if hit is None:
             break
-        tau = hit.time - t_epoch
-        sink_c = hit.target.shifted(
-            clicks=-root.clicks, strong=-root.strong, weak=-root.weak
-        )
-        if sink_c.weak > 0:
-            tpl = cache.get(root, depth=graph.depth)
-            records.extend(_crossing_records(tpl, sink_c, tau, root, t_epoch, epoch))
+        if hit.target.weak > 0:
+            tau = hit.time - t_epoch
+            records.extend(
+                _crossing_records(_template(ep), hit.target, tau, root, t_epoch, epoch)
+            )
         state = collapse(state, hit)
         res.collapses += 1
         if abs(float(state.masses.sum()) - 1.0) > 0 or state.labels[0].ready.any():
             res.collapse_check_failures += 1
+        root = _shift_to(state.labels[0], root)
         records.append(
             EventRecord.for_label(
-                hit.time, EventKind.HIT, epoch, state.labels[0], aux=hit.delivered_mass_at_hit
+                hit.time, EventKind.HIT, epoch, root, aux=hit.delivered_mass_at_hit
             )
         )
-        root = state.labels[0]
         t = hit.time
         epoch += 1
 
     res.epochs = epoch
     res.final_time = t
     return res
-
-
-def _shared_system(state: ChainState, cache: dict, key: tuple) -> FlowSystem:
-    """Build the epoch's flow system, sharing propagators across epochs.
-
-    Epoch graphs with the same root atom and depth have identical
-    generators up to label translation, so the matrix exponentials can
-    be reused as-is.
-    """
-    sys_ = FlowSystem(state.labels, active_edges(state))
-    shared = cache.get(key)
-    if shared is None:
-        cache[key] = sys_._propagators
-    else:
-        sys_._propagators = shared
-    return sys_
-
-
-def _maybe_extend(graph: EpochGraph, state: ChainState):
-    target = None
-    for lab in graph.frontier:
-        if lab in state and state.mass_of(lab) > EXTENSION_MASS_EPS:
-            target = lab
-            break
-    if target is None:
-        return None
-    grown = extend_frontier(graph, target)
-    carried = {lab: state.mass_of(lab) for lab in state.labels}
-    new_state = chain_from_graph(
-        grown, mode=state.mode, time=state.time, epoch=state.epoch, masses=carried
-    )
-    return grown, new_state
 
 
 def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryResult:
@@ -296,21 +259,17 @@ def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryR
     final max |dm/dt| as the stationarity residual.
     """
     del rng  # nothing stochastic happens without the trigger
-    kind = cfg.config_kind()
-    rates = cfg.rate_set()
-    profile = apply_mode(cfg.mode_enum())
-    graph = build_epoch(kind, make_label(AtomLevel.GROUND, 0, 0, 0), rates, cfg.depth, profile)
-    state = chain_from_graph(graph, mode=cfg.mode_enum())
-    records = [EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, graph.root)]
-    active = active_edges(state)
-    sys_ = FlowSystem(state.labels, active)
-    state._system = sys_
+    mode = cfg.mode_enum()
+    ep = _CompiledEpochs(cfg, apply_mode(mode))[AtomLevel.GROUND]
+    state = ep.chain(mode, 0.0, 0)
+    records = [EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, ep.graph.root)]
+    sys_ = ep.system
     dt_jump = 10.0 / sys_.max_rate if sys_.max_rate > 0 else cfg.duration
     steps = 0
     residual = 0.0
     while state.time < cfg.duration:
         dt = min(dt_jump, cfg.duration - state.time)
-        state, _ = step(state, active, dt)
+        state, _ = step(state, sys_.edges, dt)
         steps += 1
         residual = max(residual, abs(float(state.masses.sum()) - 1.0))
         if residual > MASS_ABORT_TOL:
@@ -341,7 +300,36 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryResult:
 # -- reporting ----------------------------------------------------------
 
 
+def analyze_log(cfg: RunConfig, records: Sequence[EventRecord]) -> Optional[dict]:
+    """Telegraph segmentation, interval statistics and weak timing of one log.
+
+    ``run``'s report and ``analyze`` both print these fields. Returns
+    None when the log holds no hits.
+    """
+    try:
+        seg = segment_telegraph(records, cfg.resolved_threshold())
+    except EmptyLog:
+        return None
+    stats = interval_stats(seg)
+    out = {
+        "bright_intervals": stats.bright_count,
+        "dark_intervals": stats.dark_count,
+        "bright_mean": stats.bright_mean,
+        "dark_mean": stats.dark_mean if stats.dark_count else None,
+        "dark_rate_estimate": stats.dark_rate_estimate,
+    }
+    if cfg.lasers == "both" and stats.dark_count:
+        timing = classify_weak_timing(records, seg, cfg.config_kind(), cfg.rate_set())
+        out["timing"] = {
+            "at_end": timing.count(WeakTiming.AT_END),
+            "at_start": timing.count(WeakTiming.AT_START),
+            "ambiguous": timing.count(WeakTiming.AMBIGUOUS),
+        }
+    return out
+
+
 def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -> dict:
+    hit_times = [r.time for r in hits(result.records)]
     summary: dict = {
         "trajectory": index,
         "engine": cfg.engine,
@@ -349,7 +337,7 @@ def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -
         "kind": cfg.kind,
         "lasers": cfg.lasers,
         "epochs": result.epochs,
-        "hits": len(hits(result.records)),
+        "hits": len(hit_times),
         "final_time": result.final_time,
         "max_mass_residual": result.max_mass_residual,
         "collapse_check_failures": result.collapse_check_failures,
@@ -357,34 +345,11 @@ def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -
     }
     if result.stationarity_residual is not None:
         summary["stationarity_residual"] = result.stationarity_residual
-    hit_times = [r.time for r in hits(result.records)]
     if len(hit_times) >= 2:
-        gaps = np.diff(hit_times)
-        summary["max_interhit_gap"] = float(gaps.max())
-    try:
-        seg = segment_telegraph(result.records, cfg.resolved_threshold())
-        stats = interval_stats(seg)
-        summary.update(
-            {
-                "bright_intervals": stats.bright_count,
-                "dark_intervals": stats.dark_count,
-                "bright_mean": stats.bright_mean,
-                "dark_mean": stats.dark_mean if stats.dark_count else None,
-                "dark_rate_estimate": stats.dark_rate_estimate,
-            }
-        )
-        if cfg.config_kind().lasers is LaserDrive.BOTH and stats.dark_count:
-            timing = classify_weak_timing(
-                result.records, seg, cfg.config_kind(), cfg.rate_set()
-            )
-            summary["timing"] = {
-                "at_end": timing.count(WeakTiming.AT_END),
-                "at_start": timing.count(WeakTiming.AT_START),
-                "ambiguous": timing.count(WeakTiming.AMBIGUOUS),
-            }
-    except EmptyLog:
-        summary["bright_intervals"] = 0
-        summary["dark_intervals"] = 0
+        summary["max_interhit_gap"] = float(np.diff(hit_times).max())
+    summary.update(
+        analyze_log(cfg, result.records) or {"bright_intervals": 0, "dark_intervals": 0}
+    )
     return summary
 
 

@@ -31,10 +31,11 @@ def make_single_edge(rate: float = 1.0):
 
 def run_hits_until_collapse(state, edges, ready, rng, dt=0.01, t_max=1e6):
     """Drive the step engine until the trigger fires; returns the hit or None."""
+    ready_idx = ts.ready_indices(state.labels, ready)
     s = state
     while s.time < t_max:
         s, report = ts.step(s, edges, dt)
-        hit = ts.trigger(report, ready, dt, rng)
+        hit = ts.trigger(report, ready_idx, dt, rng)
         if hit is not None:
             return hit, s
     return None, s

@@ -111,7 +111,7 @@ def test_criterion_3_trigger_calibration():
     # the per-step trigger implements the same law
     m = 0.9
     state, edges, b1, b2 = make_two_branch(m)
-    ready = frozenset({b1, b2})
+    ready = ts.ready_indices(state.labels, {b1, b2})
     n = 2000
     wins = 0
     for seed in range(n):

@@ -155,3 +155,43 @@ class TestAnalyzeCommand:
 
     def test_analyze_missing_file(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.tsv")) == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trajectories", "0"],
+            ["--seed", "-1"],
+            ["--depth", "0"],
+            ["--dt-max", "0", "--engine", "steps"],
+            ["--duration", "-5"],
+            ["--threshold-gap", "-3"],
+            ["--kind", "foo"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run_cli("run", *flags, "--out", str(out)) == 1
+        assert "config error: " + flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_flag_spelling_reaches_the_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold_gap = 55.5\n")
+        out = tmp_path / "flags"
+        assert run_cli(
+            "run", "--config", str(cfg), "--kind", "lambda", "--lasers", "strong_only",
+            "--mode", "original_with_observer", "--k-strong-absorb", "2", "--k-strong-emit", "2",
+            "--k-weak-absorb", "0.1", "--k-weak-emit", "0.1", "--duration", "20",
+            "--dt-max", "0.02", "--seed", "3", "--trajectories", "2", "--threshold-gap", "auto",
+            "--depth", "3", "--max-depth", "4", "--engine", "steps", "--out", str(out),
+        ) == 0
+        text = (out / "report.txt").read_text()
+        assert "kind=lambda lasers=strong_only mode=original_with_observer" in text
+        assert "ksa=2.0 kse=2.0 kwa=0.1 kwe=0.1" in text
+        assert "duration=20.0 dt_max=0.02 seed=3 trajectories=2" in text
+        assert "threshold_gap=20.0" in text  # auto: 20x the strong cycle
+        report = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+        assert report["engine"] == "steps"

@@ -1,0 +1,96 @@
+"""Golden-log regression: short fixed-seed runs must reproduce their outputs byte for byte.
+
+Every file a run writes to its output directory (event logs, report.jsonl,
+report.txt) is hashed with sha256 and compared with the digests recorded in
+``golden_digests.json``. The runs cover the four level configurations under
+all three laser settings on both engines, plus the no-observer mode on both
+engines, at weak/strong ratio 0.1 so that short runs reach dark periods,
+weak-edge crossings and frontier extensions.
+
+The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on CPython
+3.11. The propagators come from ``scipy.linalg.expm``, so another numpy or
+scipy release may change the last bits of some times and with them the
+digests. After a deliberate change of output, or on another stack, record
+them again with::
+
+    PYTHONPATH=src python tests/test_golden_logs.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from telegraphsim.config import RunConfig
+from telegraphsim.runner import run
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
+LASERS = ("both", "strong_only", "weak_only")
+FAST_WEAK = dict(k_weak_absorb=0.1, k_weak_emit=0.1, threshold_gap=15.0)
+DURATION = {"renewal": 2000.0, "steps": 100.0}
+
+
+def _cases() -> dict[str, RunConfig]:
+    cases = {}
+    for engine in ("renewal", "steps"):
+        for kind in KINDS:
+            for lasers in LASERS:
+                cases[f"{kind}-{lasers}-{engine}"] = RunConfig(
+                    kind=kind, lasers=lasers, engine=engine, duration=DURATION[engine],
+                    master_seed=17, trajectories=2 if lasers == "both" else 1, **FAST_WEAK,
+                )
+        cases[f"v-no_observer-{engine}"] = RunConfig(
+            kind="v", mode="original_no_observer", engine=engine,
+            duration=DURATION[engine], master_seed=17, **FAST_WEAK,
+        )
+    return cases
+
+
+def _run(cfg: RunConfig, out: Path) -> dict[str, str]:
+    assert run(replace(cfg, out=str(out))) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def _reports(out: Path) -> list[dict]:
+    lines = (out / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines[:-1]]
+
+
+def test_golden_logs(tmp_path):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    cases = _cases()
+    assert sorted(expected) == sorted(cases)
+    crossings = {"renewal": 0, "steps": 0}
+    extensions = 0
+    flow_runs = 0
+    for name, cfg in cases.items():
+        out = tmp_path / name
+        assert _run(cfg, out) == expected[name], f"{name}: output differs from the golden run"
+        for log in out.glob("events_*.tsv"):
+            crossings[cfg.engine] += log.read_text(encoding="utf-8").count("\tweak_edge_crossing\t")
+        for summary in _reports(out):
+            extensions += summary["extensions"] if cfg.engine == "steps" else 0
+            flow_runs += "stationarity_residual" in summary
+    # each code path the digests guard actually ran
+    assert crossings["renewal"] > 0
+    assert crossings["steps"] > 0
+    assert extensions > 0
+    assert flow_runs == 1
+
+
+def _record(work: Path) -> None:
+    digests = {name: _run(cfg, work / name) for name, cfg in _cases().items()}
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _record(Path(tmp))
+    print(f"wrote {DIGESTS}", file=sys.stderr)

@@ -84,7 +84,7 @@ class TestTrigger:
         s = state
         for _ in range(2000):
             s, report = ts.step(s, (e,), 0.01)
-            assert ts.trigger(report, frozenset({phantom}), 0.01, rng) is None
+            assert ts.trigger(report, ts.ready_indices(s.labels, {phantom}), 0.01, rng) is None
 
     def test_branch_fractions_follow_delivered_mass(self):
         m = 0.9
@@ -103,7 +103,7 @@ class TestTrigger:
         _, report = ts.step(state, [edge], 0.01)
         rng = derive_rng(0, 0)
         before = rng.bit_generator.state
-        assert ts.trigger(report, frozenset(), 0.01, rng) is None
+        assert ts.trigger(report, ts.ready_indices(state.labels, ()), 0.01, rng) is None
         assert rng.bit_generator.state == before
 
 
