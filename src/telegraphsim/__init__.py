@@ -52,6 +52,7 @@ from .errors import (
 )
 from .eventlog import (
     EventKind,
+    EventLog,
     EventRecord,
     crossings,
     hits,

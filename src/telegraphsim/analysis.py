@@ -17,7 +17,7 @@ import numpy as np
 
 from .configurations import ConfigKind, LaserDrive
 from .errors import EmptyLog, NoWeakBranch
-from .eventlog import EventKind, EventRecord
+from .eventlog import EventKind, EventLog, Records
 from .flow import RateSet
 
 
@@ -53,28 +53,27 @@ class TelegraphSegmentation:
         return tuple(iv for iv in self.intervals if iv.phase is Phase.BRIGHT)
 
 
-def segment_telegraph(
-    records: Sequence[EventRecord], threshold_gap: float
-) -> TelegraphSegmentation:
+def segment_telegraph(records: Records, threshold_gap: float) -> TelegraphSegmentation:
     """Split the hit train into bright runs and dark gaps.
 
     Consecutive hits closer than the threshold belong to one bright
     interval; a longer gap becomes a dark interval. Raises EmptyLog when
     the log contains no hits.
     """
-    times = [r.time for r in records if r.kind is EventKind.HIT]
-    if not times:
+    times = EventLog.of(records).of_kind(EventKind.HIT).time
+    if not times.size:
         raise EmptyLog("no detector hits to segment")
+    gaps = np.flatnonzero(times[1:] - times[:-1] > threshold_gap)
+    # each dark gap runs from its last bright hit to its first; bright runs fill the rest
+    dark_from = times[gaps].tolist()
+    dark_to = times[gaps + 1].tolist()
+    bright_from = [times[0].item()] + dark_to
+    bright_to = dark_from + [times[-1].item()]
     intervals = []
-    bright_start = times[0]
-    prev = times[0]
-    for t in times[1:]:
-        if t - prev > threshold_gap:
-            intervals.append(Interval(bright_start, prev, Phase.BRIGHT))
-            intervals.append(Interval(prev, t, Phase.DARK))
-            bright_start = t
-        prev = t
-    intervals.append(Interval(bright_start, prev, Phase.BRIGHT))
+    for b0, b1, d0, d1 in zip(bright_from, bright_to, dark_from, dark_to):
+        intervals.append(Interval(b0, b1, Phase.BRIGHT))
+        intervals.append(Interval(d0, d1, Phase.DARK))
+    intervals.append(Interval(bright_from[-1], bright_to[-1], Phase.BRIGHT))
     return TelegraphSegmentation(tuple(intervals), threshold_gap)
 
 
@@ -117,7 +116,7 @@ def _weighted_median(values: Sequence[float], weights: Sequence[float]) -> float
 
 
 def classify_weak_timing(
-    records: Sequence[EventRecord],
+    records: Records,
     seg: TelegraphSegmentation,
     config: ConfigKind,
     rates: RateSet,
@@ -133,17 +132,18 @@ def classify_weak_timing(
         raise NoWeakBranch("timing classification needs both lasers in the generating run")
     strong_cycle = 1.0 / rates.k_strong_absorb + 1.0 / rates.k_strong_emit
     weak_absorb_time = 1.0 / rates.k_weak_absorb
-    cross = [r for r in records if r.kind is EventKind.WEAK_EDGE_CROSSING]
+    cross = EventLog.of(records).of_kind(EventKind.WEAK_EDGE_CROSSING)
+    weights = np.maximum(cross.aux, 1e-30)
 
     entries = []
     for iv in seg.dark_intervals:
         lo = iv.start - strong_cycle
         hi = iv.end + strong_cycle
-        inside = [r for r in cross if lo <= r.time <= hi]
-        if not inside:
+        inside = (lo <= cross.time) & (cross.time <= hi)
+        if not inside.any():
             entries.append(DarkTimingEntry(iv.start, iv.end, None, WeakTiming.AMBIGUOUS))
             continue
-        t_med = _weighted_median([r.time for r in inside], [max(r.aux, 1e-30) for r in inside])
+        t_med = _weighted_median(cross.time[inside], weights[inside])
         if abs(t_med - iv.end) <= strong_cycle:
             cls = WeakTiming.AT_END
         elif abs(t_med - iv.start) <= weak_absorb_time:

@@ -12,9 +12,9 @@ current into each target, hence:
 An EpochTemplate tabulates the m_j(t) curves once on a two-piece grid
 (fine over the fast transient, coarse over the slow weak-cycle tail)
 and then samples the epoch-ending hit (target, time) exactly from one
-uniform draw by inverting the stacked delivery curves. This is the same
-law the per-step trigger implements; the two routes are cross-checked
-statistically in the tests.
+uniform draw by inverting the stacked delivery curves (an array of draws
+is inverted at once). This is the same law the per-step trigger
+implements; the two routes are cross-checked statistically in the tests.
 
 The template also reconstructs, for a hit at time tau, where the
 realized history's weak photon was emitted: the crossing-time density
@@ -75,6 +75,11 @@ class EpochTemplate:
         self.sink_idx = np.array(
             [self.index[lab] for lab in self.sink_labels], dtype=np.intp
         )
+        # each sink's atom and photon ledger (clicks, strong, weak), as arrays
+        self.sink_atoms = np.array([lab.atom.value for lab in self.sink_labels], dtype=np.int64)
+        self.sink_ledger = np.array(
+            [(lab.clicks, lab.strong, lab.weak) for lab in self.sink_labels], dtype=np.int64
+        ).reshape(-1, 3)
 
         self.grid, self._piece_props = self._build_grid()
         self.masses = self._propagate(np.asarray(initial, dtype=np.float64))
@@ -84,13 +89,18 @@ class EpochTemplate:
             self.delivered = np.maximum.accumulate(delivered, axis=0)
             self.final_delivered = self.delivered[-1]
             self.cum_final = np.cumsum(self.final_delivered)
-            self._columns = [np.ascontiguousarray(self.delivered[:, j])
-                             for j in range(len(self.sink_labels))]
         else:
             self.delivered = np.zeros((len(self.grid), 0))
             self.final_delivered = np.zeros(0)
             self.cum_final = np.zeros(0)
-            self._columns = []
+        self._cum_before = np.concatenate(([0.0], self.cum_final[:-1]))
+        self._largest_sink = int(np.argmax(self.final_delivered)) if len(self.sink_labels) else 0
+        # every sink's delivery column, one after another, as (sink, delivered)
+        # keys: complex numbers order by real part first, so one search over
+        # the keys searches each draw's own column
+        self._keys = np.empty(self.delivered.size, dtype=np.complex128)
+        self._keys.real = np.repeat(np.arange(len(self.sink_labels)), len(self.grid))
+        self._keys.imag = self.delivered.T.ravel()
         self.conservation_residual = float(np.abs(self.masses.sum(axis=1) - 1.0).max())
         self._stage_cache: dict[ComponentLabel, list[CrossingStage]] = {}
 
@@ -137,26 +147,38 @@ class EpochTemplate:
     def has_sinks(self) -> bool:
         return len(self.sink_labels) > 0 and float(self.cum_final[-1]) > 0.0
 
-    def sample_hit(self, u: float) -> tuple[ComponentLabel, float, float]:
-        """Map one uniform draw to (target, hit time, delivered mass at hit).
+    def sample_hits(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Map uniform draws to (sink index, hit time, delivered mass at hit), elementwise.
 
         The stacked per-target delivery curves are inverted, so target
         marginals equal the final delivered masses and the hit-time law
         conditional on the target follows that target's delivery curve.
+        The sink index points into ``sink_labels``.
         """
-        total = float(self.cum_final[-1])
-        if u >= total:  # residual beyond the tabulated horizon (~1e-20)
-            j = int(np.argmax(self.final_delivered))
-            return self.sink_labels[j], float(self.grid[-1]), float(self.final_delivered[j])
-        j = int(np.searchsorted(self.cum_final, u, side="right"))
-        v = u - (float(self.cum_final[j - 1]) if j > 0 else 0.0)
-        col = self._columns[j]
-        k = int(np.searchsorted(col, v, side="left"))
-        k = min(max(k, 1), len(col) - 1)
-        lo, hi = col[k - 1], col[k]
-        frac = 0.0 if hi <= lo else (v - lo) / (hi - lo)
-        t = float(self.grid[k - 1] + frac * (self.grid[k] - self.grid[k - 1]))
-        return self.sink_labels[j], t, float(v)
+        u = np.asarray(u, dtype=np.float64)
+        # residual beyond the tabulated horizon (~1e-20): the largest sink at the last time
+        beyond = u >= self.cum_final[-1]
+        j = np.where(
+            beyond, self._largest_sink, np.searchsorted(self.cum_final, u, side="right")
+        )
+        v = u - self._cum_before[j]
+        key = np.empty(u.shape, dtype=np.complex128)
+        key.real = j
+        key.imag = v
+        n = len(self.grid)
+        # clamp each draw's column position to [1, n - 1]
+        k = np.minimum(np.maximum(np.searchsorted(self._keys, key, side="left") - j * n, 1), n - 1)
+        lo, hi = self.delivered[k - 1, j], self.delivered[k, j]
+        flat = hi <= lo
+        frac = np.where(flat, 0.0, (v - lo) / np.where(flat, 1.0, hi - lo))
+        t0, t1 = self.grid[k - 1], self.grid[k]
+        t = np.where(beyond, self.grid[-1], t0 + frac * (t1 - t0))
+        return j, t, np.where(beyond, self.final_delivered[j], v)
+
+    def sample_hit(self, u: float) -> tuple[ComponentLabel, float, float]:
+        """``sample_hits`` for one draw, returning the target's label."""
+        j, t, delivered = self.sample_hits(np.array([u]))
+        return self.sink_labels[int(j[0])], float(t[0]), float(delivered[0])
 
     # -- realized weak-photon crossings --------------------------------
 

@@ -9,11 +9,13 @@ Two drivers implement the same stochastic law:
                  in one shot from the epoch template's delivery curves.
                  This is exact for the same law (the per-substep hazards
                  telescope to the delivered-mass distribution) and makes
-                 long desk-scale runs cheap.
+                 long desk-scale runs cheap. The uniforms are drawn and
+                 inverted in blocks, and the log is built as columns.
 
-The no-observer mode has no stochastic events at all; it runs the flow
-forward in large exact jumps on the truncated graph and reports the
-stationarity residual.
+The no-observer mode has no stochastic events at all. On the ``auto``
+and ``renewal`` engines it runs the flow forward in large exact jumps on
+the truncated graph and reports the stationarity residual; on ``steps``
+it runs the per-step driver (see ``run_trajectory``).
 
 Seed splitting: trajectory i of a run with master seed s uses
 ``numpy.random.Generator(PCG64(SeedSequence((s, i))))``. This rule is
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +40,16 @@ from .config import RunConfig
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier
 from .epochs import CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
-from .eventlog import EventKind, EventRecord, hits, serialize_log
+from .eventlog import (
+    EPOCH_START,
+    HIT,
+    WEAK_EDGE_CROSSING,
+    EventKind,
+    EventLog,
+    EventRecord,
+    hits,
+    serialize_log,
+)
 from .flow import step
 from .rules import FULL_RULES, RuleProfile, active_edges, apply_mode, collapse, trigger
 from .state import AtomLevel, ComponentLabel, Mode, make_label
@@ -46,6 +57,8 @@ from .state import AtomLevel, ComponentLabel, Mode, make_label
 MASS_ABORT_TOL = 1e-6
 EXTENSION_MASS_EPS = 1e-10
 EXTENSION_CHECK_EVERY = 64
+#: Uniforms the renewal engine draws at a time; it uses one per epoch.
+RENEWAL_BLOCK = 4096
 
 
 def derive_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -55,7 +68,7 @@ def derive_rng(master_seed: int, index: int) -> np.random.Generator:
 
 @dataclass
 class TrajectoryResult:
-    records: list[EventRecord]
+    records: EventLog
     epochs: int
     steps_taken: int = 0
     collapses: int = 0
@@ -112,58 +125,114 @@ def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
     return label.shifted(clicks=root.clicks, strong=root.strong, weak=root.weak)
 
 
-def _crossing_records(
-    tpl: EpochTemplate,
-    sink: ComponentLabel,
-    tau: float,
-    root: ComponentLabel,
-    t_epoch: float,
-    epoch: int,
-) -> list[EventRecord]:
-    out = []
-    for edge, c in tpl.crossing_times(sink, tau):
-        t = min(max(t_epoch + c, t_epoch), t_epoch + tau)
-        out.append(
-            EventRecord.for_label(
-                t, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(edge.target, root), aux=1.0
-            )
-        )
-    out.sort(key=lambda r: r.time)
+def _crossings(
+    tpl: EpochTemplate, sink: ComponentLabel, tau: float, t_epoch: float
+) -> list[tuple[float, ComponentLabel]]:
+    """Time and canonical target of each weak-edge crossing of a hit on ``sink``, by time."""
+    out = [
+        (min(max(t_epoch + c, t_epoch), t_epoch + tau), edge.target)
+        for edge, c in tpl.crossing_times(sink, tau)
+    ]
+    out.sort(key=lambda tc: tc[0])
     return out
 
 
+def _rows(kind: int, time, epoch, atom, ledger: np.ndarray, aux) -> EventLog:
+    """Records of one kind; ``ledger`` holds one (clicks, strong, weak) row per record."""
+    n = len(time)
+    return EventLog(
+        time,
+        np.full(n, kind),
+        np.broadcast_to(epoch, n),
+        np.broadcast_to(atom, n),
+        *ledger.T,
+        np.broadcast_to(aux, n),
+    )
+
+
 def run_trajectory_renewal(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryResult:
-    """Event-driven trajectory: one uniform draw per epoch."""
+    """Event-driven trajectory: one uniform per epoch, drawn ``RENEWAL_BLOCK`` at a time.
+
+    The epochs of a block are inverted at once under the template of the
+    root atom. A hit that lands on another atom cuts the block there, and
+    the rest of the block is inverted under that atom's template. Hit times
+    are cumulative sums of the sampled epoch lengths and the root's photon
+    ledger is a cumulative sum of the sinks' ledgers. The tail of the last
+    block is never used.
+    """
     epochs = _CompiledEpochs(cfg)
-    records: list[EventRecord] = []
-    root = make_label(AtomLevel.GROUND, 0, 0, 0)
+    # an epoch's records are its start, its crossings and its hit: stably sorted
+    # by epoch, these three lists concatenated give the log
+    starts: list[EventLog] = []
+    crossing_rows: list[EventLog] = []
+    hit_rows: list[EventLog] = []
+    atom = AtomLevel.GROUND
+    ledger = np.zeros(3, dtype=np.int64)  # the root's clicks, strong and weak counts
     t = 0.0
     epoch = 0
     residual = 0.0
+    u = np.empty(0)
+    pos = 0
     while t < cfg.duration:
-        records.append(EventRecord.for_label(t, EventKind.EPOCH_START, epoch, root))
-        tpl = _template(epochs[root.atom])
+        tpl = _template(epochs[atom])
         residual = max(residual, tpl.conservation_residual)
         if not tpl.has_sinks:
+            starts.append(_rows(EPOCH_START, [t], epoch, atom.value, ledger[None], 0.0))
             t = cfg.duration
             break
-        u = rng.random()
-        sink_c, tau, delivered = tpl.sample_hit(u)
-        t_hit = t + tau
-        if t_hit > cfg.duration:
-            t = cfg.duration
-            break
-        if sink_c.weak > 0:
-            records.extend(_crossing_records(tpl, sink_c, tau, root, t, epoch))
-        realized = _shift_to(sink_c.without_marks(), root)
-        records.append(
-            EventRecord.for_label(t_hit, EventKind.HIT, epoch, realized, aux=delivered)
+        if pos == len(u):
+            u, pos = rng.random(RENEWAL_BLOCK), 0
+        j, tau, delivered = tpl.sample_hits(u[pos:])
+        # this template holds up to and including the first hit on another atom
+        moves = np.flatnonzero(tpl.sink_atoms[j] != atom.value)
+        n = int(moves[0]) + 1 if moves.size else len(j)
+        times = np.cumsum(np.concatenate(([t], tau[:n])))
+        # the first hit at or past the duration ends the trajectory; one past it is not logged
+        late = np.flatnonzero(times[1:] >= cfg.duration)
+        n_started = int(late[0]) + 1 if late.size else n
+        n_hits = n_started - int(times[n_started] > cfg.duration)
+        sinks = j[:n_hits]
+        deltas = tpl.sink_ledger[sinks]
+        after = ledger + np.cumsum(deltas, axis=0)
+        before = np.concatenate((ledger[None], after))
+        numbers = epoch + np.arange(n_started)
+        starts.append(
+            _rows(EPOCH_START, times[:n_started], numbers, atom.value, before[:n_started], 0.0)
         )
-        root = realized
-        t = t_hit
-        epoch += 1
+        for q in np.flatnonzero(deltas[:, 2] > 0):
+            crossed = _crossings(tpl, tpl.sink_labels[sinks[q]], float(tau[q]), float(times[q]))
+            shifts = [(lab.clicks, lab.strong, lab.weak) for _, lab in crossed]
+            crossing_rows.append(
+                _rows(
+                    WEAK_EDGE_CROSSING,
+                    [c for c, _ in crossed],
+                    numbers[q],
+                    [lab.atom.value for _, lab in crossed],
+                    before[q] + np.array(shifts, dtype=np.int64).reshape(-1, 3),
+                    1.0,
+                )
+            )
+        hit_rows.append(
+            _rows(
+                HIT,
+                times[1 : n_hits + 1],
+                numbers[:n_hits],
+                tpl.sink_atoms[sinks],
+                after,
+                delivered[:n_hits],
+            )
+        )
+        epoch += n_hits
+        if late.size:
+            t = cfg.duration
+            break
+        t = float(times[-1])
+        ledger = after[-1]
+        atom = AtomLevel(int(tpl.sink_atoms[sinks[-1]]))
+        pos += n
+    log = EventLog.concat(starts + crossing_rows + hit_rows)
     return TrajectoryResult(
-        records=records,
+        records=log[np.argsort(log.epoch, kind="stable")],
         epochs=epoch,
         collapses=epoch,
         max_mass_residual=residual,
@@ -186,7 +255,7 @@ def run_trajectory_steps(
     epochs = _CompiledEpochs(cfg, profile)
 
     records: list[EventRecord] = []
-    res = TrajectoryResult(records=records, epochs=0)
+    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
     root = make_label(AtomLevel.GROUND, 0, 0, 0)
     t = 0.0
     epoch = 0
@@ -229,9 +298,13 @@ def run_trajectory_steps(
             break
         if hit.target.weak > 0:
             tau = hit.time - t_epoch
-            records.extend(
-                _crossing_records(_template(ep), hit.target, tau, root, t_epoch, epoch)
-            )
+            for t_cross, target in _crossings(_template(ep), hit.target, tau, t_epoch):
+                records.append(
+                    EventRecord.for_label(
+                        t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root),
+                        aux=1.0,
+                    )
+                )
         state = collapse(state, hit)
         res.collapses += 1
         if abs(float(state.masses.sum()) - 1.0) > 0 or state.labels[0].ready.any():
@@ -245,6 +318,7 @@ def run_trajectory_steps(
         t = hit.time
         epoch += 1
 
+    res.records = EventLog.of(records)
     res.epochs = epoch
     res.final_time = t
     return res
@@ -262,7 +336,7 @@ def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryR
     mode = cfg.mode_enum()
     ep = _CompiledEpochs(cfg, apply_mode(mode))[AtomLevel.GROUND]
     state = ep.chain(mode, 0.0, 0)
-    records = [EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, ep.graph.root)]
+    records = EventLog.of([EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, ep.graph.root)])
     sys_ = ep.system
     dt_jump = 10.0 / sys_.max_rate if sys_.max_rate > 0 else cfg.duration
     steps = 0
@@ -286,7 +360,13 @@ def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryR
 
 
 def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryResult:
-    """Dispatch one trajectory on the configured engine."""
+    """Dispatch one trajectory on the configured engine.
+
+    The no-observer mode runs the flow driver with ``engine`` ``auto`` or
+    ``renewal``, which reports a ``stationarity_residual``; with ``steps``
+    it runs the per-step driver, which extends the graph toward
+    ``max_depth`` and reports no residual.
+    """
     rng = derive_rng(cfg.master_seed, index)
     mode = cfg.mode_enum()
     engine = cfg.engine
@@ -300,7 +380,7 @@ def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryResult:
 # -- reporting ----------------------------------------------------------
 
 
-def analyze_log(cfg: RunConfig, records: Sequence[EventRecord]) -> Optional[dict]:
+def analyze_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:
     """Telegraph segmentation, interval statistics and weak timing of one log.
 
     ``run``'s report and ``analyze`` both print these fields. Returns
@@ -329,7 +409,7 @@ def analyze_log(cfg: RunConfig, records: Sequence[EventRecord]) -> Optional[dict
 
 
 def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -> dict:
-    hit_times = [r.time for r in hits(result.records)]
+    hit_times = hits(result.records).time
     summary: dict = {
         "trajectory": index,
         "engine": cfg.engine,

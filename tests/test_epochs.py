@@ -70,3 +70,81 @@ def test_steps_engine_builds_each_graph_once(monkeypatch):
     assert res.epochs > 10 and res.extensions > 0
     assert len(built) == len(set(built))
     assert {depth for _, depth in built} > {cfg.depth}
+
+
+def reference_sample_hit(tpl, u):
+    """The scalar inversion that ``sample_hits`` vectorizes, and which branch it took."""
+    total = float(tpl.cum_final[-1])
+    if u >= total:
+        j = int(np.argmax(tpl.final_delivered))
+        return (j, float(tpl.grid[-1]), float(tpl.final_delivered[j])), "beyond"
+    j = int(np.searchsorted(tpl.cum_final, u, side="right"))
+    v = u - (float(tpl.cum_final[j - 1]) if j > 0 else 0.0)
+    col = np.ascontiguousarray(tpl.delivered[:, j])
+    k = int(np.searchsorted(col, v, side="left"))
+    k = min(max(k, 1), len(col) - 1)
+    lo, hi = col[k - 1], col[k]
+    frac = 0.0 if hi <= lo else (v - lo) / (hi - lo)
+    t = float(tpl.grid[k - 1] + frac * (tpl.grid[k] - tpl.grid[k - 1]))
+    return (j, t, float(v)), "flat" if hi <= lo else "slope"
+
+
+def inversion_inputs(tpl):
+    """Uniforms at every boundary of the inversion, plus random ones."""
+    cum = tpl.cum_final
+    below = np.nextafter(cum, -np.inf)
+    u = [0.0, *cum, *below[below >= 0], *np.nextafter(cum, np.inf)]
+    # values inside the flat stretches of each delivery column
+    for j in range(len(tpl.sink_labels)):
+        col = tpl.delivered[:, j]
+        flat = np.flatnonzero(col[1:] <= col[:-1]) + 1
+        start = cum[j - 1] if j else 0.0
+        u.extend(start + col[flat[:: max(1, len(flat) // 20)]])
+    u.extend(np.random.default_rng(5).random(500))
+    u.extend([cum[-1], (cum[-1] + 1.0) / 2, np.nextafter(1.0, 0.0)])  # the residual branch
+    u = np.array(u)
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def preloaded_sink_template():
+    """Two sinks, one fed from the root and one holding mass from the start.
+
+    The second sink's delivery column is flat, so every draw that lands on it
+    takes the flat-stretch rule (hi <= lo); no configuration's template has
+    such a column.
+    """
+    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    fed = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
+    preloaded = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, ts.BOTH_MARKS)
+    edge = ts.FlowEdge(src, fed, 1.0, ts.EdgeKind.STRONG_EMIT)
+    state = ts.ChainState([src, fed, preloaded], [0.7, 0.0, 0.3], [edge])
+    return EpochTemplate.from_chain(state, [edge])
+
+
+def test_sample_hits_equals_scalar_inversion():
+    """Bitwise, for every configuration, laser setting and root atom."""
+    cases = [
+        (f"{kind_id(kind)} root {atom.name}", compile_epoch(kind, atom).template)
+        for kind in KINDS
+        for atom in ts.AtomLevel
+    ]
+    cases.append(("preloaded sink", preloaded_sink_template()))
+    branches = set()
+    for case, tpl in cases:
+        if not tpl.sink_labels:
+            assert not tpl.has_sinks, case
+            continue
+        u = inversion_inputs(tpl)
+        j, t, delivered = tpl.sample_hits(u)
+        for i, x in enumerate(u.tolist()):
+            (rj, rt, rd), branch = reference_sample_hit(tpl, x)
+            branches.add(branch)
+            assert (int(j[i]), t[i].tobytes(), delivered[i].tobytes()) == (
+                rj, np.float64(rt).tobytes(), np.float64(rd).tobytes()
+            ), f"{case}: u={x!r}"
+        # the one-draw form is a view of the same inversion
+        assert tpl.sample_hit(float(u[1])) == (
+            tpl.sink_labels[j[1]], float(t[1]), float(delivered[1])
+        ), case
+    # interpolation, the flat-stretch rule (hi <= lo) and the residual branch all ran
+    assert branches == {"slope", "flat", "beyond"}
