@@ -155,6 +155,24 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def format_config(cfg: RunConfig) -> str:
+    """Every key of ``cfg`` as key=value text that ``parse_config`` reads back equal.
+
+    ``threshold_gap=None`` is written as ``auto`` and floats via ``repr``.
+    """
+    lines = []
+    for key in _PARSERS:
+        value = getattr(cfg, key)
+        if value is None:
+            text = "auto"
+        elif isinstance(value, float):
+            text = repr(value)
+        else:
+            text = str(value)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.max_depth < cfg.depth:
         raise ConfigError("max_depth must be at least depth")

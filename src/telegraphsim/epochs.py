@@ -29,8 +29,8 @@ period when the slow stage precedes the weak edge, and at the beginning
 when the slow stage follows it.
 
 Both engines run every epoch on a CompiledEpoch: the graph, flow system
-and ready targets of one (root atom, depth), compiled once per
-trajectory for a root with an empty photon ledger.
+and ready targets of one (root atom, depth), compiled once per run for
+a root with an empty photon ledger and shared by the run's trajectories.
 """
 
 from __future__ import annotations

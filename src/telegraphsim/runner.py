@@ -36,7 +36,7 @@ from .analysis import (
     interval_stats,
     segment_telegraph,
 )
-from .config import RunConfig
+from .config import RunConfig, format_config
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier
 from .epochs import CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
@@ -83,25 +83,43 @@ def _compile(graph: EpochGraph) -> CompiledEpoch:
     return CompiledEpoch(graph, active_edges(chain_from_graph(graph)))
 
 
+def _epochs_key(cfg: RunConfig, profile: RuleProfile) -> tuple:
+    return (cfg.config_kind(), cfg.rate_set(), cfg.depth, profile)
+
+
 class _CompiledEpochs(dict):
-    """One trajectory's compiled epochs at the configured depth, keyed by root atom.
+    """One run's compiled epochs at the configured depth, keyed by root atom.
 
     Each is built on first use; deeper ones hang off ``CompiledEpoch.deeper``.
+    ``run`` builds one and every trajectory of the run shares it. Sharing
+    is exact because everything cached is a pure function of the config
+    (kind, lasers, rates, depth) and the rule profile: the graph, the
+    ``FlowSystem`` and its per-``dt`` propagators, the template and its
+    ``_stage_cache``, and ``ep.deeper`` (``extend_frontier`` ignores which
+    frontier label triggered it).
     """
 
-    def __init__(self, cfg: RunConfig, profile: RuleProfile = FULL_RULES):
+    def __init__(self, cfg: RunConfig, profile: RuleProfile):
         super().__init__()
-        self.kind = cfg.config_kind()
-        self.rates = cfg.rate_set()
-        self.depth = cfg.depth
-        self.profile = profile
+        self.key = _epochs_key(cfg, profile)
 
     def __missing__(self, atom: AtomLevel) -> CompiledEpoch:
-        root = make_label(atom, 0, 0, 0)
+        kind, rates, depth, profile = self.key
         compiled = self[atom] = _compile(
-            build_epoch(self.kind, root, self.rates, self.depth, self.profile)
+            build_epoch(kind, make_label(atom, 0, 0, 0), rates, depth, profile)
         )
         return compiled
+
+
+def _own_epochs(
+    cfg: RunConfig, profile: RuleProfile, epochs: Optional[_CompiledEpochs]
+) -> _CompiledEpochs:
+    """``epochs`` if given (it must match the config and profile), else fresh ones."""
+    if epochs is None:
+        return _CompiledEpochs(cfg, profile)
+    if epochs.key != _epochs_key(cfg, profile):
+        raise ValueError("compiled epochs were built for another config or rule profile")
+    return epochs
 
 
 def _extended(ep: CompiledEpoch, frontier_label: ComponentLabel):
@@ -150,7 +168,9 @@ def _rows(kind: int, time, epoch, atom, ledger: np.ndarray, aux) -> EventLog:
     )
 
 
-def run_trajectory_renewal(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryResult:
+def run_trajectory_renewal(
+    cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
+) -> TrajectoryResult:
     """Event-driven trajectory: one uniform per epoch, drawn ``RENEWAL_BLOCK`` at a time.
 
     The epochs of a block are inverted at once under the template of the
@@ -160,7 +180,7 @@ def run_trajectory_renewal(cfg: RunConfig, rng: np.random.Generator) -> Trajecto
     ledger is a cumulative sum of the sinks' ledgers. The tail of the last
     block is never used.
     """
-    epochs = _CompiledEpochs(cfg)
+    epochs = _own_epochs(cfg, FULL_RULES, epochs)
     # an epoch's records are its start, its crossings and its hit: stably sorted
     # by epoch, these three lists concatenated give the log
     starts: list[EventLog] = []
@@ -244,6 +264,7 @@ def run_trajectory_steps(
     cfg: RunConfig,
     rng: np.random.Generator,
     max_steps: Optional[int] = None,
+    epochs: Optional[_CompiledEpochs] = None,
 ) -> TrajectoryResult:
     """Per-step trajectory with explicit transport, trigger, and collapse.
 
@@ -252,7 +273,7 @@ def run_trajectory_steps(
     """
     mode = cfg.mode_enum()
     profile = apply_mode(mode)
-    epochs = _CompiledEpochs(cfg, profile)
+    epochs = _own_epochs(cfg, profile, epochs)
 
     records: list[EventRecord] = []
     res = TrajectoryResult(records=EventLog.of(()), epochs=0)
@@ -324,7 +345,9 @@ def run_trajectory_steps(
     return res
 
 
-def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryResult:
+def run_trajectory_flow(
+    cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
+) -> TrajectoryResult:
     """No-observer driver: uninterrupted deterministic flow, no events.
 
     The chain is truncated at the configured depth (an unboundedly
@@ -334,7 +357,7 @@ def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryR
     """
     del rng  # nothing stochastic happens without the trigger
     mode = cfg.mode_enum()
-    ep = _CompiledEpochs(cfg, apply_mode(mode))[AtomLevel.GROUND]
+    ep = _own_epochs(cfg, apply_mode(mode), epochs)[AtomLevel.GROUND]
     state = ep.chain(mode, 0.0, 0)
     records = EventLog.of([EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, ep.graph.root)])
     sys_ = ep.system
@@ -359,22 +382,28 @@ def run_trajectory_flow(cfg: RunConfig, rng: np.random.Generator) -> TrajectoryR
     )
 
 
-def run_trajectory(cfg: RunConfig, index: int) -> TrajectoryResult:
+def run_trajectory(
+    cfg: RunConfig, index: int, epochs: Optional[_CompiledEpochs] = None
+) -> TrajectoryResult:
     """Dispatch one trajectory on the configured engine.
 
     The no-observer mode runs the flow driver with ``engine`` ``auto`` or
     ``renewal``, which reports a ``stationarity_residual``; with ``steps``
     it runs the per-step driver, which extends the graph toward
     ``max_depth`` and reports no residual.
+
+    ``epochs`` are compiled epochs shared with the run's other trajectories,
+    built with ``apply_mode(cfg.mode_enum())``, the profile every driver
+    uses here; without them the driver compiles its own.
     """
     rng = derive_rng(cfg.master_seed, index)
     mode = cfg.mode_enum()
     engine = cfg.engine
     if mode is Mode.ORIGINAL_NO_OBSERVER and engine != "steps":
-        return run_trajectory_flow(cfg, rng)
+        return run_trajectory_flow(cfg, rng, epochs)
     if engine == "steps":
-        return run_trajectory_steps(cfg, rng)
-    return run_trajectory_renewal(cfg, rng)
+        return run_trajectory_steps(cfg, rng, epochs=epochs)
+    return run_trajectory_renewal(cfg, rng, epochs)
 
 
 # -- reporting ----------------------------------------------------------
@@ -467,7 +496,9 @@ def run(cfg: RunConfig) -> int:
     """Execute a full run: one log per trajectory plus text/JSON reports.
 
     Returns 0 on success, 1 for I/O failure, 2 for a runtime invariant
-    breach (with a diagnostic dump of the offending trajectory).
+    breach (with a diagnostic dump of the offending trajectory:
+    ``diagnostic.json`` holds the error, the trajectory index and the
+    run's config as key=value text that ``parse_config`` reads back).
     """
     try:
         out = cfg.out_dir()
@@ -476,17 +507,19 @@ def run(cfg: RunConfig) -> int:
         print(f"cannot create output directory: {exc}")
         return 1
     summaries = []
+    epochs = _CompiledEpochs(cfg, apply_mode(cfg.mode_enum()))
     try:
         for i in range(cfg.trajectories):
-            result = run_trajectory(cfg, i)
+            result = run_trajectory(cfg, i, epochs)
             (out / f"events_{i:03d}.tsv").write_text(
                 serialize_log(result.records), encoding="utf-8"
             )
             summaries.append(summarize_trajectory(cfg, i, result))
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}")
+        diagnostic = {"error": str(exc), "trajectory": i, "config": format_config(cfg)}
         (out / "diagnostic.json").write_text(
-            json.dumps({"error": str(exc)}, sort_keys=True), encoding="utf-8"
+            json.dumps(diagnostic, sort_keys=True), encoding="utf-8"
         )
         return 2
     except OSError as exc:

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import telegraphsim as ts
+from telegraphsim import runner
 from telegraphsim.cli import main
+from telegraphsim.config import RunConfig, parse_config
+from telegraphsim.errors import InvariantBreach
 from telegraphsim.eventlog import (
     EventKind,
     EventRecord,
@@ -142,6 +150,25 @@ class TestRunCommand:
         assert report["bright_intervals"] >= 1
         assert report["dark_intervals"] >= 1
 
+    def test_breach_diagnostic_reproduces_the_trajectory(self, tmp_path, monkeypatch):
+        real = runner.run_trajectory
+
+        def breach_on_second(cfg, index, *args):
+            if index == 1:
+                raise InvariantBreach("injected breach")
+            return real(cfg, index, *args)
+
+        monkeypatch.setattr(runner, "run_trajectory", breach_on_second)
+        cfg = RunConfig(
+            kind="lambda", duration=500.0, master_seed=9, trajectories=2,
+            k_weak_absorb=0.1, threshold_gap=12.5, out=str(tmp_path / "out"),
+        )
+        assert runner.run(cfg) == 2
+        diag = json.loads((tmp_path / "out" / "diagnostic.json").read_text())
+        assert diag["error"] == "injected breach"
+        assert diag["trajectory"] == 1
+        assert parse_config(diag["config"]) == cfg
+
 
 class TestAnalyzeCommand:
     def test_analyze_existing_log(self, tmp_path, capsys):
@@ -155,6 +182,29 @@ class TestAnalyzeCommand:
 
     def test_analyze_missing_file(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.tsv")) == 1
+
+    def test_analyze_imports_no_scipy(self, tmp_path):
+        # a fresh interpreter: this one has already imported scipy
+        out = tmp_path / "run"
+        assert run_cli("run", "--duration", "3000", "--seed", "3", "--out", str(out)) == 0
+        script = textwrap.dedent(
+            """
+            import sys
+            import telegraphsim
+            import telegraphsim.cli
+            assert telegraphsim.cli.main(["analyze", sys.argv[1]]) == 0
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            assert not loaded, loaded
+            """
+        )
+        src = str(Path(ts.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out / "events_000.tsv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "bright=" in proc.stdout
 
 
 class TestFlags:

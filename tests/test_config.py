@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import telegraphsim as ts
-from telegraphsim.config import RunConfig, parse_config, with_overrides
+from telegraphsim.config import RunConfig, format_config, parse_config, with_overrides
 from telegraphsim.errors import ConfigError
 
 
@@ -17,6 +17,22 @@ def test_empty_document_gives_defaults():
     assert cfg.dt_max == 0.01
     assert cfg.trajectories == 1
     assert cfg.threshold_gap is None  # auto
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(),
+        RunConfig(
+            kind="cascade_weak_down", lasers="weak_only", k_weak_absorb=5e-9, duration=0.1 + 0.2,
+            master_seed=2**64 - 1, threshold_gap=12.5, depth=3, engine="steps", out="a/b c",
+        ),
+    ],
+)
+def test_format_config_round_trip(cfg):
+    text = format_config(cfg)
+    assert parse_config(text) == cfg
+    assert ("threshold_gap = auto" in text) == (cfg.threshold_gap is None)
 
 
 def test_direct_mapping():
