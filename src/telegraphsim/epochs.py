@@ -293,8 +293,8 @@ class CompiledEpoch:
     def chain(
         self, mode: Mode, time: float, epoch: int, masses: Optional[np.ndarray] = None
     ) -> ChainState:
-        """A chain on this epoch's labels that steps on the compiled system."""
-        state = ChainState(
+        """A chain on this epoch's labels; ``flow.step`` it with ``self.system``."""
+        return ChainState(
             self.graph.labels,
             self.root_masses if masses is None else masses,
             self.graph.edges,
@@ -302,8 +302,6 @@ class CompiledEpoch:
             epoch=epoch,
             mode=mode,
         )
-        state._system = self.system
-        return state
 
     def index_in(self, deeper: "CompiledEpoch") -> np.ndarray:
         """Where each label sits in a deeper build of the same root.

@@ -290,7 +290,7 @@ def run_trajectory_steps(
 
         while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
             dt = min(cfg.dt_max, cfg.duration - t)
-            state, report = step(state, ep.system.edges, dt)
+            state, report = step(state, ep.system.edges, dt, ep.system)
             res.steps_taken += 1
             t = state.time
             drift = abs(float(state.masses.sum()) - 1.0)
@@ -366,7 +366,7 @@ def run_trajectory_flow(
     residual = 0.0
     while state.time < cfg.duration:
         dt = min(dt_jump, cfg.duration - state.time)
-        state, _ = step(state, sys_.edges, dt)
+        state, _ = step(state, sys_.edges, dt, sys_)
         steps += 1
         residual = max(residual, abs(float(state.masses.sum()) - 1.0))
         if residual > MASS_ABORT_TOL:

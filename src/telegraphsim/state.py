@@ -205,7 +205,7 @@ class ChainState:
     in a flat array so stepping does not churn per-component objects.
     """
 
-    __slots__ = ("labels", "masses", "edges", "time", "epoch", "mode", "_index", "_system")
+    __slots__ = ("labels", "masses", "edges", "time", "epoch", "mode", "_index")
 
     def __init__(
         self,
@@ -223,7 +223,6 @@ class ChainState:
         self.epoch = int(epoch)
         self.mode = mode
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._system = None  # lazily attached flow system (see flow module)
         if len(self._index) != len(self.labels):
             raise DuplicateLabel("two components share a label")
         if self.masses.shape != (len(self.labels),):
@@ -259,7 +258,6 @@ class ChainState:
         new.epoch = self.epoch
         new.mode = self.mode
         new._index = self._index
-        new._system = self._system
         return new
 
     def __repr__(self) -> str:

@@ -170,6 +170,27 @@ class TestRunCommand:
         assert parse_config(diag["config"]) == cfg
 
 
+#: renewal, steps, and the no-observer flow driver
+ENGINE_FLAGS = (
+    "--duration 3000",
+    "--engine steps --duration 20",
+    "--mode original_no_observer --duration 100",
+)
+
+
+def _child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(ts.__file__).resolve().parents[1])}
+
+
+def _quiet_cli(*args: str) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "telegraphsim", *args],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 class TestAnalyzeCommand:
     def test_analyze_existing_log(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -185,26 +206,33 @@ class TestAnalyzeCommand:
 
     def test_analyze_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: this one has already imported scipy
-        out = tmp_path / "run"
-        assert run_cli("run", "--duration", "3000", "--seed", "3", "--out", str(out)) == 0
         script = textwrap.dedent(
             """
             import sys
             import telegraphsim
             import telegraphsim.cli
-            assert telegraphsim.cli.main(["analyze", sys.argv[1]]) == 0
+            out = sys.argv[1]
+            for i, flags in enumerate(sys.argv[2:]):
+                argv = ["run", *flags.split(), "--seed", "3", "--out", f"{out}/{i}"]
+                assert telegraphsim.cli.main(argv) == 0
+                assert telegraphsim.cli.main(["analyze", f"{out}/{i}/events_000.tsv"]) == 0
             loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
             assert not loaded, loaded
             """
         )
-        src = str(Path(ts.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(out / "events_000.tsv")],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-c", script, str(tmp_path), *ENGINE_FLAGS],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "bright=" in proc.stdout
+
+    def test_run_and_analyze_warn_nothing(self, tmp_path):
+        # numpy warnings become errors, and nothing at all may reach stderr
+        for i, flags in enumerate(ENGINE_FLAGS):
+            out = tmp_path / str(i)
+            _quiet_cli("run", *flags.split(), "--seed", "3", "--out", str(out))
+            _quiet_cli("analyze", str(out / "events_000.tsv"))
 
 
 class TestFlags:

@@ -10,11 +10,11 @@ rates (V and Lambda) are long enough to span several of the renewal engine's
 sampling blocks; Lambda's first hit moves the root to the strong atom, which
 cuts a block where the template changes.
 
-The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on CPython
-3.11. The propagators come from ``scipy.linalg.expm``, so another numpy or
-scipy release may change the last bits of some times and with them the
-digests. After a deliberate change of output, or on another stack, record
-them again with::
+The digests were recorded with numpy 2.4.6 (OpenBLAS) on CPython 3.11.
+The propagators come from ``flow.expm``, built on numpy's matmul and
+``linalg.solve``, so another numpy release or BLAS may change the last bits
+of some times and with them the digests. After a deliberate change of
+output, or on another stack, record them again with::
 
     PYTHONPATH=src python tests/test_golden_logs.py
 """
