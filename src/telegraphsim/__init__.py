@@ -30,7 +30,6 @@ from .configurations import (
     build_epoch,
     chain_from_graph,
     extend_frontier,
-    relative_shape,
     weak_edge_position,
 )
 from .epochs import CompiledEpoch, EpochTemplate
@@ -44,11 +43,9 @@ from .errors import (
     InvalidStep,
     InvariantBreach,
     NoWeakBranch,
-    NotCollapsed,
     NotExtensible,
     OracleUnsupported,
     TelegraphError,
-    UnknownComponent,
 )
 from .eventlog import (
     EventKind,
@@ -60,28 +57,21 @@ from .eventlog import (
     read_log,
     serialize_log,
     validate_log,
-    write_log,
 )
 from .flow import (
     CurrentReport,
     FlowSystem,
     RateSet,
-    currents_into,
     integrate_exact_oracle,
     step,
 )
 from .rules import (
-    FULL_RULES,
     HitEvent,
-    PhantomRecord,
-    RuleProfile,
     active_edges,
-    apply_mode,
     blocked_edges,
     collapse,
     is_decoherent,
     mark_ready,
-    phantom_records,
     ready_indices,
     trigger,
 )
@@ -100,15 +90,12 @@ from .state import (
     NO_MARKS,
     AtomLevel,
     ChainState,
-    Component,
     ComponentLabel,
     EdgeKind,
     FlowEdge,
     Mode,
     ReadyMarks,
-    label_of_realized,
     make_label,
-    total_mass,
 )
 
 __version__ = "0.1.0"

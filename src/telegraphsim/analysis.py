@@ -166,18 +166,6 @@ class IntervalStats:
     dark_durations: tuple[float, ...]
     dark_rate_estimate: Optional[float]
 
-    def bright_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ecdf(self.bright_durations)
-
-    def dark_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return _ecdf(self.dark_durations)
-
-
-def _ecdf(durations: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.sort(np.asarray(durations, dtype=float))
-    y = np.arange(1, len(x) + 1) / max(len(x), 1)
-    return x, y
-
 
 def _mean_std(xs: Sequence[float]) -> tuple[float, float]:
     if not xs:

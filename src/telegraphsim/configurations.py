@@ -27,14 +27,13 @@ from enum import Enum
 
 from .errors import InvalidDepth, NoWeakBranch, NotExtensible
 from .flow import RateSet
-from .rules import FULL_RULES, RuleProfile, is_decoherent, mark_ready
+from .rules import is_decoherent, mark_ready
 from .state import (
     AtomLevel,
     ChainState,
     ComponentLabel,
     EdgeKind,
     FlowEdge,
-    Mode,
     make_label,
 )
 
@@ -107,7 +106,7 @@ class EpochGraph:
     labels: tuple[ComponentLabel, ...]
     edges: tuple[FlowEdge, ...]
     frontier: frozenset[ComponentLabel]
-    marks_enabled: bool = True
+    marks: bool = True
 
     @property
     def ready_labels(self) -> tuple[ComponentLabel, ...]:
@@ -119,14 +118,16 @@ def build_epoch(
     root: ComponentLabel,
     rates: RateSet,
     depth: int,
-    profile: RuleProfile = FULL_RULES,
+    marks: bool = True,
 ) -> EpochGraph:
     """Construct the epoch graph rooted at a realized label.
 
     The root is taken as realized (its marks, if any, are stripped).
     Ready components are extended along the strong cycle only: their
     weak sub-branches would sit behind blocked edges and never carry
-    mass. Raises InvalidDepth for depth < 1.
+    mass. With ``marks`` False (no observer) no component is marked
+    ready, so nothing is blocked and no hit can land. Raises
+    InvalidDepth for depth < 1.
     """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
@@ -142,7 +143,7 @@ def build_epoch(
     queue = [root]
 
     def attach(parent: ComponentLabel, raw_child: ComponentLabel, ekind: EdgeKind) -> None:
-        decoherent = profile.marks_enabled and is_decoherent(parent, raw_child)
+        decoherent = marks and is_decoherent(parent, raw_child)
         child = mark_ready(parent, raw_child, decoherent)
         if child not in seen:
             seen.add(child)
@@ -230,7 +231,7 @@ def build_epoch(
         labels=tuple(labels),
         edges=tuple(edges),
         frontier=frozenset(frontier),
-        marks_enabled=profile.marks_enabled,
+        marks=marks,
     )
 
 
@@ -243,16 +244,10 @@ def extend_frontier(graph: EpochGraph, label: ComponentLabel) -> EpochGraph:
     """
     if label not in graph.frontier:
         raise NotExtensible(f"{label} is not on the frontier")
-    profile = FULL_RULES if graph.marks_enabled else RuleProfile(False, False, False)
-    return build_epoch(graph.kind, graph.root, graph.rates, graph.depth + 1, profile)
+    return build_epoch(graph.kind, graph.root, graph.rates, graph.depth + 1, graph.marks)
 
 
-def chain_from_graph(
-    graph: EpochGraph,
-    mode: Mode = Mode.NU_RULES,
-    time: float = 0.0,
-    epoch: int = 0,
-) -> ChainState:
+def chain_from_graph(graph: EpochGraph, time: float = 0.0, epoch: int = 0) -> ChainState:
     """Seed a chain state on an epoch graph with all mass at the root."""
     return ChainState(
         labels=graph.labels,
@@ -260,23 +255,4 @@ def chain_from_graph(
         edges=graph.edges,
         time=time,
         epoch=epoch,
-        mode=mode,
     )
-
-
-def relative_shape(graph: EpochGraph) -> frozenset:
-    """Ledger-shifted fingerprint of a graph, for renewal isomorphism checks."""
-    r = graph.root
-    labs = frozenset(
-        (lab.atom, lab.clicks - r.clicks, lab.strong - r.strong, lab.weak - r.weak, lab.ready)
-        for lab in graph.labels
-    )
-    edges = frozenset(
-        (
-            (e.source.atom, e.source.clicks - r.clicks, e.source.weak - r.weak, e.source.ready),
-            (e.target.atom, e.target.clicks - r.clicks, e.target.weak - r.weak, e.target.ready),
-            e.kind,
-        )
-        for e in graph.edges
-    )
-    return frozenset((labs, edges))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .configurations import EpochGraph
 from .flow import FlowSystem
-from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge, Mode
+from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
 
 FAST_SPAN_EFOLDS = 60.0
 TAIL_EFOLDS = 50.0
@@ -291,7 +291,7 @@ class CompiledEpoch:
         return EpochTemplate(self.system, self.ready, self.root_masses)
 
     def chain(
-        self, mode: Mode, time: float, epoch: int, masses: Optional[np.ndarray] = None
+        self, time: float, epoch: int, masses: Optional[np.ndarray] = None
     ) -> ChainState:
         """A chain on this epoch's labels; ``flow.step`` it with ``self.system``."""
         return ChainState(
@@ -300,7 +300,6 @@ class CompiledEpoch:
             self.graph.edges,
             time=time,
             epoch=epoch,
-            mode=mode,
         )
 
     def index_in(self, deeper: "CompiledEpoch") -> np.ndarray:

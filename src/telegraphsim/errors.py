@@ -13,16 +13,8 @@ class DuplicateLabel(TelegraphError):
     """Two components in one chain share a label."""
 
 
-class NotCollapsed(TelegraphError):
-    """A realized label was requested mid-epoch (more than one live component)."""
-
-
 class InvalidStep(TelegraphError):
     """The integrator was asked for a non-positive step."""
-
-
-class UnknownComponent(TelegraphError):
-    """A current report was queried for a label it does not contain."""
 
 
 class OracleUnsupported(TelegraphError):

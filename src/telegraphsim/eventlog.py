@@ -234,10 +234,6 @@ def _parse_lines(lines: list[str]) -> EventLog:
     )
 
 
-def write_log(path: Path, records: Records) -> None:
-    Path(path).write_text(serialize_log(records), encoding="utf-8")
-
-
 def read_log(path: Path) -> EventLog:
     return parse_log(Path(path).read_text(encoding="utf-8"))
 

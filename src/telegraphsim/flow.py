@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidStep, OracleUnsupported, UnknownComponent
+from .errors import InvalidStep, OracleUnsupported
 from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
 
 # Per-substep transported fraction is capped so the trigger sees
@@ -56,7 +56,6 @@ class RateSet:
             EdgeKind.STRONG_EMIT: self.k_strong_emit,
             EdgeKind.WEAK_ABSORB: self.k_weak_absorb,
             EdgeKind.WEAK_EMIT: self.k_weak_emit,
-            EdgeKind.COHERENT_SECTOR: self.k_strong_absorb,
         }[kind]
 
 
@@ -279,14 +278,6 @@ def step(
         _rates=sys_.rates,
     )
     return state.with_masses(m, time=state.time + dt), report
-
-
-def currents_into(report: CurrentReport, target: ComponentLabel) -> float:
-    """Net positive inflow max(0, sum J_in - sum J_out) for one component."""
-    idx = report.index.get(target)
-    if idx is None:
-        raise UnknownComponent(f"{target} does not appear in the report")
-    return max(0.0, float(report.net_inflow[idx]))
 
 
 def _assert_acyclic(labels: Sequence[ComponentLabel], edges: Sequence[FlowEdge]) -> None:

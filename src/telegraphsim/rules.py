@@ -19,38 +19,9 @@ import numpy as np
 
 from .errors import IllegalHit
 from .flow import CurrentReport
-from .state import ChainState, ComponentLabel, FlowEdge, Mode
-
-#: Inflow below this (in rate units) counts as dormancy for diagnostics.
-DORMANCY_EPS = 1e-12
+from .state import ChainState, ComponentLabel, FlowEdge
 
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class RuleProfile:
-    """Which pieces of the collapse machinery a mode enables."""
-
-    marks_enabled: bool
-    blocking_enabled: bool
-    trigger_enabled: bool
-
-
-FULL_RULES = RuleProfile(True, True, True)
-FLOW_ONLY = RuleProfile(False, False, False)
-
-
-def apply_mode(state_or_mode) -> RuleProfile:
-    """Effective rule set for a state's operating mode.
-
-    The observer-gated original rules behave identically to the full
-    rules for the atom/detector system; without an observer nothing is
-    marked, blocked or triggered and the flow runs uninterrupted.
-    """
-    mode = state_or_mode.mode if isinstance(state_or_mode, ChainState) else state_or_mode
-    if mode is Mode.ORIGINAL_NO_OBSERVER:
-        return FLOW_ONLY
-    return FULL_RULES
 
 
 def is_decoherent(parent: ComponentLabel, child: ComponentLabel) -> bool:
@@ -87,9 +58,11 @@ def blocked_edges(state: ChainState) -> Set[FlowEdge]:
 
 
 def active_edges(state: ChainState) -> tuple[FlowEdge, ...]:
-    """The flow edges that actually carry mass this epoch."""
-    if not apply_mode(state).blocking_enabled:
-        return state.edges
+    """The flow edges that actually carry mass this epoch.
+
+    A graph built without ready marks (the no-observer mode) blocks
+    nothing, so all of its edges are active.
+    """
     dead = blocked_edges(state)
     return tuple(e for e in state.edges if e not in dead)
 
@@ -189,35 +162,4 @@ def collapse(state: ChainState, hit: HitEvent) -> ChainState:
         edges=(),
         time=hit.time,
         epoch=state.epoch + 1,
-        mode=state.mode,
     )
-
-
-@dataclass(frozen=True)
-class PhantomRecord:
-    """Diagnostic snapshot of a ready component whose inflow has ceased.
-
-    A phantom is not a distinct state kind: it behaves like any ready
-    component under the current-driven trigger. Its frozen mass is
-    recorded so delivered-mass and frozen-mass analyses can both be run
-    offline.
-    """
-
-    label: ComponentLabel
-    mass_frozen: float
-    dormant_since: float
-
-
-def phantom_records(
-    state: ChainState, report: CurrentReport, eps: float = DORMANCY_EPS
-) -> list[PhantomRecord]:
-    """Ready components holding mass but currently receiving no current."""
-    out = []
-    for lab in state.labels:
-        if not lab.ready.any():
-            continue
-        mass = state.mass_of(lab)
-        inflow = max(0.0, float(report.net_inflow[report.index[lab]]))
-        if mass > eps and inflow <= eps:
-            out.append(PhantomRecord(label=lab, mass_frozen=mass, dormant_since=report.t_end))
-    return out

@@ -12,10 +12,14 @@ Two drivers implement the same stochastic law:
                  long desk-scale runs cheap. The uniforms are drawn and
                  inverted in blocks, and the log is built as columns.
 
-The no-observer mode has no stochastic events at all. On the ``auto``
-and ``renewal`` engines it runs the flow forward in large exact jumps on
-the truncated graph and reports the stationarity residual; on ``steps``
-it runs the per-step driver (see ``run_trajectory``).
+The no-observer mode has no stochastic events at all. On every engine
+it runs a third driver, ``flow``, which moves the flow forward in large
+exact jumps on the graph truncated at ``depth`` and reports the
+stationarity residual.
+
+Whether the rules mark ready components is fixed once per run, when its
+``_CompiledEpochs`` is built: the no-observer mode builds unmarked
+graphs, which block nothing and offer no hit targets.
 
 Seed splitting: trajectory i of a run with master seed s uses
 ``numpy.random.Generator(PCG64(SeedSequence((s, i))))``. This rule is
@@ -51,7 +55,7 @@ from .eventlog import (
     serialize_log,
 )
 from .flow import step
-from .rules import FULL_RULES, RuleProfile, active_edges, apply_mode, collapse, trigger
+from .rules import active_edges, collapse, trigger
 from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
@@ -83,8 +87,9 @@ def _compile(graph: EpochGraph) -> CompiledEpoch:
     return CompiledEpoch(graph, active_edges(chain_from_graph(graph)))
 
 
-def _epochs_key(cfg: RunConfig, profile: RuleProfile) -> tuple:
-    return (cfg.config_kind(), cfg.rate_set(), cfg.depth, profile)
+def _epochs_key(cfg: RunConfig) -> tuple:
+    marks = cfg.mode_enum() is not Mode.ORIGINAL_NO_OBSERVER
+    return (cfg.config_kind(), cfg.rate_set(), cfg.depth, marks)
 
 
 class _CompiledEpochs(dict):
@@ -92,33 +97,32 @@ class _CompiledEpochs(dict):
 
     Each is built on first use; deeper ones hang off ``CompiledEpoch.deeper``.
     ``run`` builds one and every trajectory of the run shares it. Sharing
-    is exact because everything cached is a pure function of the config
-    (kind, lasers, rates, depth) and the rule profile: the graph, the
-    ``FlowSystem`` and its per-``dt`` propagators, the template and its
-    ``_stage_cache``, and ``ep.deeper`` (``extend_frontier`` ignores which
-    frontier label triggered it).
+    is exact because everything cached is a pure function of the key: the
+    kind, lasers, rates and depth, and whether the graphs carry ready marks
+    (all modes but no-observer). That covers the graph, the ``FlowSystem``
+    and its per-``dt`` propagators, the template and its ``_stage_cache``,
+    and ``ep.deeper`` (``extend_frontier`` ignores which frontier label
+    triggered it).
     """
 
-    def __init__(self, cfg: RunConfig, profile: RuleProfile):
+    def __init__(self, cfg: RunConfig):
         super().__init__()
-        self.key = _epochs_key(cfg, profile)
+        self.key = _epochs_key(cfg)
 
     def __missing__(self, atom: AtomLevel) -> CompiledEpoch:
-        kind, rates, depth, profile = self.key
+        kind, rates, depth, marks = self.key
         compiled = self[atom] = _compile(
-            build_epoch(kind, make_label(atom, 0, 0, 0), rates, depth, profile)
+            build_epoch(kind, make_label(atom, 0, 0, 0), rates, depth, marks)
         )
         return compiled
 
 
-def _own_epochs(
-    cfg: RunConfig, profile: RuleProfile, epochs: Optional[_CompiledEpochs]
-) -> _CompiledEpochs:
-    """``epochs`` if given (it must match the config and profile), else fresh ones."""
+def _own_epochs(cfg: RunConfig, epochs: Optional[_CompiledEpochs]) -> _CompiledEpochs:
+    """``epochs`` if given (it must match the config), else fresh ones."""
     if epochs is None:
-        return _CompiledEpochs(cfg, profile)
-    if epochs.key != _epochs_key(cfg, profile):
-        raise ValueError("compiled epochs were built for another config or rule profile")
+        return _CompiledEpochs(cfg)
+    if epochs.key != _epochs_key(cfg):
+        raise ValueError("compiled epochs were built for another config")
     return epochs
 
 
@@ -180,7 +184,7 @@ def run_trajectory_renewal(
     ledger is a cumulative sum of the sinks' ledgers. The tail of the last
     block is never used.
     """
-    epochs = _own_epochs(cfg, FULL_RULES, epochs)
+    epochs = _own_epochs(cfg, epochs)
     # an epoch's records are its start, its crossings and its hit: stably sorted
     # by epoch, these three lists concatenated give the log
     starts: list[EventLog] = []
@@ -271,9 +275,7 @@ def run_trajectory_steps(
     Every epoch steps the canonical chain of its compiled epoch; the hit
     target is shifted by the epoch's root when it is recorded.
     """
-    mode = cfg.mode_enum()
-    profile = apply_mode(mode)
-    epochs = _own_epochs(cfg, profile, epochs)
+    epochs = _own_epochs(cfg, epochs)
 
     records: list[EventRecord] = []
     res = TrajectoryResult(records=EventLog.of(()), epochs=0)
@@ -284,7 +286,7 @@ def run_trajectory_steps(
     while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
         records.append(EventRecord.for_label(t, EventKind.EPOCH_START, epoch, root))
         ep = epochs[root.atom]
-        state = ep.chain(mode, t, epoch)
+        state = ep.chain(t, epoch)
         t_epoch = t
         hit = None
 
@@ -299,7 +301,7 @@ def run_trajectory_steps(
                     f"mass conservation broke at t={t}: residual {drift:.3e}"
                 )
             res.max_mass_residual = max(res.max_mass_residual, drift)
-            if profile.trigger_enabled and ep.ready_idx:
+            if ep.ready_idx:
                 hit = trigger(report, ep.ready_idx, dt, rng)
                 if hit is not None:
                     break
@@ -312,7 +314,7 @@ def run_trajectory_steps(
                     ep, index = _extended(ep, ep.graph.labels[live[0]])
                     masses = np.zeros(len(ep.graph.labels))
                     masses[index] = state.masses
-                    state = ep.chain(mode, state.time, epoch, masses)
+                    state = ep.chain(state.time, epoch, masses)
                     res.extensions += 1
 
         if hit is None:
@@ -356,9 +358,8 @@ def run_trajectory_flow(
     final max |dm/dt| as the stationarity residual.
     """
     del rng  # nothing stochastic happens without the trigger
-    mode = cfg.mode_enum()
-    ep = _own_epochs(cfg, apply_mode(mode), epochs)[AtomLevel.GROUND]
-    state = ep.chain(mode, 0.0, 0)
+    ep = _own_epochs(cfg, epochs)[AtomLevel.GROUND]
+    state = ep.chain(0.0, 0)
     records = EventLog.of([EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, ep.graph.root)])
     sys_ = ep.system
     dt_jump = 10.0 / sys_.max_rate if sys_.max_rate > 0 else cfg.duration
@@ -385,23 +386,17 @@ def run_trajectory_flow(
 def run_trajectory(
     cfg: RunConfig, index: int, epochs: Optional[_CompiledEpochs] = None
 ) -> TrajectoryResult:
-    """Dispatch one trajectory on the configured engine.
+    """Dispatch one trajectory: the no-observer mode to the flow driver, else by engine.
 
-    The no-observer mode runs the flow driver with ``engine`` ``auto`` or
-    ``renewal``, which reports a ``stationarity_residual``; with ``steps``
-    it runs the per-step driver, which extends the graph toward
-    ``max_depth`` and reports no residual.
-
-    ``epochs`` are compiled epochs shared with the run's other trajectories,
-    built with ``apply_mode(cfg.mode_enum())``, the profile every driver
-    uses here; without them the driver compiles its own.
+    The flow driver serves the no-observer mode on every engine and
+    reports a ``stationarity_residual``. ``epochs`` are compiled epochs
+    shared with the run's other trajectories; without them the driver
+    compiles its own.
     """
     rng = derive_rng(cfg.master_seed, index)
-    mode = cfg.mode_enum()
-    engine = cfg.engine
-    if mode is Mode.ORIGINAL_NO_OBSERVER and engine != "steps":
+    if cfg.mode_enum() is Mode.ORIGINAL_NO_OBSERVER:
         return run_trajectory_flow(cfg, rng, epochs)
-    if engine == "steps":
+    if cfg.engine == "steps":
         return run_trajectory_steps(cfg, rng, epochs=epochs)
     return run_trajectory_renewal(cfg, rng, epochs)
 
@@ -507,7 +502,7 @@ def run(cfg: RunConfig) -> int:
         print(f"cannot create output directory: {exc}")
         return 1
     summaries = []
-    epochs = _CompiledEpochs(cfg, apply_mode(cfg.mode_enum()))
+    epochs = _CompiledEpochs(cfg)
     try:
         for i in range(cfg.trajectories):
             result = run_trajectory(cfg, i, epochs)

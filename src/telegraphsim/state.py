@@ -1,4 +1,4 @@
-"""Component/chain data model.
+"""Data model of components and chains.
 
 A system state is an ordered set of *components*: each carries a label
 (atom level, detector click count, photon ledger, ready marks) and a
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DuplicateLabel, InvalidLabel, NotCollapsed
+from .errors import DuplicateLabel, InvalidLabel
 
-#: Tolerance for "total mass equals one" checks between collapses.
+#: How far below zero a component mass may round before a chain rejects it.
 MASS_TOL = 1e-9
 
 
@@ -147,27 +147,17 @@ def make_label(
     return ComponentLabel(atom, int(clicks), int(strong), int(weak), ready or NO_MARKS)
 
 
-@dataclass(frozen=True)
-class Component:
-    """A label plus its current mass (square modulus)."""
-
-    label: ComponentLabel
-    mass: float
-
-
 class EdgeKind(Enum):
     """What a flow edge does to the photon ledger.
 
     Emit kinds create a photon (strong emission also clicks the
-    detector); absorb kinds and coherent-sector edges change only the
-    atom level.
+    detector); absorb kinds change only the atom level.
     """
 
     STRONG_ABSORB = "strong_absorb"
     STRONG_EMIT = "strong_emit"
     WEAK_ABSORB = "weak_absorb"
     WEAK_EMIT = "weak_emit"
-    COHERENT_SECTOR = "coherent_sector"
 
 
 @dataclass(frozen=True)
@@ -198,14 +188,14 @@ class FlowEdge:
 
 
 class ChainState:
-    """The full system state: ordered components, edges, time, epoch, mode.
+    """The full system state: ordered components, edges, time and epoch.
 
     A ChainState is a value confined to one execution context; all
     operations return new states rather than mutating. Masses are held
     in a flat array so stepping does not churn per-component objects.
     """
 
-    __slots__ = ("labels", "masses", "edges", "time", "epoch", "mode", "_index")
+    __slots__ = ("labels", "masses", "edges", "time", "epoch", "_index")
 
     def __init__(
         self,
@@ -214,14 +204,12 @@ class ChainState:
         edges: Iterable[FlowEdge] = (),
         time: float = 0.0,
         epoch: int = 0,
-        mode: Mode = Mode.NU_RULES,
     ):
         self.labels = tuple(labels)
         self.masses = np.asarray(list(masses), dtype=np.float64)
         self.edges = tuple(edges)
         self.time = float(time)
         self.epoch = int(epoch)
-        self.mode = mode
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise DuplicateLabel("two components share a label")
@@ -233,21 +221,11 @@ class ChainState:
             if e.source not in self._index or e.target not in self._index:
                 raise ValueError(f"edge endpoint {e.source} -> {e.target} names no component")
 
-    def index_of(self, label: ComponentLabel) -> int:
-        return self._index[label]
-
     def __contains__(self, label: ComponentLabel) -> bool:
         return label in self._index
 
     def mass_of(self, label: ComponentLabel) -> float:
         return float(self.masses[self._index[label]])
-
-    @property
-    def components(self) -> tuple[Component, ...]:
-        return tuple(Component(lab, float(m)) for lab, m in zip(self.labels, self.masses))
-
-    def __iter__(self) -> Iterator[Component]:
-        return iter(self.components)
 
     def with_masses(self, masses: np.ndarray, time: Optional[float] = None) -> "ChainState":
         new = ChainState.__new__(ChainState)
@@ -256,30 +234,9 @@ class ChainState:
         new.edges = self.edges
         new.time = self.time if time is None else float(time)
         new.epoch = self.epoch
-        new.mode = self.mode
         new._index = self._index
         return new
 
     def __repr__(self) -> str:
         body = ", ".join(f"{lab}:{m:.4g}" for lab, m in zip(self.labels, self.masses))
         return f"ChainState(t={self.time:.4g}, epoch={self.epoch}, [{body}])"
-
-
-def total_mass(state: ChainState) -> float:
-    """Sum of component masses; one to within MASS_TOL between collapses."""
-    return float(state.masses.sum())
-
-
-def label_of_realized(state: ChainState) -> ComponentLabel:
-    """The single realized label of a freshly collapsed (or initial) state.
-
-    Ready marks are cleared: a realized state is by definition not ready.
-    Raises NotCollapsed if more than one component survives or the
-    survivor does not carry the full mass.
-    """
-    live = [i for i, m in enumerate(state.masses) if m > MASS_TOL]
-    if len(live) != 1 or abs(state.masses[live[0]] - 1.0) > MASS_TOL:
-        raise NotCollapsed(
-            f"state holds {len(live)} live components; realized label is undefined mid-epoch"
-        )
-    return state.labels[live[0]].without_marks()

@@ -32,13 +32,27 @@ def make_single_edge(rate: float = 1.0):
 def run_hits_until_collapse(state, edges, ready, rng, dt=0.01, t_max=1e6):
     """Drive the step engine until the trigger fires; returns the hit or None."""
     ready_idx = ts.ready_indices(state.labels, ready)
+    system = ts.FlowSystem(state.labels, edges)
     s = state
     while s.time < t_max:
-        s, report = ts.step(s, edges, dt)
+        s, report = ts.step(s, edges, dt, system)
         hit = ts.trigger(report, ready_idx, dt, rng)
         if hit is not None:
             return hit, s
     return None, s
+
+
+def root_shifted(graph):
+    """A graph's labels and edges with the root's photon ledger subtracted."""
+    r = graph.root
+
+    def back(lab):
+        return lab.shifted(clicks=-r.clicks, strong=-r.strong, weak=-r.weak)
+
+    return (
+        {back(lab) for lab in graph.labels},
+        {(back(e.source), back(e.target), e.kind) for e in graph.edges},
+    )
 
 
 def labels_of(graph):

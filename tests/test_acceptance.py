@@ -112,6 +112,7 @@ def test_criterion_3_trigger_calibration():
     m = 0.9
     state, edges, b1, b2 = make_two_branch(m)
     ready = ts.ready_indices(state.labels, {b1, b2})
+    system = ts.FlowSystem(state.labels, edges)
     n = 2000
     wins = 0
     for seed in range(n):
@@ -119,7 +120,7 @@ def test_criterion_3_trigger_calibration():
         s = state
         hit = None
         while hit is None:
-            s, report = ts.step(s, edges, 0.01)
+            s, report = ts.step(s, edges, 0.01, system)
             hit = ts.trigger(report, ready, 0.01, rng)
         wins += hit.target == b1
     dev = abs(wins - n * m) / np.sqrt(n * m * (1 - m))
@@ -200,15 +201,19 @@ def test_criterion_6_eventual_hit_guarantee():
     graph = ts.build_epoch(kind, ts.make_label(G, 0, 0, 0), RATES, 2)
     chain = ts.chain_from_graph(graph)
     tpl = EpochTemplate.from_chain(chain, ts.active_edges(chain))
+    carries_weak = tpl.sink_ledger[:, 2] > 0
     worst = 0.0
     for i in range(1000):
         rng = derive_rng(9000, i)
-        # run epochs until this trajectory's first dark period has collapsed
+        # run epochs until this trajectory's first dark period has collapsed;
+        # a block of draws inverted at once gives the same epochs as one draw each
         while True:
-            sink, tau, _ = tpl.sample_hit(rng.random())
-            worst = max(worst, tau)
-            assert tau < bound
-            if sink.weak > 0:
+            sinks, taus, _ = tpl.sample_hits(rng.random(4096))
+            dark = np.flatnonzero(carries_weak[sinks])
+            taus = taus[: dark[0] + 1] if dark.size else taus
+            worst = max(worst, float(taus.max()))
+            assert np.all(taus < bound)
+            if dark.size:
                 break
     print(
         f"\nACCEPTANCE 6 PASS: 1000 trajectories through their first dark period, "
@@ -246,12 +251,13 @@ def test_criterion_8_oracle_equivalence():
         graph = ts.build_epoch(ts.ConfigKind(conf), ts.make_label(G, 0, 0, 0), RATES, 2)
         state = ts.chain_from_graph(graph)
         active = ts.active_edges(state)
+        system = ts.FlowSystem(state.labels, active)
         stepped = state
         oracle = state
         t = 0.0
         for tc in checkpoints:
             while t < tc - 1e-12:
-                stepped, _ = ts.step(stepped, active, min(0.01, tc - t))
+                stepped, _ = ts.step(stepped, active, min(0.01, tc - t), system)
                 t = stepped.time
             oracle = ts.integrate_exact_oracle(oracle, active, tc - oracle.time)
             diff = float(np.max(np.abs(stepped.masses - oracle.masses)))

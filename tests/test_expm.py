@@ -19,7 +19,6 @@ import scipy.linalg
 
 from telegraphsim import flow, runner
 from telegraphsim.config import RunConfig
-from telegraphsim.rules import apply_mode
 from telegraphsim.state import AtomLevel
 
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
@@ -36,8 +35,7 @@ def _configs(ratio: float):
 def _exercise_engines(cfg: RunConfig) -> list[float]:
     """Compile and propagate cfg's epochs as the engines do; returns each template's residual."""
     residuals = []
-    mode = cfg.mode_enum()
-    epochs = runner._CompiledEpochs(cfg, apply_mode(mode))
+    epochs = runner._CompiledEpochs(cfg)
     for atom in AtomLevel:
         ep = epochs[atom]
         compiled = [ep]
@@ -45,9 +43,9 @@ def _exercise_engines(cfg: RunConfig) -> list[float]:
             compiled.append(runner._extended(ep, ep.graph.labels[ep.frontier_idx[0]])[0])
         for c in compiled:
             residuals.append(c.template.conservation_residual)
-            flow.step(c.chain(mode, 0.0, 0), c.system.edges, cfg.dt_max, c.system)
+            flow.step(c.chain(0.0, 0), c.system.edges, cfg.dt_max, c.system)
     no_observer = replace(cfg, mode="original_no_observer")
-    epochs = runner._CompiledEpochs(no_observer, apply_mode(no_observer.mode_enum()))
+    epochs = runner._CompiledEpochs(no_observer)
     jump = 10.0 / epochs[AtomLevel.GROUND].system.max_rate  # one jump of the flow driver
     runner.run_trajectory_flow(replace(no_observer, duration=jump), None, epochs)
     return residuals

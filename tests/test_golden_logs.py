@@ -98,7 +98,7 @@ def test_golden_logs(tmp_path):
     assert crossings["renewal"] > 0
     assert crossings["steps"] > 0
     assert extensions > 0
-    assert flow_runs == 1
+    assert flow_runs == 2  # the no-observer case of each engine
     # the default-rate renewal runs each span more than one sampling block
     assert len(default_rate_epochs) == 2 * len(DEFAULT_RATE_KINDS)
     assert min(default_rate_epochs) > RENEWAL_BLOCK

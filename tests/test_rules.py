@@ -5,7 +5,7 @@ import telegraphsim as ts
 from telegraphsim.errors import IllegalHit
 from telegraphsim.runner import derive_rng
 
-from conftest import make_single_edge, make_two_branch, run_hits_until_collapse
+from conftest import make_single_edge, make_two_branch, root_shifted, run_hits_until_collapse
 
 G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
 
@@ -145,17 +145,33 @@ class TestCollapse:
         g0 = ts.build_epoch(kind, root0, rates, 2)
         realized = ts.make_label(G, 1, 1, 0)
         g1 = ts.build_epoch(kind, realized, rates, 2)
-        assert ts.relative_shape(g0) == ts.relative_shape(g1)
+        assert root_shifted(g0) == root_shifted(g1)
 
 
 class TestModes:
     def test_no_observer_profile_disables_everything(self):
-        prof = ts.apply_mode(ts.Mode.ORIGINAL_NO_OBSERVER)
-        assert not (prof.marks_enabled or prof.blocking_enabled or prof.trigger_enabled)
+        # no marks, so nothing is blocked and no hit has a target
+        from telegraphsim.config import RunConfig
+        from telegraphsim.runner import _CompiledEpochs
+
+        epochs = _CompiledEpochs(RunConfig(kind="v", mode="original_no_observer"))
+        for atom in ts.AtomLevel:
+            ep = epochs[atom]
+            state = ep.chain(0.0, 0)
+            assert not ep.graph.ready_labels and not ep.ready_idx
+            assert ts.blocked_edges(state) == set()
+            assert ts.active_edges(state) == ep.graph.edges == ep.system.edges
 
     def test_with_observer_equals_full_rules(self):
-        assert ts.apply_mode(ts.Mode.ORIGINAL_WITH_OBSERVER) == ts.FULL_RULES
-        assert ts.apply_mode(ts.Mode.NU_RULES) == ts.FULL_RULES
+        from telegraphsim.config import RunConfig
+        from telegraphsim.runner import _CompiledEpochs
+
+        nurules = _CompiledEpochs(RunConfig(kind="v", mode="nurules"))
+        observer = _CompiledEpochs(RunConfig(kind="v", mode="original_with_observer"))
+        assert observer.key == nurules.key
+        graph = observer[ts.AtomLevel.GROUND].graph
+        assert graph.marks and graph.ready_labels
+        assert graph == ts.build_epoch(graph.kind, graph.root, graph.rates, graph.depth)
 
     def test_no_observer_run_has_zero_hits(self):
         from telegraphsim.config import RunConfig
@@ -164,6 +180,23 @@ class TestModes:
         cfg = RunConfig(kind="v", mode="original_no_observer", duration=100.0)
         res = run_trajectory_flow(cfg, derive_rng(0, 0))
         assert len(ts.hits(res.records)) == 0
+
+    def test_no_observer_runs_the_flow_driver_on_every_engine(self):
+        from dataclasses import replace
+
+        from telegraphsim.config import RunConfig
+        from telegraphsim.runner import run_trajectory
+
+        cfg = RunConfig(
+            kind="v", mode="original_no_observer", duration=100.0,
+            k_weak_absorb=0.1, k_weak_emit=0.1, master_seed=17,
+        )
+        results = [run_trajectory(replace(cfg, engine=e), 0) for e in ("auto", "renewal", "steps")]
+        logs = {ts.serialize_log(r.records) for r in results}
+        assert len(logs) == 1
+        for r in results:
+            assert r.stationarity_residual is not None
+            assert r.extensions == 0
 
     def test_mode_equivalence_identical_logs(self):
         from telegraphsim.config import RunConfig
@@ -209,18 +242,3 @@ class TestModes:
         gaps = np.diff(times)
         expected = 1.0 / cfg.k_strong_absorb + 1.0 / cfg.k_strong_emit
         assert np.mean(gaps) == pytest.approx(expected, rel=0.1)
-
-
-class TestPhantomRecords:
-    def test_stalled_target_reported_dormant(self):
-        src = ts.make_label(G, 0, 0, 0)
-        tgt = ts.make_label(G, 1, 1, 0, ts.BOTH_MARKS)
-        e = ts.FlowEdge(src, tgt, 1.0, ts.EdgeKind.STRONG_EMIT)
-        state = ts.ChainState([src, tgt], [1.0, 0.0], [e])
-        s = state
-        for _ in range(80):  # drain the source completely
-            s, report = ts.step(s, (e,), 1.0)
-        recs = ts.phantom_records(s, report)
-        assert len(recs) == 1
-        assert recs[0].label == tgt
-        assert recs[0].mass_frozen == pytest.approx(1.0, abs=1e-9)

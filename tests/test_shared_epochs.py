@@ -17,7 +17,6 @@ from telegraphsim import runner
 from telegraphsim.config import RunConfig
 from telegraphsim.epochs import EpochTemplate
 from telegraphsim.eventlog import crossings, serialize_log
-from telegraphsim.rules import FLOW_ONLY, apply_mode
 from telegraphsim.state import AtomLevel
 
 FAST_WEAK = dict(k_weak_absorb=0.1, k_weak_emit=0.1, threshold_gap=15.0, master_seed=17)
@@ -34,7 +33,7 @@ def _scalars(result: runner.TrajectoryResult) -> dict:
 
 def _shared_equals_fresh(cfg: RunConfig) -> tuple[runner._CompiledEpochs, list]:
     """Trajectories 0..2 on one shared set of epochs against each on its own."""
-    shared = runner._CompiledEpochs(cfg, apply_mode(cfg.mode_enum()))
+    shared = runner._CompiledEpochs(cfg)
     results = []
     for i in range(3):
         fresh = runner.run_trajectory(cfg, i)
@@ -94,18 +93,18 @@ def test_run_compiles_each_root_atom_once(kind, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "other, profile",
+    "other, mode",
     [
         (dict(kind="lambda"), None),
         (dict(lasers="strong_only"), None),
         (dict(k_weak_emit=0.2), None),
         (dict(depth=3), None),
-        ({}, FLOW_ONLY),
+        ({}, "original_no_observer"),
     ],
 )
-def test_mismatched_epochs_rejected(other, profile):
+def test_mismatched_epochs_rejected(other, mode):
     cfg = RunConfig(kind="v", engine="renewal", duration=10.0, **FAST_WEAK)
-    built_for = dataclasses.replace(cfg, **other)
-    epochs = runner._CompiledEpochs(built_for, profile or apply_mode(built_for.mode_enum()))
+    built_for = dataclasses.replace(cfg, mode=mode or cfg.mode, **other)
+    epochs = runner._CompiledEpochs(built_for)
     with pytest.raises(ValueError):
         runner.run_trajectory(cfg, 0, epochs)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import telegraphsim as ts
-from telegraphsim.errors import DuplicateLabel, InvalidLabel, NotCollapsed
+from telegraphsim.errors import DuplicateLabel, InvalidLabel
 
 atoms = st.sampled_from(list(ts.AtomLevel))
 counts = st.integers(min_value=0, max_value=50)
@@ -53,14 +53,14 @@ def test_label_shift_roundtrip(atom, c, s, w, d):
 def test_total_mass_single():
     lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
     state = ts.ChainState([lab], [1.0])
-    assert ts.total_mass(state) == 1.0
+    assert state.masses.sum() == 1.0
 
 
 def test_total_mass_two_components():
     a = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
     b = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
     state = ts.ChainState([a, b], [0.6, 0.4])
-    assert ts.total_mass(state) == pytest.approx(1.0, abs=1e-15)
+    assert state.masses.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_total_mass_mid_trajectory():
@@ -71,39 +71,13 @@ def test_total_mass_mid_trajectory():
     active = ts.active_edges(state)
     for _ in range(200):
         state, _ = ts.step(state, active, 0.01)
-    assert abs(ts.total_mass(state) - 1.0) < 1e-9
+    assert abs(state.masses.sum() - 1.0) < 1e-9
 
 
 def test_duplicate_label_rejected():
     lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
     with pytest.raises(DuplicateLabel):
         ts.ChainState([lab, lab], [0.5, 0.5])
-
-
-def test_label_of_realized_post_collapse():
-    marked = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
-    state = ts.ChainState([marked], [1.0])
-    realized = ts.label_of_realized(state)
-    assert not realized.ready.any()
-    assert realized.clicks == 1
-
-
-def test_label_of_realized_keeps_weak_ledger():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 2, 2, 1, ts.BOTH_MARKS)
-    realized = ts.label_of_realized(ts.ChainState([lab], [1.0]))
-    assert realized.weak == 1
-
-
-def test_label_of_realized_initial_state():
-    root = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    assert ts.label_of_realized(ts.ChainState([root], [1.0])) == root
-
-
-def test_label_of_realized_rejects_mid_epoch():
-    a = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
-    with pytest.raises(NotCollapsed):
-        ts.label_of_realized(ts.ChainState([a, b], [0.5, 0.5]))
 
 
 def test_edge_ledger_validation():
