@@ -46,7 +46,6 @@ class RunConfig:
     trajectories: int = 1
     threshold_gap: Optional[float] = None  # None = auto (20x strong cycle)
     depth: int = 2
-    max_depth: int = 8
     engine: str = "auto"
     out: str = "out"
 
@@ -121,7 +120,6 @@ _PARSERS = {
     "trajectories": lambda v: _parse_positive_int(v, "trajectories"),
     "threshold_gap": _parse_threshold,
     "depth": lambda v: _parse_positive_int(v, "depth"),
-    "max_depth": lambda v: _parse_positive_int(v, "max_depth"),
     "engine": lambda v: _parse_choice(v, _ENGINES, "engine"),
     "out": lambda v: v.strip(),
 }
@@ -150,9 +148,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = parser(value.strip())
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -173,16 +169,9 @@ def format_config(cfg: RunConfig) -> str:
     return "".join(lines)
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.max_depth < cfg.depth:
-        raise ConfigError("max_depth must be at least depth")
-
-
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     """Apply already-parsed override values (e.g. from command-line flags).
 
     Every given key is applied; ``threshold_gap=None`` selects auto.
     """
-    out = replace(cfg, **overrides)
-    _validate(out)
-    return out
+    return replace(cfg, **overrides)

@@ -17,7 +17,7 @@ first:
 Graphs are built breadth-first from the epoch root up to a depth budget
 (detector clicks and weak-photon count each at most ``depth`` above the
 root) with ready marks assigned along the way; labels whose expansion
-was cut off form the frontier and can be realized lazily.
+was cut off form the frontier, where mass that reaches them stays.
 """
 
 from __future__ import annotations
@@ -247,12 +247,10 @@ def extend_frontier(graph: EpochGraph, label: ComponentLabel) -> EpochGraph:
     return build_epoch(graph.kind, graph.root, graph.rates, graph.depth + 1, graph.marks)
 
 
-def chain_from_graph(graph: EpochGraph, time: float = 0.0, epoch: int = 0) -> ChainState:
-    """Seed a chain state on an epoch graph with all mass at the root."""
+def chain_from_graph(graph: EpochGraph) -> ChainState:
+    """Seed a chain state on an epoch graph with all mass at the root, at time 0."""
     return ChainState(
         labels=graph.labels,
         masses=[1.0 if lab == graph.root else 0.0 for lab in graph.labels],
         edges=graph.edges,
-        time=time,
-        epoch=epoch,
     )

@@ -29,15 +29,15 @@ period when the slow stage precedes the weak edge, and at the beginning
 when the slow stage follows it.
 
 Both engines run every epoch on a CompiledEpoch: the graph, flow system
-and ready targets of one (root atom, depth), compiled once per run for
-a root with an empty photon ledger and shared by the run's trajectories.
+and ready targets of one root atom at the run's depth, compiled once per
+run for a root with an empty photon ledger and shared by its trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -268,7 +268,7 @@ class CompiledEpoch:
     The rules stall the chain at the first ready component until a hit
     lands there, so within an epoch the flow graph is fixed, and from one
     epoch to the next it only translates with the root's photon ledger.
-    An epoch is therefore compiled once per (root atom, depth): the graph,
+    An epoch is therefore compiled once per root atom and depth: the graph,
     one FlowSystem over its active edges (whose propagators every step and
     the template share), and the ready targets in chain order. The engines
     run on these canonical labels and shift what they record by the root.
@@ -279,33 +279,16 @@ class CompiledEpoch:
         self.system = FlowSystem(graph.labels, active)
         self.ready = graph.ready_labels
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
-        self.frontier_idx = sorted(self.system.index[lab] for lab in graph.frontier)
         self.root_masses = np.zeros(len(graph.labels))
         self.root_masses[0] = 1.0  # build_epoch lists the root first
-        # the next-deeper epoch of the same root and where each label sits in it
-        self.deeper: Optional[tuple[CompiledEpoch, np.ndarray]] = None
 
     @cached_property
     def template(self) -> EpochTemplate:
         """Delivery curves of an epoch that starts with all mass at the root."""
         return EpochTemplate(self.system, self.ready, self.root_masses)
 
-    def chain(
-        self, time: float, epoch: int, masses: Optional[np.ndarray] = None
-    ) -> ChainState:
-        """A chain on this epoch's labels; ``flow.step`` it with ``self.system``."""
+    def chain(self, time: float, epoch: int) -> ChainState:
+        """A chain with all mass at the root; ``flow.step`` it with ``self.system``."""
         return ChainState(
-            self.graph.labels,
-            self.root_masses if masses is None else masses,
-            self.graph.edges,
-            time=time,
-            epoch=epoch,
+            self.graph.labels, self.root_masses, self.graph.edges, time=time, epoch=epoch
         )
-
-    def index_in(self, deeper: "CompiledEpoch") -> np.ndarray:
-        """Where each label sits in a deeper build of the same root.
-
-        Deeper builds only raise the budgets, so they keep every label and
-        copying masses through this map carries all of them.
-        """
-        return np.array([deeper.system.index[lab] for lab in self.graph.labels], dtype=np.intp)

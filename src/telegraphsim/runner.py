@@ -2,15 +2,17 @@
 
 Two drivers implement the same stochastic law:
 
-* ``steps``   -- honest per-step integration: exact propagator steps,
-                 per-substep trigger sampling, lazy frontier extension.
-                 Cost grows with duration / dt.
+* ``steps``   -- honest per-step integration: exact propagator steps and
+                 per-substep trigger sampling. Cost grows with duration / dt.
 * ``renewal`` -- event-driven: each epoch's hit (target, time) is drawn
                  in one shot from the epoch template's delivery curves.
                  This is exact for the same law (the per-substep hazards
                  telescope to the delivered-mass distribution) and makes
                  long desk-scale runs cheap. The uniforms are drawn and
                  inverted in blocks, and the log is built as columns.
+
+Both run every epoch on the same compiled epoch graph, cut at ``depth``
+weak cycles: mass that reaches a frontier label stays there until the hit.
 
 The no-observer mode has no stochastic events at all. On every engine
 it runs a third driver, ``flow``, which moves the flow forward in large
@@ -41,7 +43,8 @@ from .analysis import (
     segment_telegraph,
 )
 from .config import RunConfig, format_config
-from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier
+# extend_frontier is unused here: perfbench's traced run looks it up in this module
+from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
 from .epochs import CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
 from .eventlog import (
@@ -59,8 +62,6 @@ from .rules import active_edges, collapse, trigger
 from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
-EXTENSION_MASS_EPS = 1e-10
-EXTENSION_CHECK_EVERY = 64
 #: Uniforms the renewal engine draws at a time; it uses one per epoch.
 RENEWAL_BLOCK = 4096
 
@@ -78,7 +79,6 @@ class TrajectoryResult:
     collapses: int = 0
     max_mass_residual: float = 0.0
     collapse_check_failures: int = 0
-    extensions: int = 0
     stationarity_residual: Optional[float] = None
     final_time: float = 0.0
 
@@ -95,14 +95,12 @@ def _epochs_key(cfg: RunConfig) -> tuple:
 class _CompiledEpochs(dict):
     """One run's compiled epochs at the configured depth, keyed by root atom.
 
-    Each is built on first use; deeper ones hang off ``CompiledEpoch.deeper``.
+    Each is built on first use, and every engine runs on these same epochs.
     ``run`` builds one and every trajectory of the run shares it. Sharing
     is exact because everything cached is a pure function of the key: the
     kind, lasers, rates and depth, and whether the graphs carry ready marks
     (all modes but no-observer). That covers the graph, the ``FlowSystem``
-    and its per-``dt`` propagators, the template and its ``_stage_cache``,
-    and ``ep.deeper`` (``extend_frontier`` ignores which frontier label
-    triggered it).
+    and its per-``dt`` propagators, and the template and its ``_stage_cache``.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -124,14 +122,6 @@ def _own_epochs(cfg: RunConfig, epochs: Optional[_CompiledEpochs]) -> _CompiledE
     if epochs.key != _epochs_key(cfg):
         raise ValueError("compiled epochs were built for another config")
     return epochs
-
-
-def _extended(ep: CompiledEpoch, frontier_label: ComponentLabel):
-    """The epoch one cycle deeper than ``ep`` and where ``ep``'s labels sit in it."""
-    if ep.deeper is None:
-        grown = _compile(extend_frontier(ep.graph, frontier_label))
-        ep.deeper = (grown, ep.index_in(grown))
-    return ep.deeper
 
 
 def _template(ep: CompiledEpoch) -> EpochTemplate:
@@ -305,17 +295,6 @@ def run_trajectory_steps(
                 hit = trigger(report, ep.ready_idx, dt, rng)
                 if hit is not None:
                     break
-            if (
-                res.steps_taken % EXTENSION_CHECK_EVERY == 0
-                and ep.graph.depth < cfg.max_depth
-            ):
-                live = [i for i in ep.frontier_idx if state.masses[i] > EXTENSION_MASS_EPS]
-                if live:
-                    ep, index = _extended(ep, ep.graph.labels[live[0]])
-                    masses = np.zeros(len(ep.graph.labels))
-                    masses[index] = state.masses
-                    state = ep.chain(state.time, epoch, masses)
-                    res.extensions += 1
 
         if hit is None:
             break
@@ -445,7 +424,6 @@ def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -
         "final_time": result.final_time,
         "max_mass_residual": result.max_mass_residual,
         "collapse_check_failures": result.collapse_check_failures,
-        "extensions": result.extensions,
     }
     if result.stationarity_residual is not None:
         summary["stationarity_residual"] = result.stationarity_residual

@@ -174,6 +174,8 @@ class TestRunCommand:
 ENGINE_FLAGS = (
     "--duration 3000",
     "--engine steps --duration 20",
+    # at ratio 1 mass reaches the depth frontier and stays there
+    "--engine steps --duration 20 --k-weak-absorb 1 --k-weak-emit 1",
     "--mode original_no_observer --duration 100",
 )
 
@@ -264,7 +266,7 @@ class TestFlags:
             "--mode", "original_with_observer", "--k-strong-absorb", "2", "--k-strong-emit", "2",
             "--k-weak-absorb", "0.1", "--k-weak-emit", "0.1", "--duration", "20",
             "--dt-max", "0.02", "--seed", "3", "--trajectories", "2", "--threshold-gap", "auto",
-            "--depth", "3", "--max-depth", "4", "--engine", "steps", "--out", str(out),
+            "--depth", "3", "--engine", "steps", "--out", str(out),
         ) == 0
         text = (out / "report.txt").read_text()
         assert "kind=lambda lasers=strong_only mode=original_with_observer" in text

@@ -86,7 +86,7 @@ def test_seed_range():
 def test_depth_constraints():
     with pytest.raises(ConfigError):
         parse_config("depth = 0")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="line 2: unknown key 'max_depth'"):
         parse_config("depth = 5\nmax_depth = 3")
 
 

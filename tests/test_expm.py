@@ -4,8 +4,8 @@ The inputs are what the engines exponentiate: the generator of every
 compiled epoch times every ``dt`` it is propagated over (the template's two
 grid pieces, the ``steps`` substep at the default ``dt_max``, and the
 no-observer flow driver's jump), in all four configurations under all three
-laser settings, at depth 2 and after one frontier extension. scipy is a test
-dependency only.
+laser settings, at depth 2 and, where the graph has a frontier, one cycle
+deeper. scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ def _exercise_engines(cfg: RunConfig) -> list[float]:
     """Compile and propagate cfg's epochs as the engines do; returns each template's residual."""
     residuals = []
     epochs = runner._CompiledEpochs(cfg)
+    deeper = runner._CompiledEpochs(replace(cfg, depth=cfg.depth + 1))
     for atom in AtomLevel:
         ep = epochs[atom]
-        compiled = [ep]
-        if ep.frontier_idx:
-            compiled.append(runner._extended(ep, ep.graph.labels[ep.frontier_idx[0]])[0])
-        for c in compiled:
+        for c in [ep, deeper[atom]] if ep.graph.frontier else [ep]:
             residuals.append(c.template.conservation_residual)
             flow.step(c.chain(0.0, 0), c.system.edges, cfg.dt_max, c.system)
     no_observer = replace(cfg, mode="original_no_observer")

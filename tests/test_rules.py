@@ -196,7 +196,6 @@ class TestModes:
         assert len(logs) == 1
         for r in results:
             assert r.stationarity_residual is not None
-            assert r.extensions == 0
 
     def test_mode_equivalence_identical_logs(self):
         from telegraphsim.config import RunConfig

@@ -1,6 +1,6 @@
 """Compiled epochs shared by the trajectories of one run.
 
-``run`` compiles each (root atom, depth) epoch once and hands the same
+``run`` compiles each root atom's epoch once and hands the same
 ``_CompiledEpochs`` to every trajectory. Everything cached in it is a pure
 function of the config, so a trajectory run on shared epochs must give the
 same log bytes and the same result fields as one that compiles its own.
@@ -17,7 +17,6 @@ from telegraphsim import runner
 from telegraphsim.config import RunConfig
 from telegraphsim.epochs import EpochTemplate
 from telegraphsim.eventlog import crossings, serialize_log
-from telegraphsim.state import AtomLevel
 
 FAST_WEAK = dict(k_weak_absorb=0.1, k_weak_emit=0.1, threshold_gap=15.0, master_seed=17)
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
@@ -52,12 +51,10 @@ def test_renewal_on_shared_epochs(kind):
     assert all(len(crossings(r.records)) > 0 for r in results)
 
 
-def test_steps_reuse_deeper_epochs():
+def test_steps_on_shared_epochs():
     cfg = RunConfig(kind="v", engine="steps", duration=30.0, **FAST_WEAK)
-    shared, results = _shared_equals_fresh(cfg)
-    # a trajectory after the first that extends walks the deeper epochs the first grew
-    assert sum(r.extensions > 0 for r in results) >= 2
-    assert shared[AtomLevel.GROUND].deeper is not None
+    _, results = _shared_equals_fresh(cfg)
+    assert all(r.epochs > 0 for r in results)
 
 
 def test_flow_driver_on_shared_epochs():
