@@ -9,6 +9,11 @@ level, detector clicks, strong count, weak count) and an auxiliary
 value (delivered mass for hits, crossing flux weight for weak-edge
 crossings). Floats are written with Python's shortest round-trip
 representation so logs are diffable and parse back bit-exactly.
+
+Each epoch writes its weak-edge crossings, then its hit. Its start is
+implied: epoch 0 starts at t=0 on the ground level with an empty ledger,
+epoch k at hit k-1's time, atom and ledger. ``parse_log`` also reads
+version 1 logs, dropping the ``epoch_start`` records they held.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .state import AtomLevel, ComponentLabel, make_label
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = (
     f"# telegraph-event-log v{FORMAT_VERSION}\n"
     "# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux\n"
@@ -35,7 +40,6 @@ _CHUNK = 8192
 class EventKind(Enum):
     HIT = "hit"
     WEAK_EDGE_CROSSING = "weak_edge_crossing"
-    EPOCH_START = "epoch_start"
 
 
 #: ``EventLog.kind`` holds each kind's position in this tuple.
@@ -43,7 +47,6 @@ KINDS = tuple(EventKind)
 _CODE = {k: i for i, k in enumerate(KINDS)}
 HIT = _CODE[EventKind.HIT]
 WEAK_EDGE_CROSSING = _CODE[EventKind.WEAK_EDGE_CROSSING]
-EPOCH_START = _CODE[EventKind.EPOCH_START]
 _CODE_OF_VALUE = {k.value: i for i, k in enumerate(KINDS)}
 
 
@@ -159,19 +162,18 @@ Records = Union[EventLog, Iterable[EventRecord]]
 
 
 def validate_log(records: Records) -> None:
-    """Check the ordering invariants: times and epochs nondecreasing, one start per epoch.
+    """Check the ordering invariants: times and epochs nondecreasing, hit epochs consecutive.
 
-    Reports the first offending record, checking each record's time, then
-    its epoch, then whether its epoch already started.
+    Consecutive hit epochs are what lets the hits imply every epoch start.
+    Reports the first offending record, checking its time, epoch, then hit epoch.
     """
     log = EventLog.of(records)
     time_down = np.flatnonzero(log.time[1:] < log.time[:-1]) + 1
     epoch_down = np.flatnonzero(log.epoch[1:] < log.epoch[:-1]) + 1
-    # up to the first epoch decrease, a repeated start repeats the previous start
-    starts = np.flatnonzero(log.kind == EPOCH_START)
-    repeats = starts[1:][log.epoch[starts][1:] == log.epoch[starts][:-1]]
+    hit_at = np.flatnonzero(log.kind == HIT)
+    not_next = hit_at[1:][np.diff(log.epoch[hit_at]) != 1]
     firsts = [
-        int(found[0]) if found.size else len(log) for found in (time_down, epoch_down, repeats)
+        int(found[0]) if found.size else len(log) for found in (time_down, epoch_down, not_next)
     ]
     first = min(firsts)
     if first == len(log):
@@ -181,7 +183,7 @@ def validate_log(records: Records) -> None:
         raise ValueError(f"record times decrease at t={r.time}")
     if first == firsts[1]:
         raise ValueError(f"record epochs decrease at epoch={r.epoch}")
-    raise ValueError(f"epoch {r.epoch} starts twice")
+    raise ValueError(f"hit at epoch={r.epoch} does not follow the previous hit's epoch")
 
 
 def serialize_log(records: Records) -> str:
@@ -209,6 +211,8 @@ def parse_log(text: str) -> EventLog:
             if line and not line.startswith("#") and line.count("\t") != 7
         )
         raise ValueError(f"line {lineno}: expected 8 tab-separated fields")
+    if text.startswith("# telegraph-event-log v1\n"):  # v1 also wrote the implied starts
+        lines = [line for line in lines if line.split("\t", 2)[1] != "epoch_start"]
     chunks = range(0, max(len(lines), 1), _CHUNK)
     return EventLog.concat(_parse_lines(lines[i : i + _CHUNK]) for i in chunks)
 

@@ -48,7 +48,6 @@ from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_fr
 from .epochs import CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
 from .eventlog import (
-    EPOCH_START,
     HIT,
     WEAK_EDGE_CROSSING,
     EventKind,
@@ -175,9 +174,8 @@ def run_trajectory_renewal(
     block is never used.
     """
     epochs = _own_epochs(cfg, epochs)
-    # an epoch's records are its start, its crossings and its hit: stably sorted
-    # by epoch, these three lists concatenated give the log
-    starts: list[EventLog] = []
+    # an epoch's records are its crossings and its hit: stably sorted by epoch,
+    # these two lists concatenated give the log
     crossing_rows: list[EventLog] = []
     hit_rows: list[EventLog] = []
     atom = AtomLevel.GROUND
@@ -191,7 +189,6 @@ def run_trajectory_renewal(
         tpl = _template(epochs[atom])
         residual = max(residual, tpl.conservation_residual)
         if not tpl.has_sinks:
-            starts.append(_rows(EPOCH_START, [t], epoch, atom.value, ledger[None], 0.0))
             t = cfg.duration
             break
         if pos == len(u):
@@ -203,16 +200,10 @@ def run_trajectory_renewal(
         times = np.cumsum(np.concatenate(([t], tau[:n])))
         # the first hit at or past the duration ends the trajectory; one past it is not logged
         late = np.flatnonzero(times[1:] >= cfg.duration)
-        n_started = int(late[0]) + 1 if late.size else n
-        n_hits = n_started - int(times[n_started] > cfg.duration)
+        n_hits = int(late[0]) + int(times[late[0] + 1] == cfg.duration) if late.size else n
         sinks = j[:n_hits]
         deltas = tpl.sink_ledger[sinks]
         after = ledger + np.cumsum(deltas, axis=0)
-        before = np.concatenate((ledger[None], after))
-        numbers = epoch + np.arange(n_started)
-        starts.append(
-            _rows(EPOCH_START, times[:n_started], numbers, atom.value, before[:n_started], 0.0)
-        )
         for q in np.flatnonzero(deltas[:, 2] > 0):
             crossed = _crossings(tpl, tpl.sink_labels[sinks[q]], float(tau[q]), float(times[q]))
             shifts = [(lab.clicks, lab.strong, lab.weak) for _, lab in crossed]
@@ -220,9 +211,9 @@ def run_trajectory_renewal(
                 _rows(
                     WEAK_EDGE_CROSSING,
                     [c for c, _ in crossed],
-                    numbers[q],
+                    epoch + q,
                     [lab.atom.value for _, lab in crossed],
-                    before[q] + np.array(shifts, dtype=np.int64).reshape(-1, 3),
+                    after[q] - deltas[q] + np.array(shifts, dtype=np.int64).reshape(-1, 3),
                     1.0,
                 )
             )
@@ -230,7 +221,7 @@ def run_trajectory_renewal(
             _rows(
                 HIT,
                 times[1 : n_hits + 1],
-                numbers[:n_hits],
+                epoch + np.arange(n_hits),
                 tpl.sink_atoms[sinks],
                 after,
                 delivered[:n_hits],
@@ -244,7 +235,8 @@ def run_trajectory_renewal(
         ledger = after[-1]
         atom = AtomLevel(int(tpl.sink_atoms[sinks[-1]]))
         pos += n
-    log = EventLog.concat(starts + crossing_rows + hit_rows)
+    rows = crossing_rows + hit_rows
+    log = EventLog.concat(rows) if rows else EventLog.of(())
     return TrajectoryResult(
         records=log[np.argsort(log.epoch, kind="stable")],
         epochs=epoch,
@@ -274,7 +266,6 @@ def run_trajectory_steps(
     epoch = 0
 
     while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
-        records.append(EventRecord.for_label(t, EventKind.EPOCH_START, epoch, root))
         ep = epochs[root.atom]
         state = ep.chain(t, epoch)
         t_epoch = t
@@ -329,36 +320,37 @@ def run_trajectory_steps(
 def run_trajectory_flow(
     cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
 ) -> TrajectoryResult:
-    """No-observer driver: uninterrupted deterministic flow, no events.
+    """No-observer driver: uninterrupted deterministic flow, no events, an empty log.
 
     The chain is truncated at the configured depth (an unboundedly
-    extending chain never reaches a pointwise-stationary profile); mass
-    settles into the terminal components and the report carries the
-    final max |dm/dt| as the stationarity residual.
+    extending chain never reaches a pointwise-stationary profile). The
+    masses move in jumps of ``10 / max_rate``, each one exact propagator
+    product; mass settles into the terminal components and the report
+    carries the final max |dm/dt| as the stationarity residual.
     """
     del rng  # nothing stochastic happens without the trigger
     ep = _own_epochs(cfg, epochs)[AtomLevel.GROUND]
-    state = ep.chain(0.0, 0)
-    records = EventLog.of([EventRecord.for_label(0.0, EventKind.EPOCH_START, 0, ep.graph.root)])
     sys_ = ep.system
+    m = ep.root_masses
     dt_jump = 10.0 / sys_.max_rate if sys_.max_rate > 0 else cfg.duration
-    steps = 0
+    t = 0.0
+    jumps = 0
     residual = 0.0
-    while state.time < cfg.duration:
-        dt = min(dt_jump, cfg.duration - state.time)
-        state, _ = step(state, sys_.edges, dt, sys_)
-        steps += 1
-        residual = max(residual, abs(float(state.masses.sum()) - 1.0))
+    while t < cfg.duration:
+        dt = min(dt_jump, cfg.duration - t)
+        m = sys_.propagator(dt) @ m
+        t += dt
+        jumps += 1
+        residual = max(residual, abs(float(m.sum()) - 1.0))
         if residual > MASS_ABORT_TOL:
             raise InvariantBreach(f"mass conservation broke: residual {residual:.3e}")
-    rate_residual = float(np.abs(sys_.generator @ state.masses).max())
     return TrajectoryResult(
-        records=records,
+        records=EventLog.of(()),
         epochs=1,
-        steps_taken=steps,
+        steps_taken=jumps,
         max_mass_residual=residual,
-        stationarity_residual=rate_residual,
-        final_time=state.time,
+        stationarity_residual=float(np.abs(sys_.generator @ m).max()),
+        final_time=t,
     )
 
 

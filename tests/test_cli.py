@@ -29,8 +29,8 @@ def run_cli(*args):
 class TestLogFormat:
     def test_roundtrip_simple(self):
         recs = [
-            EventRecord(0.0, EventKind.EPOCH_START, 0, 0, 0, 0, 0, 0.0),
-            EventRecord(2.5, EventKind.HIT, 0, 0, 1, 1, 0, 0.73),
+            EventRecord(1.25, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1, 1.0),
+            EventRecord(2.5, EventKind.HIT, 0, 0, 1, 1, 1, 0.73),
         ]
         assert parse_log(serialize_log(recs)) == recs
 
@@ -60,8 +60,8 @@ class TestLogFormat:
 
     def test_validate_ordering(self):
         good = [
-            EventRecord(0.0, EventKind.EPOCH_START, 0, 0, 0, 0, 0, 0.0),
-            EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 0, 0.5),
+            EventRecord(0.5, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1, 1.0),
+            EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 1, 0.5),
         ]
         validate_log(good)
         bad = list(reversed(good))
@@ -202,6 +202,34 @@ class TestAnalyzeCommand:
         assert code == 0
         text = capsys.readouterr().out
         assert "bright=" in text
+
+    def test_v1_log_reads_as_v2(self, tmp_path, capsys):
+        v1 = textwrap.dedent(
+            """\
+            # telegraph-event-log v1
+            # time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux
+            0.0\tepoch_start\t0\t0\t0\t0\t0\t0.0
+            14.5\tweak_edge_crossing\t0\t0\t0\t0\t1\t1.0
+            30.25\thit\t0\t0\t1\t1\t1\t0.0625
+            30.25\tepoch_start\t1\t0\t1\t1\t1\t0.0
+            31.5\thit\t1\t0\t2\t2\t1\t0.75
+            """
+        )
+        lines = v1.replace("log v1", "log v2").splitlines(keepends=True)
+        v2 = "".join(line for line in lines if "\tepoch_start\t" not in line)
+        records = parse_log(v1)
+        assert records == parse_log(v2)
+        assert serialize_log(records) == v2
+        validate_log(records)
+        printed = []
+        for name, text in (("v1", v1), ("v2", v2)):
+            (tmp_path / name).mkdir()
+            log = tmp_path / name / "events_000.tsv"
+            log.write_text(text, encoding="utf-8")
+            assert run_cli("analyze", str(log)) == 0
+            printed.append(capsys.readouterr().out.replace(str(log), "LOG"))
+        assert printed[0] == printed[1]
+        assert "bright=1" in printed[0]
 
     def test_analyze_missing_file(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.tsv")) == 1

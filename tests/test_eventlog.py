@@ -1,5 +1,7 @@
 """The columnar event log against the record sequences it replaces."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +34,8 @@ records = st.lists(
     max_size=40,
 )
 
-# few distinct times and epochs, so that ties, decreases and repeated starts all occur
+# few distinct times and epochs, so that ties, decreases and repeated or skipped hit
+# epochs all occur
 near_valid = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.5, 1.0, 2.5]),
@@ -47,16 +50,16 @@ def reference_validate(records):
     """The record-by-record check that ``validate_log`` vectorizes."""
     last_t = -float("inf")
     last_e = -1
-    starts = set()
+    last_hit = None
     for r in records:
         if r.time < last_t:
             raise ValueError(f"record times decrease at t={r.time}")
         if r.epoch < last_e:
             raise ValueError(f"record epochs decrease at epoch={r.epoch}")
-        if r.kind is EventKind.EPOCH_START:
-            if r.epoch in starts:
-                raise ValueError(f"epoch {r.epoch} starts twice")
-            starts.add(r.epoch)
+        if r.kind is EventKind.HIT:
+            if last_hit is not None and r.epoch != last_hit + 1:
+                raise ValueError(f"hit at epoch={r.epoch} does not follow the previous hit's epoch")
+            last_hit = r.epoch
         last_t, last_e = r.time, r.epoch
 
 
@@ -101,15 +104,18 @@ def test_validate_matches_record_by_record_check(rows):
 
 
 def test_validate_rejects_each_violation():
-    start = EventRecord(0.0, EventKind.EPOCH_START, 0, 0, 0, 0, 0, 0.0)
-    hit = EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 0, 0.5)
-    validate_log([start, hit])
-    with pytest.raises(ValueError, match="times decrease at t=0.0"):
-        validate_log([hit, start])
+    crossing = EventRecord(0.5, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1, 1.0)
+    hit = EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 1, 0.5)
+    next_hit = EventRecord(2.0, EventKind.HIT, 1, 0, 2, 2, 1, 0.5)
+    validate_log([crossing, hit, next_hit])
+    with pytest.raises(ValueError, match="times decrease at t=0.5"):
+        validate_log([hit, crossing])
     with pytest.raises(ValueError, match="epochs decrease at epoch=0"):
-        validate_log([EventRecord(1.0, EventKind.HIT, 1, 0, 1, 1, 0, 0.5), hit])
-    with pytest.raises(ValueError, match="epoch 0 starts twice"):
-        validate_log([start, start])
+        validate_log([next_hit, replace(hit, time=2.0)])
+    with pytest.raises(ValueError, match="hit at epoch=0 does not follow"):
+        validate_log([hit, replace(next_hit, epoch=0)])
+    with pytest.raises(ValueError, match="hit at epoch=2 does not follow"):
+        validate_log([crossing, hit, replace(next_hit, epoch=2)])
 
 
 def test_parse_rejects_bad_lines():

@@ -81,7 +81,9 @@ def test_golden_logs(tmp_path):
     atom_moves = 0
     for name, cfg in cases.items():
         out = tmp_path / name
-        assert _run(cfg, out) == expected[name], f"{name}: output differs from the golden run"
+        got, want = _run(cfg, out), expected[name]
+        moved = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+        assert not moved, f"{name}: {', '.join(moved)} differ from the golden run"
         for log in out.glob("events_*.tsv"):
             text = log.read_text(encoding="utf-8")
             crossings[cfg.engine] += text.count("\tweak_edge_crossing\t")
