@@ -31,6 +31,8 @@ when the slow stage follows it.
 Both engines run every epoch on a CompiledEpoch: the graph, flow system
 and ready targets of one root atom at the run's depth, compiled once per
 run for a root with an empty photon ledger and shared by its trajectories.
+The ``steps`` engine also shares its HazardTables: the per-substep hit
+hazards of the epoch's steps from the root, grown in chunks on first use.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ import numpy as np
 
 from .configurations import EpochGraph
 from .flow import FlowSystem
+from .rules import hazards
 from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
 
 FAST_SPAN_EFOLDS = 60.0
 TAIL_EFOLDS = 50.0
 CELLS_PER_PIECE = 3000
+#: Full steps a ``HazardTable`` grows by at a time.
+HAZARD_CHUNK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,68 @@ class EpochTemplate:
         return float(cand[k] + frac * (cand[k + 1] - cand[k]))
 
 
+@dataclass(frozen=True)
+class HazardChunk:
+    """``HAZARD_CHUNK_STEPS`` full steps of a hazard table."""
+
+    start: np.ndarray  # every mass at the chunk's first step boundary
+    ready: np.ndarray  # ready-target masses at each substep boundary, one row each
+    hazard: np.ndarray  # ``rules.hazards`` of ``ready``: one per substep
+    drift: np.ndarray  # |total mass - 1| after each step
+
+
+class HazardTable:
+    """Per-substep hit hazards of an epoch stepped from its root in full steps of ``dt``.
+
+    Every epoch of a compiled epoch starts with all mass at its root, so the
+    masses after k steps, and with them the trigger's hazards, are the same
+    in every epoch of every trajectory. The table steps them once, in chunks
+    of ``HAZARD_CHUNK_STEPS`` steps grown on first use, with the propagator
+    and substeps of ``flow.step``, so its floats are those of ``flow.step``.
+    It keeps the ready-target masses per substep, not every mass: a chunk
+    keeps every mass only at its start.
+    """
+
+    def __init__(self, system: FlowSystem, ready_idx: Sequence[int], root: np.ndarray, dt: float):
+        self.n_sub = system.substeps(dt)
+        self.dt_sub = dt / self.n_sub
+        self._P = system.propagator(self.dt_sub)
+        self._ready_idx = np.array(ready_idx, dtype=np.intp)
+        self._chunks: list[HazardChunk] = []
+        self._next = root  # every mass at the start of the next chunk
+
+    def chunk(self, c: int) -> HazardChunk:
+        """Chunk ``c``, which covers full steps ``c * HAZARD_CHUNK_STEPS`` onwards."""
+        while len(self._chunks) <= c:
+            self._grow()
+        return self._chunks[c]
+
+    def masses_at(self, k: int) -> np.ndarray:
+        """Every mass after ``k`` full steps, re-stepped from its chunk's start."""
+        c, off = divmod(k, HAZARD_CHUNK_STEPS)
+        m = self.chunk(c).start
+        for _ in range(off * self.n_sub):
+            m = self._P @ m
+        return m
+
+    def _grow(self) -> None:
+        start = m = self._next
+        P = self._P
+        rows = np.empty((HAZARD_CHUNK_STEPS * self.n_sub + 1, len(m)))
+        rows[0] = m
+        drift = np.empty(HAZARD_CHUNK_STEPS)
+        row = 1
+        for k in range(HAZARD_CHUNK_STEPS):
+            for _ in range(self.n_sub):
+                m = P @ m
+                rows[row] = m
+                row += 1
+            drift[k] = abs(float(m.sum()) - 1.0)
+        ready = rows[:, self._ready_idx]
+        self._chunks.append(HazardChunk(start, ready, hazards(ready), drift))
+        self._next = m
+
+
 class CompiledEpoch:
     """One epoch's flow problem for a canonical root (photon ledger zero).
 
@@ -272,6 +339,8 @@ class CompiledEpoch:
     one FlowSystem over its active edges (whose propagators every step and
     the template share), and the ready targets in chain order. The engines
     run on these canonical labels and shift what they record by the root.
+    The template and the hazard tables, one per step size, are built on
+    first use.
     """
 
     def __init__(self, graph: EpochGraph, active: Sequence[FlowEdge]):
@@ -281,11 +350,21 @@ class CompiledEpoch:
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
         self.root_masses = np.zeros(len(graph.labels))
         self.root_masses[0] = 1.0  # build_epoch lists the root first
+        self._hazards: dict[float, HazardTable] = {}
 
     @cached_property
     def template(self) -> EpochTemplate:
         """Delivery curves of an epoch that starts with all mass at the root."""
         return EpochTemplate(self.system, self.ready, self.root_masses)
+
+    def hazards(self, dt: float) -> HazardTable:
+        """The hazard table of this epoch's full steps of ``dt``, built on first use."""
+        table = self._hazards.get(dt)
+        if table is None:
+            table = self._hazards[dt] = HazardTable(
+                self.system, self.ready_idx, self.root_masses, dt
+            )
+        return table
 
     def chain(self, time: float, epoch: int) -> ChainState:
         """A chain with all mass at the root; ``flow.step`` it with ``self.system``."""

@@ -172,6 +172,12 @@ class FlowSystem:
         self.max_rate = float(self.rates.max()) if len(self.edges) else 0.0
         self._propagators: dict[float, np.ndarray] = {}
 
+    def substeps(self, dt: float) -> int:
+        """How many equal sub-intervals ``step`` splits a step of ``dt`` into."""
+        if self.max_rate <= 0:
+            return 1
+        return max(1, int(np.ceil(dt * self.max_rate / SUBSTEP_CURRENT_CAP)))
+
     def propagator(self, dt: float) -> np.ndarray:
         P = self._propagators.get(dt)
         if P is None:
@@ -251,9 +257,7 @@ def step(
         raise InvalidStep(f"dt must be positive, got {dt}")
     sys_ = FlowSystem(state.labels, edges) if system is None else system
 
-    n_sub = 1
-    if sys_.max_rate > 0:
-        n_sub = max(1, int(np.ceil(dt * sys_.max_rate / SUBSTEP_CURRENT_CAP)))
+    n_sub = sys_.substeps(dt)
     dt_sub = dt / n_sub
     P = sys_.propagator(dt_sub)
 

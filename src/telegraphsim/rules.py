@@ -85,6 +85,63 @@ def ready_indices(
     return tuple(i for i, lab in enumerate(labels) if lab in ready)
 
 
+def substep_hit(
+    m_start: Sequence[float], m_end: Sequence[float], ready_idx: Iterable[int], u: float
+) -> Optional[int]:
+    """The position in ``ready_idx`` that uniform ``u`` hits over one sub-interval, or None.
+
+    ``m_start`` and ``m_end`` are the masses at the sub-interval's ends. The
+    sub-interval hits target j when ``u`` falls in its share delta_j / survival
+    of the hazard total / survival (see ``trigger``); the sums run over the
+    targets in order.
+    """
+    held = 0.0
+    total = 0.0
+    deltas = []
+    for i in ready_idx:
+        a = m_start[i]
+        held += a
+        d = m_end[i] - a
+        if d < 0.0:
+            d = 0.0
+        deltas.append(d)
+        total += d
+    survival = 1.0 - held
+    if survival <= 0.0:
+        survival = max(total, _TINY)
+    if not u < total / survival:
+        return None
+    acc = 0.0
+    for k, d in enumerate(deltas):
+        acc += d / survival
+        if u < acc:
+            return k
+    return len(deltas) - 1
+
+
+def hazards(ready: np.ndarray) -> np.ndarray:
+    """The hazard total / survival of each sub-interval of a run of ready-target masses.
+
+    Row k of ``ready`` holds the targets' masses at the k-th substep
+    boundary, one column per target in ``ready_idx`` order, so rows k and
+    k + 1 bracket sub-interval k. The arithmetic is ``substep_hit``'s, in
+    the same order, so ``u < hazards(ready)[k]`` holds exactly when
+    ``substep_hit`` finds a hit in sub-interval k with the same ``u``.
+    """
+    start, end = ready[:-1], ready[1:]
+    held = np.zeros(len(start))
+    total = np.zeros(len(start))
+    for i in range(ready.shape[1]):
+        held += start[:, i]
+        d = end[:, i] - start[:, i]
+        d[d < 0.0] = 0.0
+        total += d
+    survival = 1.0 - held
+    dry = survival <= 0.0
+    survival[dry] = np.where(_TINY > total[dry], _TINY, total[dry])
+    return total / survival
+
+
 def trigger(
     report: CurrentReport,
     ready_idx: Sequence[int],
@@ -105,42 +162,22 @@ def trigger(
 
     ``ready_idx`` holds the targets' chain positions in chain order (see
     ``ready_indices``); they are resolved once per epoch, not per step.
-    Consumes exactly one uniform per sub-interval when any target is
-    live, in time order; at most one hit is returned per call.
+    Whenever ``ready_idx`` is non-empty, live or dormant targets alike,
+    it consumes exactly one ``rng.random()`` per sub-interval, in time
+    order, up to and including the one that hits; an empty ``ready_idx``
+    consumes none. At most one hit is returned per call.
     """
     if not ready_idx:
         return None
     for sub in report.substeps:
-        m_start, m_end = sub.m_start, sub.m_end
-        held = 0.0
-        total = 0.0
-        deltas = []
-        for i in ready_idx:
-            a = m_start[i]
-            held += a
-            d = m_end[i] - a
-            if d < 0.0:
-                d = 0.0
-            deltas.append(d)
-            total += d
-        survival = 1.0 - held
-        if survival <= 0.0:
-            survival = max(total, _TINY)
-        u = rng.random()
-        if u < total / survival:
-            acc = 0.0
-            j = len(ready_idx) - 1
-            for k, d in enumerate(deltas):
-                acc += d / survival
-                if u < acc:
-                    j = k
-                    break
-            t_hit = 0.5 * (sub.t_start + sub.t_end)
+        j = substep_hit(sub.m_start, sub.m_end, ready_idx, rng.random())
+        if j is not None:
+            target = ready_idx[j]
             return HitEvent(
-                time=t_hit,
-                target=report.labels[ready_idx[j]],
+                time=0.5 * (sub.t_start + sub.t_end),
+                target=report.labels[target],
                 epoch=report.epoch,
-                delivered_mass_at_hit=float(m_end[ready_idx[j]]),
+                delivered_mass_at_hit=float(sub.m_end[target]),
             )
     return None
 

@@ -3,7 +3,13 @@
 Two drivers implement the same stochastic law:
 
 * ``steps``   -- honest per-step integration: exact propagator steps and
-                 per-substep trigger sampling. Cost grows with duration / dt.
+                 per-substep trigger sampling. Cost grows with duration / dt,
+                 but the full steps run on each compiled epoch's table of
+                 per-substep hazards: the uniforms are drawn in blocks and
+                 one array compare per block finds the hit. The logs are
+                 byte-identical to calling ``flow.step`` and
+                 ``rules.trigger`` on every step, which the engine still
+                 does for the steps shorter than ``dt_max`` at the end.
 * ``renewal`` -- event-driven: each epoch's hit (target, time) is drawn
                  in one shot from the epoch template's delivery curves.
                  This is exact for the same law (the per-substep hazards
@@ -31,6 +37,7 @@ part of the output contract and must stay stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +52,7 @@ from .analysis import (
 from .config import RunConfig, format_config
 # extend_frontier is unused here: perfbench's traced run looks it up in this module
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
-from .epochs import CompiledEpoch, EpochTemplate
+from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
 from .eventlog import (
     HIT,
@@ -57,12 +64,14 @@ from .eventlog import (
     serialize_log,
 )
 from .flow import step
-from .rules import active_edges, collapse, trigger
+from .rules import HitEvent, active_edges, collapse, substep_hit, trigger
 from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
 #: Uniforms the renewal engine draws at a time; it uses one per epoch.
 RENEWAL_BLOCK = 4096
+#: Uniforms the steps engine draws at least at a time; it uses one per substep.
+STEPS_BLOCK = 4096
 
 
 def derive_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -99,7 +108,8 @@ class _CompiledEpochs(dict):
     is exact because everything cached is a pure function of the key: the
     kind, lasers, rates and depth, and whether the graphs carry ready marks
     (all modes but no-observer). That covers the graph, the ``FlowSystem``
-    and its per-``dt`` propagators, and the template and its ``_stage_cache``.
+    and its per-``dt`` propagators, the template and its ``_stage_cache``,
+    and the per-``dt`` hazard tables.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -246,6 +256,100 @@ def run_trajectory_renewal(
     )
 
 
+class _Uniforms:
+    """A trajectory's uniforms in draw order, drawn from its generator a block at a time.
+
+    On PCG64, ``rng.random(n)`` gives the same doubles as ``n`` calls of
+    ``rng.random()``, so the stream is the one a per-draw caller would see.
+    ``random`` is ``rules.trigger``'s view of it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._u = np.empty(0)
+        self._pos = 0
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, not yet used."""
+        if self._pos + n > len(self._u):
+            fresh = self._rng.random(max(n, STEPS_BLOCK))
+            self._u, self._pos = np.concatenate((self._u[self._pos :], fresh)), 0
+        return self._u[self._pos : self._pos + n]
+
+    def use(self, n: int) -> None:
+        self._pos += n
+
+    def random(self) -> float:
+        u = float(self.peek(1)[0])
+        self._pos += 1
+        return u
+
+
+def _full_steps(
+    ep: CompiledEpoch,
+    t: float,
+    epoch: int,
+    cfg: RunConfig,
+    uniforms: _Uniforms,
+    budget: float,
+    res: TrajectoryResult,
+) -> tuple[int, float, Optional[HitEvent]]:
+    """Epoch ``epoch``'s full steps (``dt_max`` each) from its root at ``t``, on its hazard table.
+
+    A step is full while ``duration - t >= dt_max``, and at most ``budget``
+    are taken. While the epoch has ready targets each substep uses one
+    uniform, and the first that falls below its substep's hazard is the
+    hit; its target and delivered mass come from ``rules.substep_hit`` on
+    the two ready rows around the substep. Returns the number of steps
+    taken, the time after the last of them and the hit, if any.
+    """
+    table = ep.hazards(cfg.dt_max)
+    dt, n_sub = cfg.dt_max, table.n_sub
+    k = 0
+    while True:
+        c, off = divmod(k, HAZARD_CHUNK_STEPS)
+        n = int(min(HAZARD_CHUNK_STEPS - off, budget - k))
+        # the step boundaries, summed one dt at a time as successive steps sum them
+        times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
+        short = np.flatnonzero(cfg.duration - times[:n] < dt)
+        if short.size:
+            n = int(short[0])
+        if n == 0:
+            return k, t, None
+        chunk = table.chunk(c)
+        s = None  # the hit's substep in this block
+        if ep.ready_idx:
+            u = uniforms.peek(n * n_sub)
+            below = u < chunk.hazard[off * n_sub : (off + n) * n_sub]
+            s = int(below.argmax())
+            if below[s]:
+                n = s // n_sub + 1
+            else:
+                s = None
+            uniforms.use(n * n_sub if s is None else s + 1)
+        drift = chunk.drift[off : off + n]
+        breach = np.flatnonzero(drift > MASS_ABORT_TOL)
+        if breach.size:
+            b = int(breach[0])
+            raise InvariantBreach(
+                f"mass conservation broke at t={float(times[b + 1])}: residual {drift[b]:.3e}"
+            )
+        res.max_mass_residual = max(res.max_mass_residual, float(drift.max()))
+        res.steps_taken += n
+        k += n
+        t = float(times[n])
+        if s is not None:
+            # the substep's bounds as flow.step sums them; the hit is at their midpoint
+            t_sub = float(times[n - 1])
+            for _ in range(s % n_sub):
+                t_sub += table.dt_sub
+            row = off * n_sub + s
+            m_start, m_end = chunk.ready[row], chunk.ready[row + 1]
+            j = substep_hit(m_start, m_end, range(len(m_start)), float(u[s]))
+            t_hit = 0.5 * (t_sub + (t_sub + table.dt_sub))
+            return k, t, HitEvent(t_hit, ep.ready[j], epoch, float(m_end[j]))
+
+
 def run_trajectory_steps(
     cfg: RunConfig,
     rng: np.random.Generator,
@@ -255,9 +359,19 @@ def run_trajectory_steps(
     """Per-step trajectory with explicit transport, trigger, and collapse.
 
     Every epoch steps the canonical chain of its compiled epoch; the hit
-    target is shifted by the epoch's root when it is recorded.
+    target is shifted by the epoch's root when it is recorded. The full
+    steps (``dt_max`` each) run on the compiled epoch's hazard table: the
+    uniforms, one per substep while the epoch has ready targets, are
+    drawn in blocks and compared with the tabulated hazards a block at a
+    time, and the first one below its hazard is the hit. The last steps
+    of a trajectory, shorter than ``dt_max``, run on ``flow.step`` and
+    ``rules.trigger`` from the tabulated masses. Draws, times and masses
+    are those of ``flow.step`` and ``rules.trigger`` on every step, so
+    the logs are byte-identical to stepping every step with them.
     """
     epochs = _own_epochs(cfg, epochs)
+    budget = math.inf if max_steps is None else max_steps
+    uniforms = _Uniforms(rng)
 
     records: list[EventRecord] = []
     res = TrajectoryResult(records=EventLog.of(()), epochs=0)
@@ -265,13 +379,17 @@ def run_trajectory_steps(
     t = 0.0
     epoch = 0
 
-    while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
+    while t < cfg.duration and res.steps_taken < budget:
         ep = epochs[root.atom]
         state = ep.chain(t, epoch)
         t_epoch = t
         hit = None
+        if cfg.duration - t >= cfg.dt_max:
+            k, t, hit = _full_steps(ep, t, epoch, cfg, uniforms, budget - res.steps_taken, res)
+            if hit is None and res.steps_taken < budget:  # steps shorter than dt_max follow
+                state = state.with_masses(ep.hazards(cfg.dt_max).masses_at(k), time=t)
 
-        while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
+        while hit is None and t < cfg.duration and res.steps_taken < budget:
             dt = min(cfg.dt_max, cfg.duration - t)
             state, report = step(state, ep.system.edges, dt, ep.system)
             res.steps_taken += 1
@@ -283,9 +401,7 @@ def run_trajectory_steps(
                 )
             res.max_mass_residual = max(res.max_mass_residual, drift)
             if ep.ready_idx:
-                hit = trigger(report, ep.ready_idx, dt, rng)
-                if hit is not None:
-                    break
+                hit = trigger(report, ep.ready_idx, dt, uniforms)
 
         if hit is None:
             break

@@ -8,7 +8,9 @@ engines, at weak/strong ratio 0.1 so that short runs reach dark periods and
 weak-edge crossings. Two renewal runs at the default rates (V and Lambda) are
 long enough to span several of the renewal engine's sampling blocks; Lambda's
 first hit moves the root to the strong atom, which cuts a block where the
-template changes.
+template changes. Two more V runs cover the ``steps`` engine at the default
+rates and step (the benchmark's own path), and at a coarse step of four
+substeps with a duration that ends in a shorter final step.
 
 The digests were recorded with numpy 2.4.6 (OpenBLAS) on CPython 3.11.
 The propagators come from ``flow.expm``, built on numpy's matmul and
@@ -58,6 +60,15 @@ def _cases() -> dict[str, RunConfig]:
             kind=kind, engine="renewal", duration=DEFAULT_RATE_DURATION,
             master_seed=17, trajectories=2,
         )
+    # the steps engine at the benchmark's own rates and step, and at a coarse
+    # step (4 substeps per step) whose duration ends in a shorter final step
+    cases["v-default_rates-steps"] = RunConfig(
+        kind="v", engine="steps", duration=125.0, master_seed=17, trajectories=2,
+    )
+    cases["v-coarse_dt-steps"] = RunConfig(
+        kind="v", engine="steps", duration=100.3, dt_max=0.2, master_seed=17,
+        trajectories=2, **FAST_WEAK,
+    )
     return cases
 
 

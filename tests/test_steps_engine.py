@@ -1,0 +1,234 @@
+"""The ``steps`` engine against the per-substep loop it replaced.
+
+``run_trajectory_steps`` takes its full steps on each compiled epoch's
+hazard table. ``_oracle_steps`` below is the loop that stepped every step
+with ``flow.step`` and drew every uniform inside the trigger, with that
+trigger's arithmetic written out. The two must give byte-identical logs
+and equal result fields, and raise the same breach.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from telegraphsim import runner
+from telegraphsim.config import RunConfig
+from telegraphsim.errors import InvariantBreach
+from telegraphsim.eventlog import EventKind, EventLog, EventRecord, serialize_log
+from telegraphsim.flow import step
+from telegraphsim.rules import HitEvent, collapse, hazards, substep_hit
+from telegraphsim.runner import (
+    TrajectoryResult,
+    _CompiledEpochs,
+    _crossings,
+    _shift_to,
+    _template,
+    derive_rng,
+    run_trajectory_steps,
+)
+from telegraphsim.state import AtomLevel, make_label
+
+_TINY = np.finfo(float).tiny
+KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
+LASERS = ("both", "strong_only", "weak_only")
+FAST_WEAK = dict(k_weak_absorb=0.1, k_weak_emit=0.1)
+FIELDS = (
+    "epochs", "steps_taken", "collapses", "max_mass_residual",
+    "collapse_check_failures", "stationarity_residual", "final_time",
+)
+
+
+def _oracle_trigger(report, ready_idx, rng) -> Optional[HitEvent]:
+    for sub in report.substeps:
+        m_start, m_end = sub.m_start, sub.m_end
+        held = 0.0
+        total = 0.0
+        deltas = []
+        for i in ready_idx:
+            a = m_start[i]
+            held += a
+            d = m_end[i] - a
+            if d < 0.0:
+                d = 0.0
+            deltas.append(d)
+            total += d
+        survival = 1.0 - held
+        if survival <= 0.0:
+            survival = max(total, _TINY)
+        u = rng.random()
+        if u < total / survival:
+            acc = 0.0
+            j = len(ready_idx) - 1
+            for k, d in enumerate(deltas):
+                acc += d / survival
+                if u < acc:
+                    j = k
+                    break
+            return HitEvent(
+                time=0.5 * (sub.t_start + sub.t_end),
+                target=report.labels[ready_idx[j]],
+                epoch=report.epoch,
+                delivered_mass_at_hit=float(m_end[ready_idx[j]]),
+            )
+    return None
+
+
+def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
+    """One ``flow.step`` and one trigger call per step, one scalar draw per substep."""
+    epochs = _CompiledEpochs(cfg) if epochs is None else epochs
+    records: list[EventRecord] = []
+    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
+    root = make_label(AtomLevel.GROUND, 0, 0, 0)
+    t = 0.0
+    epoch = 0
+    while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
+        ep = epochs[root.atom]
+        state = ep.chain(t, epoch)
+        t_epoch = t
+        hit = None
+        while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
+            dt = min(cfg.dt_max, cfg.duration - t)
+            state, report = step(state, ep.system.edges, dt, ep.system)
+            res.steps_taken += 1
+            t = state.time
+            drift = abs(float(state.masses.sum()) - 1.0)
+            if drift > runner.MASS_ABORT_TOL:
+                raise InvariantBreach(f"mass conservation broke at t={t}: residual {drift:.3e}")
+            res.max_mass_residual = max(res.max_mass_residual, drift)
+            if ep.ready_idx:
+                hit = _oracle_trigger(report, ep.ready_idx, rng)
+                if hit is not None:
+                    break
+        if hit is None:
+            break
+        if hit.target.weak > 0:
+            tau = hit.time - t_epoch
+            for t_cross, target in _crossings(_template(ep), hit.target, tau, t_epoch):
+                records.append(
+                    EventRecord.for_label(
+                        t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root),
+                        aux=1.0,
+                    )
+                )
+        state = collapse(state, hit)
+        res.collapses += 1
+        if abs(float(state.masses.sum()) - 1.0) > 0 or state.labels[0].ready.any():
+            res.collapse_check_failures += 1
+        root = _shift_to(state.labels[0], root)
+        records.append(
+            EventRecord.for_label(
+                hit.time, EventKind.HIT, epoch, root, aux=hit.delivered_mass_at_hit
+            )
+        )
+        t = hit.time
+        epoch += 1
+    res.records = EventLog.of(records)
+    res.epochs = epoch
+    res.final_time = t
+    return res
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """How often the engine calls ``flow.step``, through the name it looks it up by."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "step", counted)
+    return calls
+
+
+def _assert_same(cfg, index, max_steps=None, epochs=None) -> TrajectoryResult:
+    got = run_trajectory_steps(cfg, derive_rng(cfg.master_seed, index), max_steps, epochs)
+    want = _oracle_steps(cfg, derive_rng(cfg.master_seed, index), max_steps, epochs)
+    assert serialize_log(got.records) == serialize_log(want.records)
+    for name in FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    return got
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_laser_and_step_matches_the_loop(kind, step_calls):
+    runs = hits = moves = 0
+    for lasers in LASERS:
+        epochs = _CompiledEpochs(RunConfig(kind=kind, lasers=lasers, **FAST_WEAK))
+        for dt_max in (0.01, 0.037, 0.2):
+            cfg = RunConfig(
+                kind=kind, lasers=lasers, engine="steps", duration=30.3, dt_max=dt_max,
+                master_seed=5, **FAST_WEAK,
+            )
+            for i in range(2):
+                before = len(step_calls)
+                res = _assert_same(cfg, i, epochs=epochs)
+                # the engine steps only the few steps shorter than dt_max, at the end
+                assert all(dt < dt_max for dt in step_calls[before:])
+                runs += 1
+                hits += res.epochs
+                moves += int((res.records.atom[res.records.kind == 0] != 0).any())
+    assert hits > 0
+    if kind == "lambda":
+        assert moves > 0  # some lambda hit moves the root off the ground atom
+    assert len(step_calls) <= 4 * runs
+
+
+@pytest.mark.parametrize("max_steps", [1, 700, 1024, 2500, 3 * 1024 + 17])
+def test_max_steps_cuts_mid_epoch_and_mid_block(max_steps):
+    cfg = RunConfig(kind="v", engine="steps", duration=1e9, master_seed=3)
+    res = _assert_same(cfg, 0, max_steps)
+    assert res.steps_taken == max_steps
+    assert not len(res.records) or res.records.time[-1] < res.final_time  # mid-epoch
+
+
+@pytest.mark.parametrize("duration", [0.005, 1e-9, 0.01, 0.0199])
+def test_durations_at_and_below_one_step(duration):
+    cfg = RunConfig(kind="v", engine="steps", duration=duration, master_seed=3)
+    epochs = _CompiledEpochs(cfg)
+    res = _assert_same(cfg, 0, epochs=epochs)
+    assert res.final_time == pytest.approx(duration)
+    if duration < cfg.dt_max:
+        # no full step: the engine tabulates nothing
+        assert epochs[AtomLevel.GROUND]._hazards == {}
+
+
+def test_default_rates_match_the_loop():
+    cfg = RunConfig(kind="v", engine="steps", duration=125.0, master_seed=4242)
+    epochs = _CompiledEpochs(cfg)
+    for i in range(2):
+        _assert_same(cfg, i, epochs=epochs)
+
+
+@pytest.mark.parametrize("tol", [0.0, 2e-15])
+def test_breach_matches_the_loop(tol, monkeypatch, tmp_path):
+    monkeypatch.setattr(runner, "MASS_ABORT_TOL", tol)
+    cfg = RunConfig(kind="v", engine="steps", duration=200.0, master_seed=4242)
+    with pytest.raises(InvariantBreach) as got:
+        run_trajectory_steps(cfg, derive_rng(cfg.master_seed, 0))
+    with pytest.raises(InvariantBreach) as want:
+        _oracle_steps(cfg, derive_rng(cfg.master_seed, 0))
+    assert str(got.value) == str(want.value)
+    out = tmp_path / "out"
+    assert runner.run(replace(cfg, out=str(out))) == 2
+    diagnostic = json.loads((out / "diagnostic.json").read_text(encoding="utf-8"))
+    assert diagnostic["error"] == str(want.value)
+
+
+def test_tabulated_hazards_decide_as_the_scalar_trigger():
+    """``rules.hazards`` against ``rules.substep_hit`` at and around each hazard."""
+    rng = np.random.default_rng(0)
+    ready = rng.random((300, 3)) * 0.45  # falling masses give negative deltas
+    ready[100:120] = ready[99]  # no delivery: a zero hazard
+    ready[200:] += 0.4  # held mass above 1: survival <= 0
+    h = hazards(ready)
+    assert (h == 0).any() and (1.0 - ready[:-1].sum(axis=1) <= 0).any()
+    for k, hazard in enumerate(h):
+        for u in (0.0, hazard, np.nextafter(hazard, 0.0), 0.5, 0.999):
+            hit = substep_hit(ready[k], ready[k + 1], range(3), float(u))
+            assert (hit is not None) == (u < hazard)
