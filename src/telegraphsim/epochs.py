@@ -26,13 +26,16 @@ of the mass parcel arriving at the hit is proportional to
 
 whose weighted median localizes the emission at the end of the dark
 period when the slow stage precedes the weak edge, and at the beginning
-when the slow stage follows it.
+when the slow stage follows it. The lag curves of all sinks come from one
+batched propagation of unit impulses at the weak edges' targets, made on
+the first crossing query, so a template is immutable once built.
 
 Both engines run every epoch on a CompiledEpoch: the graph, flow system
 and ready targets of one root atom at the run's depth, compiled once per
 run for a root with an empty photon ledger and shared by its trajectories.
 The ``steps`` engine also shares its HazardTables: the per-substep hit
 hazards of the epoch's steps from the root, grown in chunks on first use.
+Every table here is tabulated by one loop, ``propagate``.
 """
 
 from __future__ import annotations
@@ -53,6 +56,25 @@ TAIL_EFOLDS = 50.0
 CELLS_PER_PIECE = 3000
 #: Full steps a ``HazardTable`` grows by at a time.
 HAZARD_CHUNK_STEPS = 1024
+
+
+def propagate(
+    m0: np.ndarray, pieces: Sequence[tuple[np.ndarray, int]], take=slice(None)
+) -> np.ndarray:
+    """Masses stepped through ``pieces`` and recorded after every product.
+
+    Each piece (P, count) applies the propagator P ``count`` times in turn.
+    ``m0`` is a mass vector or a matrix of mass columns. Row 0 holds
+    ``m0[take]`` and row r holds ``m[take]`` after the r-th product.
+    """
+    steps = [P for P, count in pieces for _ in range(count)]
+    rows = np.empty((len(steps) + 1, *np.shape(m0[take])))
+    rows[0] = m0[take]
+    m = m0
+    for r, P in enumerate(steps, 1):
+        m = P @ m
+        rows[r] = m[take]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -86,8 +108,9 @@ class EpochTemplate:
             [(lab.clicks, lab.strong, lab.weak) for lab in self.sink_labels], dtype=np.int64
         ).reshape(-1, 3)
 
-        self.grid, self._piece_props = self._build_grid()
-        self.masses = self._propagate(np.asarray(initial, dtype=np.float64))
+        self.grid, cells = self._build_grid()
+        self._pieces = [(system.propagator(dt), n) for n, dt in cells]
+        self.masses = propagate(np.asarray(initial, dtype=np.float64), self._pieces)
 
         if len(self.sink_labels):
             delivered = self.masses[:, self.sink_idx]
@@ -107,7 +130,6 @@ class EpochTemplate:
         self._keys.real = np.repeat(np.arange(len(self.sink_labels)), len(self.grid))
         self._keys.imag = self.delivered.T.ravel()
         self.conservation_residual = float(np.abs(self.masses.sum(axis=1) - 1.0).max())
-        self._stage_cache: dict[ComponentLabel, list[CrossingStage]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -132,19 +154,6 @@ class EpochTemplate:
             pieces.append((CELLS_PER_PIECE, dt2))
             grid.append(fast_end + dt2 * np.arange(1, CELLS_PER_PIECE + 1))
         return np.concatenate(grid), pieces
-
-    def _propagate(self, m0: np.ndarray) -> np.ndarray:
-        out = np.empty((len(self.grid), len(self.labels)))
-        out[0] = m0
-        m = m0
-        row = 1
-        for n_cells, dt in self._piece_props:
-            P = self.system.propagator(dt)
-            for _ in range(n_cells):
-                m = P @ m
-                out[row] = m
-                row += 1
-        return out
 
     # -- hit sampling ---------------------------------------------------
 
@@ -187,44 +196,46 @@ class EpochTemplate:
 
     # -- realized weak-photon crossings --------------------------------
 
-    def _descendants(self, start: ComponentLabel) -> set[ComponentLabel]:
-        adj: dict[ComponentLabel, list[ComponentLabel]] = {}
-        for e in self.system.edges:
-            adj.setdefault(e.source, []).append(e.target)
-        seen = {start}
-        stack = [start]
-        while stack:
-            lab = stack.pop()
-            for nxt in adj.get(lab, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+    @cached_property
+    def crossing_stages(self) -> dict[ComponentLabel, tuple[CrossingStage, ...]]:
+        """Each sink's stages, ordered by weak-photon count, from one batched pass.
 
-    def _stages(self, sink: ComponentLabel) -> list[CrossingStage]:
-        stages = self._stage_cache.get(sink)
-        if stages is not None:
-            return stages
-        stages = []
-        cells = np.diff(self.grid)
-        for e in self.system.edges:
-            if e.kind is not EdgeKind.WEAK_EMIT:
-                continue
-            if sink not in self._descendants(e.target):
-                continue
-            flux = self.system.rates[self.system.edges.index(e)] * self.masses[
-                :, self.index[e.source]
-            ]
-            impulse = np.zeros(len(self.labels))
-            impulse[self.index[e.target]] = 1.0
-            lag_cum = self._propagate(impulse)[:, self.index[sink]]
-            lag_cum = np.maximum.accumulate(lag_cum)
-            dens = np.zeros_like(lag_cum)
-            dens[1:] = np.diff(lag_cum) / cells
-            stages.append(CrossingStage(edge=e, flux_rate=flux, lag_density=dens))
-        stages.sort(key=lambda s: s.edge.target.weak)
-        self._stage_cache[sink] = stages
-        return stages
+        A stage is a ``WEAK_EMIT`` edge whose target reaches the sink. One
+        propagation carries a unit impulse at each such target, one column
+        each, and records only the reachable (sink, impulse) arrival curves.
+        """
+        system = self.system
+        # the sinks each label reaches, as bit sets of sink positions, in one
+        # sweep from the last source to the first: every edge runs forward
+        reach = [0] * len(self.labels)
+        for p, i in enumerate(self.sink_idx):
+            reach[i] = 1 << p
+        for k in np.argsort(-system.src_idx, kind="stable"):
+            s, d = system.src_idx[k], system.dst_idx[k]
+            if d <= s:
+                e = system.edges[k]
+                raise ValueError(f"edge {e.source} -> {e.target} runs backward in label order")
+            reach[s] |= reach[d]
+        weak = [i for i, e in enumerate(system.edges) if e.kind is EdgeKind.WEAK_EMIT]
+        pairs = sorted(
+            ((i, p) for i in weak for p in range(len(self.sink_labels))
+             if reach[system.dst_idx[i]] >> p & 1),
+            key=lambda pair: system.edges[pair[0]].target.weak,
+        )
+        stages: dict[ComponentLabel, list[CrossingStage]] = {lab: [] for lab in self.sink_labels}
+        if pairs:
+            targets = list(dict.fromkeys(system.dst_idx[i] for i, _ in pairs))
+            impulses = np.zeros((len(self.labels), len(targets)))
+            impulses[targets, range(len(targets))] = 1.0
+            cols = np.array([targets.index(system.dst_idx[i]) for i, _ in pairs])
+            lag_cum = propagate(impulses, self._pieces, (self.sink_idx[[p for _, p in pairs]], cols))
+            np.maximum.accumulate(lag_cum, axis=0, out=lag_cum)
+            dens = np.zeros(lag_cum.shape[::-1])  # one contiguous row per pair
+            dens[:, 1:] = np.diff(lag_cum.T, axis=1) / np.diff(self.grid)
+            flux = {i: system.rates[i] * self.masses[:, system.src_idx[i]] for i, _ in pairs}
+            for (i, p), lag in zip(pairs, dens):
+                stages[self.sink_labels[p]].append(CrossingStage(system.edges[i], flux[i], lag))
+        return {sink: tuple(st) for sink, st in stages.items()}
 
     def crossing_times(
         self, sink: ComponentLabel, tau: float
@@ -236,11 +247,7 @@ class EpochTemplate:
         flux(c) * lag(tau - c); its weighted median is returned per
         stage, ordered by weak-photon count.
         """
-        out = []
-        for stage in self._stages(sink):
-            c = self._conditional_median(stage, tau)
-            out.append((stage.edge, c))
-        return out
+        return [(st.edge, self._conditional_median(st, tau)) for st in self.crossing_stages[sink]]
 
     def _conditional_median(self, stage: CrossingStage, tau: float) -> float:
         # Candidate crossing times from both natural grids: the flux
@@ -306,27 +313,15 @@ class HazardTable:
     def masses_at(self, k: int) -> np.ndarray:
         """Every mass after ``k`` full steps, re-stepped from its chunk's start."""
         c, off = divmod(k, HAZARD_CHUNK_STEPS)
-        m = self.chunk(c).start
-        for _ in range(off * self.n_sub):
-            m = self._P @ m
-        return m
+        return propagate(self.chunk(c).start, [(self._P, off * self.n_sub)])[-1].copy()
 
     def _grow(self) -> None:
-        start = m = self._next
-        P = self._P
-        rows = np.empty((HAZARD_CHUNK_STEPS * self.n_sub + 1, len(m)))
-        rows[0] = m
-        drift = np.empty(HAZARD_CHUNK_STEPS)
-        row = 1
-        for k in range(HAZARD_CHUNK_STEPS):
-            for _ in range(self.n_sub):
-                m = P @ m
-                rows[row] = m
-                row += 1
-            drift[k] = abs(float(m.sum()) - 1.0)
+        start = self._next
+        rows = propagate(start, [(self._P, HAZARD_CHUNK_STEPS * self.n_sub)])
+        drift = np.abs(rows[self.n_sub :: self.n_sub].sum(axis=1) - 1.0)
         ready = rows[:, self._ready_idx]
         self._chunks.append(HazardChunk(start, ready, hazards(ready), drift))
-        self._next = m
+        self._next = rows[-1].copy()
 
 
 class CompiledEpoch:

@@ -108,7 +108,7 @@ class _CompiledEpochs(dict):
     is exact because everything cached is a pure function of the key: the
     kind, lasers, rates and depth, and whether the graphs carry ready marks
     (all modes but no-observer). That covers the graph, the ``FlowSystem``
-    and its per-``dt`` propagators, the template and its ``_stage_cache``,
+    and its per-``dt`` propagators, the template and its crossing stages,
     and the per-``dt`` hazard tables.
     """
 

@@ -261,3 +261,22 @@ def test_graphs_are_acyclic():
         g = build(conf, depth=2)
         state = ts.chain_from_graph(g)
         ts.integrate_exact_oracle(state, g.edges, 0.0)  # raises on cycles
+
+
+def test_every_edge_runs_forward_in_label_order():
+    """Each edge's source is listed before its target.
+
+    The crossing stages' reachability sweep and ``flow.expm``'s exact
+    triangular squaring both rely on it.
+    """
+    for conf in ts.Configuration:
+        for lasers in ts.LaserDrive:
+            for marks in (True, False):
+                for depth in range(1, 9):
+                    for atom in ts.AtomLevel:
+                        g = ts.build_epoch(
+                            ts.ConfigKind(conf, lasers), lab(atom, 0, 0, 0), RATES, depth, marks
+                        )
+                        index = {label: i for i, label in enumerate(g.labels)}
+                        backward = [e for e in g.edges if index[e.source] >= index[e.target]]
+                        assert not backward, (conf, lasers, marks, depth, atom, backward[0])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import telegraphsim as ts
-from telegraphsim import configurations, runner
+from telegraphsim import configurations, epochs, runner
 from telegraphsim.config import RunConfig
-from telegraphsim.epochs import CompiledEpoch, EpochTemplate
+from telegraphsim.epochs import CompiledEpoch, CrossingStage, EpochTemplate
 
 RATES = ts.RateSet(k_weak_absorb=0.1, k_weak_emit=0.1)
 KINDS = [ts.ConfigKind(c, lasers) for c in ts.Configuration for lasers in ts.LaserDrive]
@@ -138,3 +138,139 @@ def test_sample_hits_equals_scalar_inversion():
         ), case
     # interpolation, the flat-stretch rule (hi <= lo) and the residual branch all ran
     assert branches == {"slope", "flat", "beyond"}
+
+
+def reference_stages(tpl):
+    """Every sink's crossing stages as they were first built, one sink at a time.
+
+    For each sink, each weak edge whose target reaches the sink by a
+    depth-first search is a stage. Its lag curve is read at the sink from a
+    1-D impulse propagation at the edge's target; that propagation does not
+    depend on the sink, so it is made once per target. Returns, per sink,
+    (edge, flux rate, lag density) triples ordered by weak-photon count.
+    """
+    adj = {}
+    for e in tpl.system.edges:
+        adj.setdefault(e.source, []).append(e.target)
+    arrivals = {}
+    for e in tpl.system.edges:
+        if e.kind is ts.EdgeKind.WEAK_EMIT and e.target not in arrivals:
+            m = np.zeros(len(tpl.labels))
+            m[tpl.index[e.target]] = 1.0
+            rows = [m]
+            for P, count in tpl._pieces:
+                for _ in range(count):
+                    m = P @ m
+                    rows.append(m)
+            arrivals[e.target] = np.array(rows)
+    cells = np.diff(tpl.grid)
+    out = {}
+    for sink in tpl.sink_labels:
+        stages = []
+        for i, e in enumerate(tpl.system.edges):
+            if e.kind is not ts.EdgeKind.WEAK_EMIT:
+                continue
+            seen, stack = {e.target}, [e.target]
+            while stack:
+                for nxt in adj.get(stack.pop(), ()):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            if sink not in seen:
+                continue
+            flux = tpl.system.rates[i] * tpl.masses[:, tpl.index[e.source]]
+            lag_cum = np.maximum.accumulate(arrivals[e.target][:, tpl.index[sink]])
+            dens = np.zeros_like(lag_cum)
+            dens[1:] = np.diff(lag_cum) / cells
+            stages.append((e, flux, dens))
+        stages.sort(key=lambda s: s[0].target.weak)
+        out[sink] = stages
+    return out
+
+
+@pytest.mark.parametrize(
+    "cells, ratios, depths, n_pairs",
+    [(300, (1e-3, 0.1, 1.0), (2, 5), 540), (epochs.CELLS_PER_PIECE, (0.1,), (2,), 30)],
+    ids=["coarse_grid", "template_grid"],
+)
+def test_crossing_stages_equal_the_per_sink_construction(
+    monkeypatch, cells, ratios, depths, n_pairs
+):
+    """Every configuration, laser setting and root atom, against ``reference_stages``.
+
+    Neither construction depends on the grid's size, so the sweep over ratios
+    and depths runs on 300 cells a piece to keep it fast; the template's own
+    grid is checked at ratio 0.1 and depth 2. Crossing times agree to 1e-9 of
+    tau within 20 weak lifetimes. Beyond that the lag densities are near
+    their rounding floor (``np.diff`` of a saturated cumulative curve), and a
+    one-ulp change in one cell moves the median by about 1e-5, so the bound
+    there is 1e-6 of tau.
+    """
+    monkeypatch.setattr(epochs, "CELLS_PER_PIECE", cells)
+    pairs = 0
+    for ratio in ratios:
+        rates = ts.RateSet(k_weak_absorb=ratio, k_weak_emit=ratio)
+        for depth in depths:
+            for kind in KINDS:
+                for atom in ts.AtomLevel:
+                    case = f"{kind_id(kind)} root {atom.name} ratio {ratio} depth {depth}"
+                    graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), rates, depth)
+                    if not graph.ready_labels:
+                        continue  # nothing to cross into
+                    tpl = CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph))).template
+                    assert set(tpl.crossing_stages) == set(tpl.sink_labels), case
+                    _, taus, _ = tpl.sample_hits(np.array([0.3, 0.7, 0.95, 0.9999, 1 - 1e-6]))
+                    for sink, ref in reference_stages(tpl).items():
+                        got = tpl.crossing_stages[sink]
+                        assert [s.edge for s in got] == [e for e, _, _ in ref], case
+                        pairs += len(ref)
+                        for s, (_, flux, dens) in zip(got, ref):
+                            assert s.flux_rate.tobytes() == flux.tobytes(), case
+                            assert np.abs(s.lag_density - dens).max() <= 1e-12 * dens.max(), case
+                        if not ref:
+                            continue
+                        for tau in taus.tolist():
+                            want = [
+                                tpl._conditional_median(CrossingStage(e, flux, dens), tau)
+                                for e, flux, dens in ref
+                            ]
+                            c = [c for _, c in tpl.crossing_times(sink, tau)]
+                            tol = (1e-9 if tau * ratio <= 20.0 else 1e-6) * tau
+                            assert np.abs(np.subtract(c, want)).max() <= tol, f"{case} tau={tau}"
+    assert pairs == n_pairs
+
+
+def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
+    """The root curves and the stages of every sink take one pass each."""
+    calls = []
+    real = epochs.propagate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].ndim)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(epochs, "propagate", counting)
+    rates = ts.RateSet(k_weak_absorb=0.1, k_weak_emit=0.1)
+    kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.BOTH)
+    graph = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), rates, 5)
+    tpl = CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph))).template
+    assert len(calls) == 1
+    _, taus, _ = tpl.sample_hits(np.linspace(0.0, 0.999, 7))
+    crossed = [sink for sink in tpl.sink_labels for tau in taus if tpl.crossing_times(sink, tau)]
+    assert len(set(crossed)) > 1
+    assert calls == [1, 2]  # the root's vector, then one matrix of impulses
+
+    calls.clear()
+    cfg = RunConfig(kind="v", duration=1e-9, out=str(tmp_path / "out"))
+    assert runner.run(cfg) == 0
+    assert len(calls) == 1
+
+
+def test_backward_edge_rejected():
+    """The reachability sweep needs every edge to run from an earlier label to a later one."""
+    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    dst = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
+    edge = ts.FlowEdge(src, dst, 1.0, ts.EdgeKind.STRONG_EMIT)
+    tpl = EpochTemplate.from_chain(ts.ChainState([dst, src], [0.0, 1.0], [edge]), [edge])
+    with pytest.raises(ValueError, match="runs backward"):
+        tpl.crossing_stages

@@ -19,6 +19,8 @@ of some times and with them the digests. After a deliberate change of
 output, or on another stack, record them again with::
 
     PYTHONPATH=src python tests/test_golden_logs.py
+
+which prints each (case, file) whose digest it rewrote.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def _run(cfg: RunConfig, out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
+def _moved(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """The files whose digest is in only one of ``got`` and ``want``, or differs."""
+    return sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+
+
 def _reports(out: Path) -> list[dict]:
     lines = (out / "report.jsonl").read_text(encoding="utf-8").splitlines()
     return [json.loads(line) for line in lines[:-1]]
@@ -93,7 +100,7 @@ def test_golden_logs(tmp_path):
     for name, cfg in cases.items():
         out = tmp_path / name
         got, want = _run(cfg, out), expected[name]
-        moved = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+        moved = _moved(got, want)
         assert not moved, f"{name}: {', '.join(moved)} differ from the golden run"
         for log in out.glob("events_*.tsv"):
             text = log.read_text(encoding="utf-8")
@@ -116,7 +123,12 @@ def test_golden_logs(tmp_path):
 
 
 def _record(work: Path) -> None:
+    """Write every case's digests and print each (case, file) whose digest changed."""
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     digests = {name: _run(cfg, work / name) for name, cfg in _cases().items()}
+    for name in sorted(digests.keys() | old.keys()):
+        for f in _moved(digests.get(name, {}), old.get(name, {})):
+            print(f"rewrote {name} {f}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 

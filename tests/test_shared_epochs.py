@@ -47,7 +47,7 @@ def _shared_equals_fresh(cfg: RunConfig) -> tuple[runner._CompiledEpochs, list]:
 def test_renewal_on_shared_epochs(kind):
     cfg = RunConfig(kind=kind, engine="renewal", duration=2000.0, **FAST_WEAK)
     _, results = _shared_equals_fresh(cfg)
-    # the later trajectories reuse templates whose crossing stages are cached
+    # the later trajectories reuse templates whose crossing stages are built
     assert all(len(crossings(r.records)) > 0 for r in results)
 
 
