@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .config import _PARSERS, RunConfig, parse_config, with_overrides
 from .errors import ConfigError
-from .eventlog import read_log
+from .eventlog import read_log, validate_log
 from .runner import analyze_log, run
 
 
@@ -48,6 +48,7 @@ def _cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     for path in args.logs:
         try:
             records = read_log(path)
+            validate_log(records)
         except (OSError, ValueError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1

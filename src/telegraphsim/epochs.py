@@ -102,11 +102,6 @@ class EpochTemplate:
         self.sink_idx = np.array(
             [self.index[lab] for lab in self.sink_labels], dtype=np.intp
         )
-        # each sink's atom and photon ledger (clicks, strong, weak), as arrays
-        self.sink_atoms = np.array([lab.atom.value for lab in self.sink_labels], dtype=np.int64)
-        self.sink_ledger = np.array(
-            [(lab.clicks, lab.strong, lab.weak) for lab in self.sink_labels], dtype=np.int64
-        ).reshape(-1, 3)
 
         self.grid, cells = self._build_grid()
         self._pieces = [(system.propagator(dt), n) for n, dt in cells]
@@ -332,8 +327,10 @@ class CompiledEpoch:
     epoch to the next it only translates with the root's photon ledger.
     An epoch is therefore compiled once per root atom and depth: the graph,
     one FlowSystem over its active edges (whose propagators every step and
-    the template share), and the ready targets in chain order. The engines
-    run on these canonical labels and shift what they record by the root.
+    the template share), and the ready targets in chain order, with each
+    one's atom and photon ledger as arrays. The engines run on these
+    canonical labels; the trajectory loop adds the root's ledger to what it
+    records.
     The template and the hazard tables, one per step size, are built on
     first use.
     """
@@ -343,6 +340,11 @@ class CompiledEpoch:
         self.system = FlowSystem(graph.labels, active)
         self.ready = graph.ready_labels
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
+        # each ready target's atom and photon ledger (clicks, strong, weak), as arrays
+        self.sink_atoms = np.array([lab.atom.value for lab in self.ready], dtype=np.int64)
+        self.sink_ledger = np.array(
+            [(lab.clicks, lab.strong, lab.weak) for lab in self.ready], dtype=np.int64
+        ).reshape(-1, 3)
         self.root_masses = np.zeros(len(graph.labels))
         self.root_masses[0] = 1.0  # build_epoch lists the root first
         self._hazards: dict[float, HazardTable] = {}

@@ -1,24 +1,29 @@
 """Trajectory drivers, report generation, and the top-level run.
 
-Two drivers implement the same stochastic law:
+Two engines implement the same stochastic law. They differ only in how
+they draw an epoch's hit:
 
 * ``steps``   -- honest per-step integration: exact propagator steps and
                  per-substep trigger sampling. Cost grows with duration / dt,
                  but the full steps run on each compiled epoch's table of
-                 per-substep hazards: the uniforms are drawn in blocks and
-                 one array compare per block finds the hit. The logs are
-                 byte-identical to calling ``flow.step`` and
-                 ``rules.trigger`` on every step, which the engine still
-                 does for the steps shorter than ``dt_max`` at the end.
+                 per-substep hazards: one array compare per block of
+                 uniforms finds the hit. The logs are byte-identical to
+                 calling ``flow.step`` and ``rules.trigger`` on every step,
+                 which the engine still does for the steps shorter than
+                 ``dt_max`` at the end.
 * ``renewal`` -- event-driven: each epoch's hit (target, time) is drawn
                  in one shot from the epoch template's delivery curves.
                  This is exact for the same law (the per-substep hazards
                  telescope to the delivered-mass distribution) and makes
-                 long desk-scale runs cheap. The uniforms are drawn and
-                 inverted in blocks, and the log is built as columns.
+                 long desk-scale runs cheap. A block of uniforms is
+                 inverted at once.
 
 Both run every epoch on the same compiled epoch graph, cut at ``depth``
 weak cycles: mass that reaches a frontier label stays there until the hit.
+Both draw from one stream of uniforms per trajectory, ``_Uniforms``, and
+hand their hits to one trajectory loop, ``_trajectory``, which keeps the
+root's atom and photon ledger and writes the log as columns: each hit
+and the weak-edge crossings before it.
 
 The no-observer mode has no stochastic events at all. On every engine
 it runs a third driver, ``flow``, which moves the flow forward in large
@@ -39,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,24 +59,14 @@ from .config import RunConfig, format_config
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
 from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate
 from .errors import EmptyLog, InvariantBreach
-from .eventlog import (
-    HIT,
-    WEAK_EDGE_CROSSING,
-    EventKind,
-    EventLog,
-    EventRecord,
-    hits,
-    serialize_log,
-)
+from .eventlog import HIT, WEAK_EDGE_CROSSING, EventLog, hits, serialize_log
 from .flow import step
-from .rules import HitEvent, active_edges, collapse, substep_hit, trigger
+from .rules import active_edges, substep_hit, trigger
 from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
-#: Uniforms the renewal engine draws at a time; it uses one per epoch.
-RENEWAL_BLOCK = 4096
-#: Uniforms the steps engine draws at least at a time; it uses one per substep.
-STEPS_BLOCK = 4096
+#: Uniforms a trajectory draws from its generator at a time, at least.
+UNIFORM_BLOCK = 4096
 
 
 def derive_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -142,10 +137,6 @@ def _template(ep: CompiledEpoch) -> EpochTemplate:
     return tpl
 
 
-def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
-    return label.shifted(clicks=root.clicks, strong=root.strong, weak=root.weak)
-
-
 def _crossings(
     tpl: EpochTemplate, sink: ComponentLabel, tau: float, t_epoch: float
 ) -> list[tuple[float, ComponentLabel]]:
@@ -171,19 +162,19 @@ def _rows(kind: int, time, epoch, atom, ledger: np.ndarray, aux) -> EventLog:
     )
 
 
-def run_trajectory_renewal(
-    cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
-) -> TrajectoryResult:
-    """Event-driven trajectory: one uniform per epoch, drawn ``RENEWAL_BLOCK`` at a time.
+def _trajectory(epochs: _CompiledEpochs, draw: Callable, res: TrajectoryResult) -> TrajectoryResult:
+    """Epochs from the ground atom at t = 0 until ``draw`` ends them, logged into ``res``.
 
-    The epochs of a block are inverted at once under the template of the
-    root atom. A hit that lands on another atom cuts the block there, and
-    the rest of the block is inverted under that atom's template. Hit times
-    are cumulative sums of the sampled epoch lengths and the root's photon
-    ledger is a cumulative sum of the sinks' ledgers. The tail of the last
-    block is never used.
+    ``draw(ep, t, epoch)`` samples the epochs that start at ``t`` on ``ep``,
+    numbered from ``epoch``, up to and including the first hit that moves
+    the root to another atom. It returns their hit targets as positions in
+    ``ep.ready`` (``sinks``), their sampled lengths ``tau``, ``times`` (the
+    first epoch's start, then each hit time), the delivered mass at each
+    hit, and the trajectory's final time if it ends in this block, else
+    None. The loop keeps the root's atom and photon ledger: a hit's record
+    holds the ledger after it, and each of its weak-edge crossings the
+    ledger before it plus the crossed edge's target's.
     """
-    epochs = _own_epochs(cfg, epochs)
     # an epoch's records are its crossings and its hit: stably sorted by epoch,
     # these two lists concatenated give the log
     crossing_rows: list[EventLog] = []
@@ -192,30 +183,13 @@ def run_trajectory_renewal(
     ledger = np.zeros(3, dtype=np.int64)  # the root's clicks, strong and weak counts
     t = 0.0
     epoch = 0
-    residual = 0.0
-    u = np.empty(0)
-    pos = 0
-    while t < cfg.duration:
-        tpl = _template(epochs[atom])
-        residual = max(residual, tpl.conservation_residual)
-        if not tpl.has_sinks:
-            t = cfg.duration
-            break
-        if pos == len(u):
-            u, pos = rng.random(RENEWAL_BLOCK), 0
-        j, tau, delivered = tpl.sample_hits(u[pos:])
-        # this template holds up to and including the first hit on another atom
-        moves = np.flatnonzero(tpl.sink_atoms[j] != atom.value)
-        n = int(moves[0]) + 1 if moves.size else len(j)
-        times = np.cumsum(np.concatenate(([t], tau[:n])))
-        # the first hit at or past the duration ends the trajectory; one past it is not logged
-        late = np.flatnonzero(times[1:] >= cfg.duration)
-        n_hits = int(late[0]) + int(times[late[0] + 1] == cfg.duration) if late.size else n
-        sinks = j[:n_hits]
-        deltas = tpl.sink_ledger[sinks]
+    while True:
+        ep = epochs[atom]
+        sinks, tau, times, delivered, end = draw(ep, t, epoch)
+        deltas = ep.sink_ledger[sinks]
         after = ledger + np.cumsum(deltas, axis=0)
         for q in np.flatnonzero(deltas[:, 2] > 0):
-            crossed = _crossings(tpl, tpl.sink_labels[sinks[q]], float(tau[q]), float(times[q]))
+            crossed = _crossings(_template(ep), ep.ready[sinks[q]], float(tau[q]), float(times[q]))
             shifts = [(lab.clicks, lab.strong, lab.weak) for _, lab in crossed]
             crossing_rows.append(
                 _rows(
@@ -227,33 +201,22 @@ def run_trajectory_renewal(
                     1.0,
                 )
             )
+        n = len(sinks)
         hit_rows.append(
-            _rows(
-                HIT,
-                times[1 : n_hits + 1],
-                epoch + np.arange(n_hits),
-                tpl.sink_atoms[sinks],
-                after,
-                delivered[:n_hits],
-            )
+            _rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after, delivered)
         )
-        epoch += n_hits
-        if late.size:
-            t = cfg.duration
+        epoch += n
+        if end is not None:
+            t = end
             break
         t = float(times[-1])
         ledger = after[-1]
-        atom = AtomLevel(int(tpl.sink_atoms[sinks[-1]]))
-        pos += n
-    rows = crossing_rows + hit_rows
-    log = EventLog.concat(rows) if rows else EventLog.of(())
-    return TrajectoryResult(
-        records=log[np.argsort(log.epoch, kind="stable")],
-        epochs=epoch,
-        collapses=epoch,
-        max_mass_residual=residual,
-        final_time=t,
-    )
+        atom = AtomLevel(int(ep.sink_atoms[sinks[-1]]))
+    log = EventLog.concat(crossing_rows + hit_rows)
+    res.records = log[np.argsort(log.epoch, kind="stable")]
+    res.epochs = res.collapses = epoch
+    res.final_time = t
+    return res
 
 
 class _Uniforms:
@@ -272,9 +235,15 @@ class _Uniforms:
     def peek(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms, not yet used."""
         if self._pos + n > len(self._u):
-            fresh = self._rng.random(max(n, STEPS_BLOCK))
+            fresh = self._rng.random(max(n, UNIFORM_BLOCK))
             self._u, self._pos = np.concatenate((self._u[self._pos :], fresh)), 0
         return self._u[self._pos : self._pos + n]
+
+    def rest(self) -> np.ndarray:
+        """The unused uniforms of the current block, or a fresh block if none are left."""
+        if self._pos == len(self._u):
+            self._u, self._pos = self._rng.random(UNIFORM_BLOCK), 0
+        return self._u[self._pos :]
 
     def use(self, n: int) -> None:
         self._pos += n
@@ -285,23 +254,58 @@ class _Uniforms:
         return u
 
 
+def run_trajectory_renewal(
+    cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
+) -> TrajectoryResult:
+    """Event-driven trajectory: one uniform per epoch, drawn ``UNIFORM_BLOCK`` at a time.
+
+    Each draw inverts the unused rest of the block at once under the
+    template of the root atom. A hit that lands on another atom cuts it, and
+    the rest of the block is inverted under that atom's template. Hit times
+    are cumulative sums of the sampled epoch lengths. The tail of the last
+    block is never used.
+    """
+    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
+    uniforms = _Uniforms(rng)
+
+    def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
+        tpl = _template(ep)
+        res.max_mass_residual = max(res.max_mass_residual, tpl.conservation_residual)
+        if not tpl.has_sinks:
+            return [], [], [t], [], cfg.duration
+        j, tau, delivered = tpl.sample_hits(uniforms.rest())
+        # this template holds up to and including the first hit on another atom
+        moves = np.flatnonzero(ep.sink_atoms[j] != ep.graph.root.atom.value)
+        n = int(moves[0]) + 1 if moves.size else len(j)
+        uniforms.use(n)
+        times = np.cumsum(np.concatenate(([t], tau[:n])))
+        # the first hit at or past the duration ends the trajectory; one past it is not logged
+        late = np.flatnonzero(times[1:] >= cfg.duration)
+        if not late.size:
+            return j[:n], tau[:n], times, delivered[:n], None
+        n = int(late[0]) + int(times[late[0] + 1] == cfg.duration)
+        return j[:n], tau[:n], times[: n + 1], delivered[:n], cfg.duration
+
+    return _trajectory(_own_epochs(cfg, epochs), draw, res)
+
+
 def _full_steps(
     ep: CompiledEpoch,
     t: float,
-    epoch: int,
     cfg: RunConfig,
     uniforms: _Uniforms,
     budget: float,
     res: TrajectoryResult,
-) -> tuple[int, float, Optional[HitEvent]]:
-    """Epoch ``epoch``'s full steps (``dt_max`` each) from its root at ``t``, on its hazard table.
+) -> tuple[int, float, Optional[tuple[int, float, float]]]:
+    """An epoch's full steps (``dt_max`` each) from its root at ``t``, on its hazard table.
 
     A step is full while ``duration - t >= dt_max``, and at most ``budget``
     are taken. While the epoch has ready targets each substep uses one
     uniform, and the first that falls below its substep's hazard is the
     hit; its target and delivered mass come from ``rules.substep_hit`` on
     the two ready rows around the substep. Returns the number of steps
-    taken, the time after the last of them and the hit, if any.
+    taken, the time after the last of them and the hit, if any, as its
+    target's position in ``ep.ready``, its time and its delivered mass.
     """
     table = ep.hazards(cfg.dt_max)
     dt, n_sub = cfg.dt_max, table.n_sub
@@ -346,8 +350,7 @@ def _full_steps(
             row = off * n_sub + s
             m_start, m_end = chunk.ready[row], chunk.ready[row + 1]
             j = substep_hit(m_start, m_end, range(len(m_start)), float(u[s]))
-            t_hit = 0.5 * (t_sub + (t_sub + table.dt_sub))
-            return k, t, HitEvent(t_hit, ep.ready[j], epoch, float(m_end[j]))
+            return k, t, (j, 0.5 * (t_sub + (t_sub + table.dt_sub)), float(m_end[j]))
 
 
 def run_trajectory_steps(
@@ -356,10 +359,9 @@ def run_trajectory_steps(
     max_steps: Optional[int] = None,
     epochs: Optional[_CompiledEpochs] = None,
 ) -> TrajectoryResult:
-    """Per-step trajectory with explicit transport, trigger, and collapse.
+    """Per-step trajectory: at most ``max_steps`` steps of transport and trigger.
 
-    Every epoch steps the canonical chain of its compiled epoch; the hit
-    target is shifted by the epoch's root when it is recorded. The full
+    Every epoch steps the canonical chain of its compiled epoch. The full
     steps (``dt_max`` each) run on the compiled epoch's hazard table: the
     uniforms, one per substep while the epoch has ready targets, are
     drawn in blocks and compared with the tabulated hazards a block at a
@@ -369,68 +371,39 @@ def run_trajectory_steps(
     are those of ``flow.step`` and ``rules.trigger`` on every step, so
     the logs are byte-identical to stepping every step with them.
     """
-    epochs = _own_epochs(cfg, epochs)
     budget = math.inf if max_steps is None else max_steps
+    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
     uniforms = _Uniforms(rng)
 
-    records: list[EventRecord] = []
-    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
-    root = make_label(AtomLevel.GROUND, 0, 0, 0)
-    t = 0.0
-    epoch = 0
-
-    while t < cfg.duration and res.steps_taken < budget:
-        ep = epochs[root.atom]
-        state = ep.chain(t, epoch)
-        t_epoch = t
-        hit = None
-        if cfg.duration - t >= cfg.dt_max:
-            k, t, hit = _full_steps(ep, t, epoch, cfg, uniforms, budget - res.steps_taken, res)
-            if hit is None and res.steps_taken < budget:  # steps shorter than dt_max follow
-                state = state.with_masses(ep.hazards(cfg.dt_max).masses_at(k), time=t)
-
-        while hit is None and t < cfg.duration and res.steps_taken < budget:
-            dt = min(cfg.dt_max, cfg.duration - t)
-            state, report = step(state, ep.system.edges, dt, ep.system)
-            res.steps_taken += 1
-            t = state.time
-            drift = abs(float(state.masses.sum()) - 1.0)
-            if drift > MASS_ABORT_TOL:
-                raise InvariantBreach(
-                    f"mass conservation broke at t={t}: residual {drift:.3e}"
-                )
-            res.max_mass_residual = max(res.max_mass_residual, drift)
-            if ep.ready_idx:
-                hit = trigger(report, ep.ready_idx, dt, uniforms)
-
-        if hit is None:
-            break
-        if hit.target.weak > 0:
-            tau = hit.time - t_epoch
-            for t_cross, target in _crossings(_template(ep), hit.target, tau, t_epoch):
-                records.append(
-                    EventRecord.for_label(
-                        t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root),
-                        aux=1.0,
+    def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
+        t_epoch, k, hit = t, 0, None
+        if res.steps_taken < budget and cfg.duration - t >= cfg.dt_max:
+            k, t, hit = _full_steps(ep, t, cfg, uniforms, budget - res.steps_taken, res)
+        if hit is None and t < cfg.duration and res.steps_taken < budget:
+            # the steps shorter than dt_max follow, from the masses the full steps left
+            state = ep.chain(t, epoch)
+            if k:
+                state = state.with_masses(ep.hazards(cfg.dt_max).masses_at(k))
+            while hit is None and t < cfg.duration and res.steps_taken < budget:
+                dt = min(cfg.dt_max, cfg.duration - t)
+                state, report = step(state, ep.system.edges, dt, ep.system)
+                res.steps_taken += 1
+                t = state.time
+                drift = abs(float(state.masses.sum()) - 1.0)
+                if drift > MASS_ABORT_TOL:
+                    raise InvariantBreach(
+                        f"mass conservation broke at t={t}: residual {drift:.3e}"
                     )
-                )
-        state = collapse(state, hit)
-        res.collapses += 1
-        if abs(float(state.masses.sum()) - 1.0) > 0 or state.labels[0].ready.any():
-            res.collapse_check_failures += 1
-        root = _shift_to(state.labels[0], root)
-        records.append(
-            EventRecord.for_label(
-                hit.time, EventKind.HIT, epoch, root, aux=hit.delivered_mass_at_hit
-            )
-        )
-        t = hit.time
-        epoch += 1
+                res.max_mass_residual = max(res.max_mass_residual, drift)
+                found = trigger(report, ep.ready_idx, dt, uniforms)
+                if found is not None:
+                    hit = (ep.ready.index(found.target), found.time, found.delivered_mass_at_hit)
+        if hit is None:
+            return [], [], [t], [], t
+        j, t_hit, delivered = hit
+        return [j], [t_hit - t_epoch], [t_epoch, t_hit], [delivered], None
 
-    res.records = EventLog.of(records)
-    res.epochs = epoch
-    res.final_time = t
-    return res
+    return _trajectory(_own_epochs(cfg, epochs), draw, res)
 
 
 def run_trajectory_flow(

@@ -201,7 +201,7 @@ def test_criterion_6_eventual_hit_guarantee():
     graph = ts.build_epoch(kind, ts.make_label(G, 0, 0, 0), RATES, 2)
     chain = ts.chain_from_graph(graph)
     tpl = EpochTemplate.from_chain(chain, ts.active_edges(chain))
-    carries_weak = tpl.sink_ledger[:, 2] > 0
+    carries_weak = np.array([lab.weak > 0 for lab in tpl.sink_labels])
     worst = 0.0
     for i in range(1000):
         rng = derive_rng(9000, i)

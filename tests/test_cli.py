@@ -17,6 +17,7 @@ from telegraphsim.eventlog import (
     EventKind,
     EventRecord,
     parse_log,
+    read_log,
     serialize_log,
     validate_log,
 )
@@ -233,6 +234,19 @@ class TestAnalyzeCommand:
 
     def test_analyze_missing_file(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.tsv")) == 1
+
+    def test_analyze_rejects_out_of_order_log(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli("run", "--kind", "v", "--duration", "5000", "--seed", "42", "--out", str(out))
+        records = read_log(out / "events_000.tsv")
+        assert len(records) > 1
+        log = tmp_path / "reversed.tsv"
+        log.write_text(serialize_log(records[::-1]), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("analyze", str(log)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {log}: record times decrease")
 
     def test_analyze_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: this one has already imported scipy

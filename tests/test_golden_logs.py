@@ -32,7 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from telegraphsim.config import RunConfig
-from telegraphsim.runner import RENEWAL_BLOCK, run
+from telegraphsim.runner import UNIFORM_BLOCK, run
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -118,7 +118,7 @@ def test_golden_logs(tmp_path):
     assert flow_runs == 2  # the no-observer case of each engine
     # the default-rate renewal runs each span more than one sampling block
     assert len(default_rate_epochs) == 2 * len(DEFAULT_RATE_KINDS)
-    assert min(default_rate_epochs) > RENEWAL_BLOCK
+    assert min(default_rate_epochs) > UNIFORM_BLOCK
     assert atom_moves == 2  # both lambda trajectories
 
 

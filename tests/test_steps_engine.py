@@ -3,8 +3,10 @@
 ``run_trajectory_steps`` takes its full steps on each compiled epoch's
 hazard table. ``_oracle_steps`` below is the loop that stepped every step
 with ``flow.step`` and drew every uniform inside the trigger, with that
-trigger's arithmetic written out. The two must give byte-identical logs
-and equal result fields, and raise the same breach.
+trigger's arithmetic written out. It logs its hits with its own label
+bookkeeping (``_shift_to``, ``EventRecord.for_label`` and ``rules.collapse``),
+apart from the engine's column writer. The two must give byte-identical
+logs and equal result fields, and raise the same breach.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from telegraphsim.runner import (
     TrajectoryResult,
     _CompiledEpochs,
     _crossings,
-    _shift_to,
     _template,
     derive_rng,
     run_trajectory_steps,
 )
-from telegraphsim.state import AtomLevel, make_label
+from telegraphsim.state import AtomLevel, ComponentLabel, make_label
 
 _TINY = np.finfo(float).tiny
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
@@ -41,6 +42,10 @@ FIELDS = (
     "epochs", "steps_taken", "collapses", "max_mass_residual",
     "collapse_check_failures", "stationarity_residual", "final_time",
 )
+
+
+def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
+    return label.shifted(clicks=root.clicks, strong=root.strong, weak=root.weak)
 
 
 def _oracle_trigger(report, ready_idx, rng) -> Optional[HitEvent]:
