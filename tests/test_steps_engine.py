@@ -21,7 +21,7 @@ import pytest
 from telegraphsim import runner
 from telegraphsim.config import RunConfig
 from telegraphsim.errors import InvariantBreach
-from telegraphsim.eventlog import EventKind, EventLog, EventRecord, serialize_log
+from telegraphsim.eventlog import HIT, WEAK_EDGE_CROSSING, EventKind, EventLog, EventRecord, serialize_log
 from telegraphsim.flow import step
 from telegraphsim.rules import HitEvent, collapse, hazards, substep_hit
 from telegraphsim.runner import (
@@ -182,6 +182,29 @@ def test_every_kind_laser_and_step_matches_the_loop(kind, step_calls):
     if kind == "lambda":
         assert moves > 0  # some lambda hit moves the root off the ground atom
     assert len(step_calls) <= 4 * runs
+
+
+@pytest.mark.parametrize(
+    "kind, seed, duration",
+    [("v", 1, 11.9663), ("v", 3, 11.2243), ("lambda", 41, 10.3339), ("lambda", 110, 10.2968)],
+)
+def test_a_hit_inside_the_final_short_step(kind, seed, duration):
+    """The last hit lands in a step shorter than ``dt_max`` (a full step has 4 substeps)."""
+    cfg = RunConfig(
+        kind=kind, engine="steps", duration=duration, dt_max=0.2, master_seed=seed, **FAST_WEAK
+    )
+    res = _assert_same(cfg, 0)
+    hit = res.records[res.records.kind == HIT]
+    # the last epoch's full steps end at t, summed one dt_max at a time
+    t = float(hit.time[-2]) if len(hit) > 1 else 0.0
+    while duration - t >= cfg.dt_max:
+        t += cfg.dt_max
+    assert t < hit.time[-1] < duration
+    if kind == "lambda":
+        # the hit moves the root to another atom, after a weak crossing
+        root_atom = hit.atom[-2] if len(hit) > 1 else AtomLevel.GROUND.value
+        assert hit.atom[-1] != root_atom
+        assert res.records.kind[-2] == WEAK_EDGE_CROSSING
 
 
 @pytest.mark.parametrize("max_steps", [1, 700, 1024, 2500, 3 * 1024 + 17])
