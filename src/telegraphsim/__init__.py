@@ -37,7 +37,6 @@ from .errors import (
     ConfigError,
     DuplicateLabel,
     EmptyLog,
-    IllegalHit,
     InvalidDepth,
     InvalidLabel,
     InvalidStep,
@@ -69,7 +68,6 @@ from .rules import (
     HitEvent,
     active_edges,
     blocked_edges,
-    collapse,
     is_decoherent,
     mark_ready,
     ready_indices,

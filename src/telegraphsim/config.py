@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -81,6 +82,8 @@ def _parse_choice(value: str, choices, what: str):
 
 def _parse_positive_float(value: str, what: str) -> float:
     x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {value}")
     if x <= 0:
         raise ValueError(f"{what} must be positive, got {value}")
     return x

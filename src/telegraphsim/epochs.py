@@ -34,7 +34,8 @@ Both engines run every epoch on a CompiledEpoch: the graph, flow system
 and ready targets of one root atom at the run's depth, compiled once per
 run for a root with an empty photon ledger and shared by its trajectories.
 The ``steps`` engine also shares its HazardTables: the per-substep hit
-hazards of the epoch's steps from the root, grown in chunks on first use.
+hazards of the epoch's full steps from the root, grown in chunks on first
+use by ``hazard_chunk``, which also tabulates each step shorter than that.
 Every table here is tabulated by one loop, ``propagate``.
 """
 
@@ -271,12 +272,30 @@ class EpochTemplate:
 
 @dataclass(frozen=True)
 class HazardChunk:
-    """``HAZARD_CHUNK_STEPS`` full steps of a hazard table."""
+    """Steps of one size from a mass vector, as ``flow.step`` would take them."""
 
-    start: np.ndarray  # every mass at the chunk's first step boundary
+    start: np.ndarray  # every mass at the first step boundary
+    n_sub: int  # substeps per step
+    dt_sub: float  # the substeps' length
     ready: np.ndarray  # ready-target masses at each substep boundary, one row each
     hazard: np.ndarray  # ``rules.hazards`` of ``ready``: one per substep
     drift: np.ndarray  # |total mass - 1| after each step
+
+
+def hazard_chunk(
+    system: FlowSystem, ready_idx: Sequence[int], start: np.ndarray, dt: float, steps: int
+) -> tuple[HazardChunk, np.ndarray]:
+    """``steps`` steps of ``dt`` from the masses ``start``, and every mass after them.
+
+    The substeps and their propagator are ``flow.step``'s, so the floats are
+    those of ``steps`` calls of ``flow.step``.
+    """
+    n_sub = system.substeps(dt)
+    dt_sub = dt / n_sub
+    rows = propagate(start, [(system.propagator(dt_sub), steps * n_sub)])
+    drift = np.abs(rows[n_sub::n_sub].sum(axis=1) - 1.0)
+    ready = rows[:, np.array(ready_idx, dtype=np.intp)]
+    return HazardChunk(start, n_sub, dt_sub, ready, hazards(ready), drift), rows[-1].copy()
 
 
 class HazardTable:
@@ -285,38 +304,33 @@ class HazardTable:
     Every epoch of a compiled epoch starts with all mass at its root, so the
     masses after k steps, and with them the trigger's hazards, are the same
     in every epoch of every trajectory. The table steps them once, in chunks
-    of ``HAZARD_CHUNK_STEPS`` steps grown on first use, with the propagator
-    and substeps of ``flow.step``, so its floats are those of ``flow.step``.
+    of ``HAZARD_CHUNK_STEPS`` steps grown on first use by ``hazard_chunk``.
     It keeps the ready-target masses per substep, not every mass: a chunk
     keeps every mass only at its start.
     """
 
     def __init__(self, system: FlowSystem, ready_idx: Sequence[int], root: np.ndarray, dt: float):
-        self.n_sub = system.substeps(dt)
-        self.dt_sub = dt / self.n_sub
-        self._P = system.propagator(self.dt_sub)
-        self._ready_idx = np.array(ready_idx, dtype=np.intp)
+        self._system = system
+        self._ready_idx = ready_idx
+        self._dt = dt
         self._chunks: list[HazardChunk] = []
         self._next = root  # every mass at the start of the next chunk
 
     def chunk(self, c: int) -> HazardChunk:
         """Chunk ``c``, which covers full steps ``c * HAZARD_CHUNK_STEPS`` onwards."""
         while len(self._chunks) <= c:
-            self._grow()
+            chunk, self._next = hazard_chunk(
+                self._system, self._ready_idx, self._next, self._dt, HAZARD_CHUNK_STEPS
+            )
+            self._chunks.append(chunk)
         return self._chunks[c]
 
     def masses_at(self, k: int) -> np.ndarray:
         """Every mass after ``k`` full steps, re-stepped from its chunk's start."""
         c, off = divmod(k, HAZARD_CHUNK_STEPS)
-        return propagate(self.chunk(c).start, [(self._P, off * self.n_sub)])[-1].copy()
-
-    def _grow(self) -> None:
-        start = self._next
-        rows = propagate(start, [(self._P, HAZARD_CHUNK_STEPS * self.n_sub)])
-        drift = np.abs(rows[self.n_sub :: self.n_sub].sum(axis=1) - 1.0)
-        ready = rows[:, self._ready_idx]
-        self._chunks.append(HazardChunk(start, ready, hazards(ready), drift))
-        self._next = rows[-1].copy()
+        chunk = self.chunk(c)
+        P = self._system.propagator(chunk.dt_sub)
+        return propagate(chunk.start, [(P, off * chunk.n_sub)])[-1].copy()
 
 
 class CompiledEpoch:
@@ -362,9 +376,3 @@ class CompiledEpoch:
                 self.system, self.ready_idx, self.root_masses, dt
             )
         return table
-
-    def chain(self, time: float, epoch: int) -> ChainState:
-        """A chain with all mass at the root; ``flow.step`` it with ``self.system``."""
-        return ChainState(
-            self.graph.labels, self.root_masses, self.graph.edges, time=time, epoch=epoch
-        )

@@ -21,10 +21,6 @@ class OracleUnsupported(TelegraphError):
     """The brute-force integrator only handles acyclic flow graphs."""
 
 
-class IllegalHit(TelegraphError):
-    """A collapse was requested on a component that is not a ready target."""
-
-
 class InvalidDepth(TelegraphError):
     """Epoch graphs need at least one cycle of depth."""
 

@@ -63,26 +63,6 @@ class EventRecord:
     weak: int
     aux: float
 
-    @classmethod
-    def for_label(
-        cls,
-        time: float,
-        kind: EventKind,
-        epoch: int,
-        label: ComponentLabel,
-        aux: float = 0.0,
-    ) -> "EventRecord":
-        return cls(
-            time=float(time),
-            kind=kind,
-            epoch=int(epoch),
-            atom=label.atom.value,
-            clicks=label.clicks,
-            strong=label.strong,
-            weak=label.weak,
-            aux=float(aux),
-        )
-
     @property
     def label(self) -> ComponentLabel:
         return make_label(AtomLevel(self.atom), self.clicks, self.strong, self.weak)

@@ -1,4 +1,4 @@
-"""Ready-marking, edge blocking, the stochastic trigger, and collapse.
+"""Ready-marking, edge blocking, and the stochastic trigger.
 
 The mechanism in brief: components that record a new detector click are
 decoherent, so their states become *ready* (potential collapse basis).
@@ -8,6 +8,11 @@ component until a stochastic hit lands there. The hit rate into a ready
 component equals the probability current flowing into it, so the total
 hit probability over an epoch equals the mass delivered: full delivery
 makes the hit certain, a dormant (zero-inflow) phantom is never hit.
+
+``trigger`` samples a hit per step, one uniform per substep; the engines
+decide the same hits from ``hazards``, tabulated once per step size, and
+``substep_hit``. A hit realizes its target without its ready marks as the
+root of the next epoch.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import Iterable, Optional, Sequence, Set
 
 import numpy as np
 
-from .errors import IllegalHit
 from .flow import CurrentReport
 from .state import ChainState, ComponentLabel, FlowEdge
 
@@ -181,22 +185,3 @@ def trigger(
             )
     return None
 
-
-def collapse(state: ChainState, hit: HitEvent) -> ChainState:
-    """Reduce every other component to zero and realize the hit target.
-
-    The realized component keeps its photon ledger, loses its ready
-    marks, carries mass exactly 1.0, and seeds the next epoch's graph.
-    """
-    if hit.target not in state:
-        raise IllegalHit(f"{hit.target} is not a component of this chain")
-    if not hit.target.ready.any():
-        raise IllegalHit(f"{hit.target} carries no ready marks")
-    realized = hit.target.without_marks()
-    return ChainState(
-        labels=(realized,),
-        masses=(1.0,),
-        edges=(),
-        time=hit.time,
-        epoch=state.epoch + 1,
-    )

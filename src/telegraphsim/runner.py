@@ -5,12 +5,12 @@ they draw an epoch's hit:
 
 * ``steps``   -- honest per-step integration: exact propagator steps and
                  per-substep trigger sampling. Cost grows with duration / dt,
-                 but the full steps run on each compiled epoch's table of
-                 per-substep hazards: one array compare per block of
-                 uniforms finds the hit. The logs are byte-identical to
-                 calling ``flow.step`` and ``rules.trigger`` on every step,
-                 which the engine still does for the steps shorter than
-                 ``dt_max`` at the end.
+                 but every step is decided on a table of per-substep
+                 hazards: one array compare per block of uniforms finds the
+                 hit. The full steps share each compiled epoch's table; each
+                 step shorter than ``dt_max``, at the end, is tabulated on
+                 its own. The logs are byte-identical to calling
+                 ``flow.step`` and ``rules.trigger`` on every step.
 * ``renewal`` -- event-driven: each epoch's hit (target, time) is drawn
                  in one shot from the epoch template's delivery curves.
                  This is exact for the same law (the per-substep hazards
@@ -55,13 +55,14 @@ from .analysis import (
     segment_telegraph,
 )
 from .config import RunConfig, format_config
-# extend_frontier is unused here: perfbench's traced run looks it up in this module
+# extend_frontier, step and trigger are unused here: perfbench's traced run
+# looks them up in this module
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
-from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate
+from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate, HazardChunk, hazard_chunk
 from .errors import EmptyLog, InvariantBreach
 from .eventlog import HIT, WEAK_EDGE_CROSSING, EventLog, hits, serialize_log
-from .flow import step
-from .rules import active_edges, substep_hit, trigger
+from .flow import step  # noqa: F401
+from .rules import active_edges, substep_hit, trigger  # noqa: F401
 from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
@@ -79,9 +80,7 @@ class TrajectoryResult:
     records: EventLog
     epochs: int
     steps_taken: int = 0
-    collapses: int = 0
     max_mass_residual: float = 0.0
-    collapse_check_failures: int = 0
     stationarity_residual: Optional[float] = None
     final_time: float = 0.0
 
@@ -214,7 +213,7 @@ def _trajectory(epochs: _CompiledEpochs, draw: Callable, res: TrajectoryResult) 
         atom = AtomLevel(int(ep.sink_atoms[sinks[-1]]))
     log = EventLog.concat(crossing_rows + hit_rows)
     res.records = log[np.argsort(log.epoch, kind="stable")]
-    res.epochs = res.collapses = epoch
+    res.epochs = epoch
     res.final_time = t
     return res
 
@@ -223,8 +222,8 @@ class _Uniforms:
     """A trajectory's uniforms in draw order, drawn from its generator a block at a time.
 
     On PCG64, ``rng.random(n)`` gives the same doubles as ``n`` calls of
-    ``rng.random()``, so the stream is the one a per-draw caller would see.
-    ``random`` is ``rules.trigger``'s view of it.
+    ``rng.random()``, so the stream is the one a per-draw caller, such as
+    ``rules.trigger``, would see.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -247,11 +246,6 @@ class _Uniforms:
 
     def use(self, n: int) -> None:
         self._pos += n
-
-    def random(self) -> float:
-        u = float(self.peek(1)[0])
-        self._pos += 1
-        return u
 
 
 def run_trajectory_renewal(
@@ -289,6 +283,50 @@ def run_trajectory_renewal(
     return _trajectory(_own_epochs(cfg, epochs), draw, res)
 
 
+def _steps(
+    chunk: HazardChunk, off: int, times: np.ndarray, uniforms: _Uniforms, res: TrajectoryResult
+) -> tuple[int, Optional[tuple[int, float, float]]]:
+    """Steps ``off`` onwards of ``chunk``, one per interval of ``times``, up to the hit.
+
+    While the chunk has ready targets each substep uses one uniform, and
+    the first that falls below its substep's hazard is the hit; its target
+    and delivered mass come from ``rules.substep_hit`` on the two ready rows
+    around the substep. Returns the number of steps taken and the hit, if
+    any, as its target's position in the ready targets, its time and its
+    delivered mass.
+    """
+    n, n_sub = len(times) - 1, chunk.n_sub
+    s = None  # the hit's substep
+    if chunk.ready.shape[1]:
+        u = uniforms.peek(n * n_sub)
+        below = u < chunk.hazard[off * n_sub : (off + n) * n_sub]
+        s = int(below.argmax())
+        if below[s]:
+            n = s // n_sub + 1
+        else:
+            s = None
+        uniforms.use(n * n_sub if s is None else s + 1)
+    drift = chunk.drift[off : off + n]
+    breach = np.flatnonzero(drift > MASS_ABORT_TOL)
+    if breach.size:
+        b = int(breach[0])
+        raise InvariantBreach(
+            f"mass conservation broke at t={float(times[b + 1])}: residual {drift[b]:.3e}"
+        )
+    res.max_mass_residual = max(res.max_mass_residual, float(drift.max()))
+    res.steps_taken += n
+    if s is None:
+        return n, None
+    # the substep's bounds as flow.step sums them; the hit is at their midpoint
+    t_sub = float(times[n - 1])
+    for _ in range(s % n_sub):
+        t_sub += chunk.dt_sub
+    row = off * n_sub + s
+    m_start, m_end = chunk.ready[row], chunk.ready[row + 1]
+    j = substep_hit(m_start, m_end, range(len(m_start)), float(u[s]))
+    return n, (j, 0.5 * (t_sub + (t_sub + chunk.dt_sub)), float(m_end[j]))
+
+
 def _full_steps(
     ep: CompiledEpoch,
     t: float,
@@ -300,15 +338,11 @@ def _full_steps(
     """An epoch's full steps (``dt_max`` each) from its root at ``t``, on its hazard table.
 
     A step is full while ``duration - t >= dt_max``, and at most ``budget``
-    are taken. While the epoch has ready targets each substep uses one
-    uniform, and the first that falls below its substep's hazard is the
-    hit; its target and delivered mass come from ``rules.substep_hit`` on
-    the two ready rows around the substep. Returns the number of steps
-    taken, the time after the last of them and the hit, if any, as its
-    target's position in ``ep.ready``, its time and its delivered mass.
+    are taken, a block of them at a time by ``_steps``. Returns the number
+    of steps taken, the time after the last of them and the hit, if any.
     """
     table = ep.hazards(cfg.dt_max)
-    dt, n_sub = cfg.dt_max, table.n_sub
+    dt = cfg.dt_max
     k = 0
     while True:
         c, off = divmod(k, HAZARD_CHUNK_STEPS)
@@ -320,37 +354,11 @@ def _full_steps(
             n = int(short[0])
         if n == 0:
             return k, t, None
-        chunk = table.chunk(c)
-        s = None  # the hit's substep in this block
-        if ep.ready_idx:
-            u = uniforms.peek(n * n_sub)
-            below = u < chunk.hazard[off * n_sub : (off + n) * n_sub]
-            s = int(below.argmax())
-            if below[s]:
-                n = s // n_sub + 1
-            else:
-                s = None
-            uniforms.use(n * n_sub if s is None else s + 1)
-        drift = chunk.drift[off : off + n]
-        breach = np.flatnonzero(drift > MASS_ABORT_TOL)
-        if breach.size:
-            b = int(breach[0])
-            raise InvariantBreach(
-                f"mass conservation broke at t={float(times[b + 1])}: residual {drift[b]:.3e}"
-            )
-        res.max_mass_residual = max(res.max_mass_residual, float(drift.max()))
-        res.steps_taken += n
+        n, hit = _steps(table.chunk(c), off, times[: n + 1], uniforms, res)
         k += n
         t = float(times[n])
-        if s is not None:
-            # the substep's bounds as flow.step sums them; the hit is at their midpoint
-            t_sub = float(times[n - 1])
-            for _ in range(s % n_sub):
-                t_sub += table.dt_sub
-            row = off * n_sub + s
-            m_start, m_end = chunk.ready[row], chunk.ready[row + 1]
-            j = substep_hit(m_start, m_end, range(len(m_start)), float(u[s]))
-            return k, t, (j, 0.5 * (t_sub + (t_sub + table.dt_sub)), float(m_end[j]))
+        if hit is not None:
+            return k, t, hit
 
 
 def run_trajectory_steps(
@@ -361,15 +369,16 @@ def run_trajectory_steps(
 ) -> TrajectoryResult:
     """Per-step trajectory: at most ``max_steps`` steps of transport and trigger.
 
-    Every epoch steps the canonical chain of its compiled epoch. The full
-    steps (``dt_max`` each) run on the compiled epoch's hazard table: the
-    uniforms, one per substep while the epoch has ready targets, are
-    drawn in blocks and compared with the tabulated hazards a block at a
-    time, and the first one below its hazard is the hit. The last steps
-    of a trajectory, shorter than ``dt_max``, run on ``flow.step`` and
-    ``rules.trigger`` from the tabulated masses. Draws, times and masses
-    are those of ``flow.step`` and ``rules.trigger`` on every step, so
-    the logs are byte-identical to stepping every step with them.
+    Every epoch steps the canonical chain of its compiled epoch, and every
+    step is decided by ``_steps`` on a table of per-substep hazards: the
+    uniforms, one per substep while the epoch has ready targets, are drawn
+    in blocks and compared with the tabulated hazards, and the first one
+    below its hazard is the hit. The full steps (``dt_max`` each) run on the
+    compiled epoch's hazard table. The last steps of a trajectory, shorter
+    than ``dt_max``, are each tabulated by ``hazard_chunk`` from the masses
+    the steps before them left. Draws, times and masses are those of
+    ``flow.step`` and ``rules.trigger`` on every step, so the logs are
+    byte-identical to stepping every step with them.
     """
     budget = math.inf if max_steps is None else max_steps
     res = TrajectoryResult(records=EventLog.of(()), epochs=0)
@@ -381,23 +390,12 @@ def run_trajectory_steps(
             k, t, hit = _full_steps(ep, t, cfg, uniforms, budget - res.steps_taken, res)
         if hit is None and t < cfg.duration and res.steps_taken < budget:
             # the steps shorter than dt_max follow, from the masses the full steps left
-            state = ep.chain(t, epoch)
-            if k:
-                state = state.with_masses(ep.hazards(cfg.dt_max).masses_at(k))
+            m = ep.hazards(cfg.dt_max).masses_at(k) if k else ep.root_masses
             while hit is None and t < cfg.duration and res.steps_taken < budget:
-                dt = min(cfg.dt_max, cfg.duration - t)
-                state, report = step(state, ep.system.edges, dt, ep.system)
-                res.steps_taken += 1
-                t = state.time
-                drift = abs(float(state.masses.sum()) - 1.0)
-                if drift > MASS_ABORT_TOL:
-                    raise InvariantBreach(
-                        f"mass conservation broke at t={t}: residual {drift:.3e}"
-                    )
-                res.max_mass_residual = max(res.max_mass_residual, drift)
-                found = trigger(report, ep.ready_idx, dt, uniforms)
-                if found is not None:
-                    hit = (ep.ready.index(found.target), found.time, found.delivered_mass_at_hit)
+                dt = cfg.duration - t
+                chunk, m = hazard_chunk(ep.system, ep.ready_idx, m, dt, 1)
+                _, hit = _steps(chunk, 0, np.array([t, t + dt]), uniforms, res)
+                t += dt
         if hit is None:
             return [], [], [t], [], t
         j, t_hit, delivered = hit
@@ -504,7 +502,6 @@ def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -
         "hits": len(hit_times),
         "final_time": result.final_time,
         "max_mass_residual": result.max_mass_residual,
-        "collapse_check_failures": result.collapse_check_failures,
     }
     if result.stationarity_residual is not None:
         summary["stationarity_residual"] = result.stationarity_residual

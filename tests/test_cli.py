@@ -299,6 +299,27 @@ class TestFlags:
         assert "config error: " + flags[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--duration", "nan"],
+            ["--duration", "inf"],
+            ["--k-weak-absorb", "nan"],
+            ["--dt-max", "nan"],
+            ["--threshold-gap", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_flag_value_exits_one(self, tmp_path, capsys, flags):
+        # through analyze, which reads a one-hit log and simulates nothing
+        log = tmp_path / "events_000.tsv"
+        log.write_text(serialize_log([EventRecord(1.5, EventKind.HIT, 0, 0, 1, 1, 0, 0.5)]))
+        assert run_cli("analyze", *flags, str(log)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key = flags[0][2:].replace("-", "_")
+        assert captured.err.startswith(f"config error: {flags[0]}: {key} must be finite")
+
     def test_every_flag_spelling_reaches_the_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threshold_gap = 55.5\n")

@@ -46,6 +46,15 @@ def test_negative_rate_names_line():
         parse_config("k_weak_absorb = -1")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "key", ["duration", "dt_max", "k_strong_absorb", "k_weak_absorb", "threshold_gap"]
+)
+def test_non_finite_float_names_key_and_line(key, value):
+    with pytest.raises(ConfigError, match=f"line 2: {key} must be finite, got {value}"):
+        parse_config(f"kind = v\n{key} = {value}\n")
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("kind = v\nfrobnicate = 3\n")

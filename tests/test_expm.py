@@ -19,6 +19,7 @@ import scipy.linalg
 
 from telegraphsim import flow, runner
 from telegraphsim.config import RunConfig
+from telegraphsim.epochs import hazard_chunk
 from telegraphsim.state import AtomLevel
 
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
@@ -41,7 +42,7 @@ def _exercise_engines(cfg: RunConfig) -> list[float]:
         ep = epochs[atom]
         for c in [ep, deeper[atom]] if ep.graph.frontier else [ep]:
             residuals.append(c.template.conservation_residual)
-            flow.step(c.chain(0.0, 0), c.system.edges, cfg.dt_max, c.system)
+            hazard_chunk(c.system, c.ready_idx, c.root_masses, cfg.dt_max, 1)
     no_observer = replace(cfg, mode="original_no_observer")
     epochs = runner._CompiledEpochs(no_observer)
     jump = 10.0 / epochs[AtomLevel.GROUND].system.max_rate  # one jump of the flow driver

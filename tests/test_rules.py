@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import telegraphsim as ts
-from telegraphsim.errors import IllegalHit
 from telegraphsim.runner import derive_rng
 
 from conftest import make_single_edge, make_two_branch, root_shifted, run_hits_until_collapse
@@ -108,35 +107,6 @@ class TestTrigger:
 
 
 class TestCollapse:
-    def test_postconditions(self):
-        state, edges, b1, b2 = make_two_branch(0.5)
-        hit = ts.HitEvent(time=3.0, target=b1, epoch=0, delivered_mass_at_hit=0.3)
-        post = ts.collapse(state, hit)
-        assert len(post.labels) == 1
-        assert post.masses[0] == 1.0
-        assert not post.labels[0].ready.any()
-        assert post.epoch == 1
-        assert post.time == 3.0
-
-    def test_realized_label_keeps_weak_count(self):
-        src = ts.make_label(G, 0, 0, 1)
-        tgt = ts.make_label(G, 1, 1, 1, ts.BOTH_MARKS)
-        e = ts.FlowEdge(src, tgt, 1.0, ts.EdgeKind.STRONG_EMIT)
-        state = ts.ChainState([src, tgt], [0.5, 0.5], [e])
-        post = ts.collapse(state, ts.HitEvent(1.0, tgt, 0, 0.5))
-        assert post.labels[0].weak == 1
-
-    def test_unready_target_rejected(self):
-        state, edge, src, dst = make_single_edge()
-        with pytest.raises(IllegalHit):
-            ts.collapse(state, ts.HitEvent(1.0, src, 0, 0.1))
-
-    def test_unknown_target_rejected(self):
-        state, edge, *_ = make_single_edge()
-        ghost = ts.make_label(W, 5, 5, 5, ts.BOTH_MARKS)
-        with pytest.raises(IllegalHit):
-            ts.collapse(state, ts.HitEvent(1.0, ghost, 0, 0.1))
-
     def test_next_epoch_graph_renews_shifted(self):
         # collapsing and rebuilding gives the same chain shape one click over
         kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
@@ -157,7 +127,7 @@ class TestModes:
         epochs = _CompiledEpochs(RunConfig(kind="v", mode="original_no_observer"))
         for atom in ts.AtomLevel:
             ep = epochs[atom]
-            state = ep.chain(0.0, 0)
+            state = ts.chain_from_graph(ep.graph)
             assert not ep.graph.ready_labels and not ep.ready_idx
             assert ts.blocked_edges(state) == set()
             assert ts.active_edges(state) == ep.graph.edges == ep.system.edges

@@ -1,12 +1,12 @@
 """The ``steps`` engine against the per-substep loop it replaced.
 
-``run_trajectory_steps`` takes its full steps on each compiled epoch's
-hazard table. ``_oracle_steps`` below is the loop that stepped every step
-with ``flow.step`` and drew every uniform inside the trigger, with that
-trigger's arithmetic written out. It logs its hits with its own label
-bookkeeping (``_shift_to``, ``EventRecord.for_label`` and ``rules.collapse``),
-apart from the engine's column writer. The two must give byte-identical
-logs and equal result fields, and raise the same breach.
+``run_trajectory_steps`` decides every step on a table of per-substep
+hazards. ``_oracle_steps`` below is the loop that stepped every step with
+``flow.step`` and drew every uniform inside the trigger, with that
+trigger's arithmetic written out. It realizes each hit and logs it with its
+own label bookkeeping (``_shift_to`` and ``_record``), apart from the
+engine's column writer. The two must give byte-identical logs and equal
+result fields, and raise the same breach.
 """
 
 from __future__ import annotations
@@ -21,31 +21,38 @@ import pytest
 from telegraphsim import runner
 from telegraphsim.config import RunConfig
 from telegraphsim.errors import InvariantBreach
-from telegraphsim.eventlog import HIT, WEAK_EDGE_CROSSING, EventKind, EventLog, EventRecord, serialize_log
+from telegraphsim.eventlog import (
+    HIT, WEAK_EDGE_CROSSING, EventKind, EventLog, EventRecord, serialize_log,
+)
 from telegraphsim.flow import step
-from telegraphsim.rules import HitEvent, collapse, hazards, substep_hit
+from telegraphsim.rules import HitEvent, hazards, substep_hit
 from telegraphsim.runner import (
     TrajectoryResult,
     _CompiledEpochs,
     _crossings,
     _template,
     derive_rng,
+    run_trajectory_renewal,
     run_trajectory_steps,
 )
-from telegraphsim.state import AtomLevel, ComponentLabel, make_label
+from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, make_label
 
 _TINY = np.finfo(float).tiny
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
 LASERS = ("both", "strong_only", "weak_only")
 FAST_WEAK = dict(k_weak_absorb=0.1, k_weak_emit=0.1)
-FIELDS = (
-    "epochs", "steps_taken", "collapses", "max_mass_residual",
-    "collapse_check_failures", "stationarity_residual", "final_time",
-)
+FIELDS = ("epochs", "steps_taken", "max_mass_residual", "stationarity_residual", "final_time")
 
 
 def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
     return label.shifted(clicks=root.clicks, strong=root.strong, weak=root.weak)
+
+
+def _record(time, kind: EventKind, epoch: int, label: ComponentLabel, aux: float) -> EventRecord:
+    return EventRecord(
+        float(time), kind, epoch, label.atom.value, label.clicks, label.strong, label.weak,
+        float(aux),
+    )
 
 
 def _oracle_trigger(report, ready_idx, rng) -> Optional[HitEvent]:
@@ -93,7 +100,7 @@ def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
     epoch = 0
     while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
         ep = epochs[root.atom]
-        state = ep.chain(t, epoch)
+        state = ChainState(ep.graph.labels, ep.root_masses, ep.graph.edges, time=t, epoch=epoch)
         t_epoch = t
         hit = None
         while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
@@ -115,21 +122,13 @@ def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
             tau = hit.time - t_epoch
             for t_cross, target in _crossings(_template(ep), hit.target, tau, t_epoch):
                 records.append(
-                    EventRecord.for_label(
-                        t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root),
-                        aux=1.0,
+                    _record(
+                        t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root), 1.0
                     )
                 )
-        state = collapse(state, hit)
-        res.collapses += 1
-        if abs(float(state.masses.sum()) - 1.0) > 0 or state.labels[0].ready.any():
-            res.collapse_check_failures += 1
-        root = _shift_to(state.labels[0], root)
-        records.append(
-            EventRecord.for_label(
-                hit.time, EventKind.HIT, epoch, root, aux=hit.delivered_mass_at_hit
-            )
-        )
+        # the hit realizes its target, without its ready marks, as the next root
+        root = _shift_to(hit.target.without_marks(), root)
+        records.append(_record(hit.time, EventKind.HIT, epoch, root, hit.delivered_mass_at_hit))
         t = hit.time
         epoch += 1
     res.records = EventLog.of(records)
@@ -139,15 +138,16 @@ def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
 
 
 @pytest.fixture
-def step_calls(monkeypatch):
-    """How often the engine calls ``flow.step``, through the name it looks it up by."""
+def per_step_calls(monkeypatch):
+    """Calls of ``flow.step`` and ``rules.trigger`` through the names ``runner`` keeps."""
     calls = []
+    for name in ("step", "trigger"):
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return step(*args, **kwargs)
+        def counted(*args, _name=name, _real=getattr(runner, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(runner, "step", counted)
+        monkeypatch.setattr(runner, name, counted)
     return calls
 
 
@@ -161,8 +161,8 @@ def _assert_same(cfg, index, max_steps=None, epochs=None) -> TrajectoryResult:
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_every_kind_laser_and_step_matches_the_loop(kind, step_calls):
-    runs = hits = moves = 0
+def test_every_kind_laser_and_step_matches_the_loop(kind, per_step_calls):
+    hits = moves = 0
     for lasers in LASERS:
         epochs = _CompiledEpochs(RunConfig(kind=kind, lasers=lasers, **FAST_WEAK))
         for dt_max in (0.01, 0.037, 0.2):
@@ -171,24 +171,23 @@ def test_every_kind_laser_and_step_matches_the_loop(kind, step_calls):
                 master_seed=5, **FAST_WEAK,
             )
             for i in range(2):
-                before = len(step_calls)
                 res = _assert_same(cfg, i, epochs=epochs)
-                # the engine steps only the few steps shorter than dt_max, at the end
-                assert all(dt < dt_max for dt in step_calls[before:])
-                runs += 1
                 hits += res.epochs
                 moves += int((res.records.atom[res.records.kind == 0] != 0).any())
+        renewal = replace(cfg, engine="renewal")
+        run_trajectory_renewal(renewal, derive_rng(5, 0), epochs)
     assert hits > 0
     if kind == "lambda":
         assert moves > 0  # some lambda hit moves the root off the ground atom
-    assert len(step_calls) <= 4 * runs
+    # neither engine steps or triggers per step; the oracle calls its own
+    assert per_step_calls == []
 
 
 @pytest.mark.parametrize(
     "kind, seed, duration",
     [("v", 1, 11.9663), ("v", 3, 11.2243), ("lambda", 41, 10.3339), ("lambda", 110, 10.2968)],
 )
-def test_a_hit_inside_the_final_short_step(kind, seed, duration):
+def test_a_hit_inside_the_final_short_step(kind, seed, duration, per_step_calls):
     """The last hit lands in a step shorter than ``dt_max`` (a full step has 4 substeps)."""
     cfg = RunConfig(
         kind=kind, engine="steps", duration=duration, dt_max=0.2, master_seed=seed, **FAST_WEAK
@@ -205,6 +204,7 @@ def test_a_hit_inside_the_final_short_step(kind, seed, duration):
         root_atom = hit.atom[-2] if len(hit) > 1 else AtomLevel.GROUND.value
         assert hit.atom[-1] != root_atom
         assert res.records.kind[-2] == WEAK_EDGE_CROSSING
+    assert per_step_calls == []
 
 
 @pytest.mark.parametrize("max_steps", [1, 700, 1024, 2500, 3 * 1024 + 17])
