@@ -12,6 +12,14 @@ from .eventlog import read_log, validate_log
 from .runner import analyze_log, run
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, as config errors do: 2 means an invariant breach."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _flag(key: str) -> str:
     """The command-line spelling of a config key."""
     return "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
@@ -72,7 +80,7 @@ def _cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="telegraphsim",
         description="Stochastic collapse-flow simulator of 3-level-atom fluorescence telegraphs",
     )

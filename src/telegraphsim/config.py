@@ -50,6 +50,12 @@ class RunConfig:
     engine: str = "auto"
     out: str = "out"
 
+    def __post_init__(self) -> None:
+        for name in ("duration", "dt_max", "threshold_gap"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
     def config_kind(self) -> ConfigKind:
         return ConfigKind(_CONFIG_NAMES[self.kind], _LASER_NAMES[self.lasers])
 

@@ -30,9 +30,10 @@ when the slow stage follows it. The lag curves of all sinks come from one
 batched propagation of unit impulses at the weak edges' targets, made on
 the first crossing query, so a template is immutable once built.
 
-Both engines run every epoch on a CompiledEpoch: the graph, flow system
-and ready targets of one root atom at the run's depth, compiled once per
-run for a root with an empty photon ledger and shared by its trajectories.
+Both engines run every epoch on a CompiledEpoch: the flow system and
+ready targets of one root atom at the run's depth, over the labels its
+root reaches along active edges, compiled once per run for a root with
+an empty photon ledger and shared by its trajectories.
 The ``steps`` engine also shares its HazardTables: the per-substep hit
 hazards of the epoch's full steps from the root, grown in chunks on first
 use by ``hazard_chunk``, which also tabulates each step shorter than that.
@@ -342,24 +343,35 @@ class CompiledEpoch:
     An epoch is therefore compiled once per root atom and depth: the graph,
     one FlowSystem over its active edges (whose propagators every step and
     the template share), and the ready targets in chain order, with each
-    one's atom and photon ledger as arrays. The engines run on these
-    canonical labels; the trajectory loop adds the root's ledger to what it
-    records.
+    one's atom and photon ledger as arrays. The FlowSystem holds only the
+    live subgraph, the labels the root reaches along active edges: the
+    labels past a branch's first ready component never receive mass, so
+    the chain ``build_epoch`` displays keeps them and the compiled epoch
+    does not. The engines run on these canonical labels; the trajectory
+    loop adds the root's ledger to what it records.
     The template and the hazard tables, one per step size, are built on
     first use.
     """
 
     def __init__(self, graph: EpochGraph, active: Sequence[FlowEdge]):
         self.graph = graph
-        self.system = FlowSystem(graph.labels, active)
-        self.ready = graph.ready_labels
+        # the labels the root reaches along active edges, in one sweep by
+        # source position: every edge runs forward in label order
+        position = {lab: i for i, lab in enumerate(graph.labels)}
+        live = {graph.labels[0]}
+        for e in sorted(active, key=lambda e: position[e.source]):
+            if e.source in live:
+                live.add(e.target)
+        labels = [lab for lab in graph.labels if lab in live]
+        self.system = FlowSystem(labels, [e for e in active if e.source in live])
+        self.ready = tuple(lab for lab in self.system.labels if lab.ready.any())
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
         # each ready target's atom and photon ledger (clicks, strong, weak), as arrays
         self.sink_atoms = np.array([lab.atom.value for lab in self.ready], dtype=np.int64)
         self.sink_ledger = np.array(
             [(lab.clicks, lab.strong, lab.weak) for lab in self.ready], dtype=np.int64
         ).reshape(-1, 3)
-        self.root_masses = np.zeros(len(graph.labels))
+        self.root_masses = np.zeros(len(self.system.labels))
         self.root_masses[0] = 1.0  # build_epoch lists the root first
         self._hazards: dict[float, HazardTable] = {}
 

@@ -47,8 +47,9 @@ class RateSet:
 
     def __post_init__(self) -> None:
         for name in ("k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def rate_for(self, kind: EdgeKind) -> float:
         return {

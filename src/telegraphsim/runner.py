@@ -18,8 +18,9 @@ they draw an epoch's hit:
                  long desk-scale runs cheap. A block of uniforms is
                  inverted at once.
 
-Both run every epoch on the same compiled epoch graph, cut at ``depth``
-weak cycles: mass that reaches a frontier label stays there until the hit.
+Both run every epoch on the same compiled epoch, cut at ``depth`` weak
+cycles and kept to the labels its root reaches along active edges: mass
+that reaches a frontier label stays there until the hit.
 Both draw from one stream of uniforms per trajectory, ``_Uniforms``, and
 hand their hits to one trajectory loop, ``_trajectory``, which keeps the
 root's atom and photon ledger and writes the log as columns: each hit

@@ -320,6 +320,24 @@ class TestFlags:
         key = flags[0][2:].replace("-", "_")
         assert captured.err.startswith(f"config error: {flags[0]}: {key} must be finite")
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--duration", "-inf"], 1),  # argparse takes -inf for an option
+            (["--bogus", "1"], 1),
+            (["--duration"], 1),
+            (["--help"], 0),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    )
+    def test_usage_error_exits_one_not_the_breach_code(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", *flags, "--out", str(out))
+        assert exc.value.code == code
+        assert ("error: " in capsys.readouterr().err) == (code == 1)
+        assert not out.exists()
+
     def test_every_flag_spelling_reaches_the_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threshold_gap = 55.5\n")

@@ -55,6 +55,25 @@ def test_non_finite_float_names_key_and_line(key, value):
         parse_config(f"kind = v\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "key", ["k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit"]
+)
+def test_rate_set_rejects_non_finite_rate(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        ts.RateSet(**{key: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("key", ["duration", "dt_max", "threshold_gap"])
+def test_run_config_rejects_non_finite_or_non_positive_value(key, value):
+    """Built in code, not parsed: an infinite duration or a zero step never ends a run."""
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        with_overrides(RunConfig(), **{key: value})
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("kind = v\nfrobnicate = 3\n")

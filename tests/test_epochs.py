@@ -25,7 +25,7 @@ def compile_epoch(kind, atom):
 @pytest.mark.parametrize("atom", list(ts.AtomLevel), ids=lambda a: a.name.lower())
 def test_compiled_template_equals_template_from_chain(kind, atom):
     ep = compile_epoch(kind, atom)
-    chain = ts.chain_from_graph(ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), RATES, 2))
+    chain = ts.ChainState(ep.system.labels, ep.root_masses, ep.system.edges)
     ref = EpochTemplate.from_chain(chain, ts.active_edges(chain))
     tpl = ep.template
     assert tpl.system is ep.system
@@ -33,11 +33,42 @@ def test_compiled_template_equals_template_from_chain(kind, atom):
     assert tpl.sink_labels == ref.sink_labels
     assert tpl.masses.tobytes() == ref.masses.tobytes()
     assert tpl.cum_final.tobytes() == ref.cum_final.tobytes()
-    # ready targets: the marked labels, as chain positions in chain order
+    # ready targets: the marked live labels, as chain positions in chain order
     assert [ep.system.labels[i] for i in ep.ready_idx] == [
         lab for lab in chain.labels if lab.ready.any()
     ]
     assert ep.ready_idx == ts.ready_indices(chain.labels, ep.ready)
+
+
+def test_compiled_epoch_is_the_live_subgraph_with_the_same_law(monkeypatch):
+    """A compiled epoch keeps only labels that carry mass, and drops no delivery.
+
+    Every configuration, laser setting and root atom at depths 1, 2, 5 and 8.
+    Each compiled label holds positive mass somewhere on the template grid.
+    Each ready target of the full chain that the compiled epoch drops
+    receives exactly nothing in the full chain's template, and the kept
+    targets' delivery curves agree with the full chain's. The grid's size
+    does not matter here, so the templates run on 300 cells a piece.
+    """
+    monkeypatch.setattr(epochs, "CELLS_PER_PIECE", 300)
+    dropped = 0
+    for depth in (1, 2, 5, 8):
+        for kind in KINDS:
+            for atom in ts.AtomLevel:
+                case = f"{kind_id(kind)} root {atom.name} depth {depth}"
+                graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), RATES, depth)
+                chain = ts.chain_from_graph(graph)
+                tpl = CompiledEpoch(graph, ts.active_edges(chain)).template
+                assert (tpl.masses > 0.0).any(axis=0).all(), case
+                full = EpochTemplate.from_chain(chain, ts.active_edges(chain))
+                assert tpl.grid.tobytes() == full.grid.tobytes(), case
+                kept = [full.sink_labels.index(lab) for lab in tpl.sink_labels]
+                lost = [j for j in range(len(full.sink_labels)) if j not in kept]
+                assert not full.delivered[:, lost].any(), case
+                gap = np.abs(tpl.delivered - full.delivered[:, kept]).max(initial=0.0)
+                assert gap <= 1e-13, case
+                dropped += len(lost)
+    assert dropped > 0
 
 
 def test_steps_engine_builds_each_graph_once(monkeypatch):

@@ -100,7 +100,9 @@ def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
     epoch = 0
     while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
         ep = epochs[root.atom]
-        state = ChainState(ep.graph.labels, ep.root_masses, ep.graph.edges, time=t, epoch=epoch)
+        state = ChainState(
+            ep.system.labels, ep.root_masses, ep.system.edges, time=t, epoch=epoch
+        )
         t_epoch = t
         hit = None
         while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
