@@ -26,11 +26,9 @@ from .configurations import (
     Configuration,
     EpochGraph,
     LaserDrive,
-    WeakEdgePosition,
     build_epoch,
     chain_from_graph,
     extend_frontier,
-    weak_edge_position,
 )
 from .epochs import CompiledEpoch, EpochTemplate
 from .errors import (
@@ -43,14 +41,12 @@ from .errors import (
     InvariantBreach,
     NoWeakBranch,
     NotExtensible,
-    OracleUnsupported,
     TelegraphError,
 )
 from .eventlog import (
     EventKind,
     EventLog,
     EventRecord,
-    crossings,
     hits,
     parse_log,
     read_log,
@@ -61,7 +57,6 @@ from .flow import (
     CurrentReport,
     FlowSystem,
     RateSet,
-    integrate_exact_oracle,
     step,
 )
 from .rules import (
@@ -70,7 +65,6 @@ from .rules import (
     blocked_edges,
     is_decoherent,
     mark_ready,
-    ready_indices,
     trigger,
 )
 from .runner import (

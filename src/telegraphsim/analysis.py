@@ -98,10 +98,6 @@ class TimingReport:
     def count(self, cls: WeakTiming) -> int:
         return sum(1 for e in self.entries if e.classification is cls)
 
-    @property
-    def non_ambiguous(self) -> tuple[DarkTimingEntry, ...]:
-        return tuple(e for e in self.entries if e.classification is not WeakTiming.AMBIGUOUS)
-
 
 def _weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
     order = np.argsort(values)

@@ -51,10 +51,17 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self) -> None:
-        for name in ("duration", "dt_max", "threshold_gap"):
+        for name in (
+            "k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit",
+            "duration", "dt_max", "threshold_gap",
+        ):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:  # false for nan too
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # a value given in code goes through its key's parser, as text does,
+        # and is kept as the parser returns it ("V" becomes "v")
+        for name in _CHECKED_BY_PARSER:
+            object.__setattr__(self, name, _PARSERS[name](str(getattr(self, name))))
 
     def config_kind(self) -> ConfigKind:
         return ConfigKind(_CONFIG_NAMES[self.kind], _LASER_NAMES[self.lasers])
@@ -132,6 +139,7 @@ _PARSERS = {
     "engine": lambda v: _parse_choice(v, _ENGINES, "engine"),
     "out": lambda v: v.strip(),
 }
+_CHECKED_BY_PARSER = ("kind", "lasers", "mode", "master_seed", "trajectories", "depth", "engine")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidDepth, NoWeakBranch, NotExtensible
+from .errors import InvalidDepth, NotExtensible
 from .flow import RateSet
 from .rules import is_decoherent, mark_ready
 from .state import (
@@ -77,24 +77,6 @@ class ConfigKind:
         return self.configuration in (Configuration.V, Configuration.CASCADE_WEAK_UP)
 
 
-class WeakEdgePosition(Enum):
-    TERMINAL_IN_WEAK_CYCLE = "terminal"
-    INITIAL_IN_WEAK_CYCLE = "initial"
-
-
-def weak_edge_position(kind: ConfigKind) -> WeakEdgePosition:
-    """Where the weak-photon-creating edge sits within the weak cycle.
-
-    Terminal means the dark period ends with the weak photon's
-    emission, initial means it begins with it. Requires both lasers.
-    """
-    if kind.lasers is not LaserDrive.BOTH:
-        raise NoWeakBranch("weak-photon timing needs both lasers active")
-    if kind.weak_absorb_first:
-        return WeakEdgePosition.TERMINAL_IN_WEAK_CYCLE
-    return WeakEdgePosition.INITIAL_IN_WEAK_CYCLE
-
-
 @dataclass(frozen=True)
 class EpochGraph:
     """The component graph of one epoch, truncated at a depth budget."""
@@ -107,10 +89,6 @@ class EpochGraph:
     edges: tuple[FlowEdge, ...]
     frontier: frozenset[ComponentLabel]
     marks: bool = True
-
-    @property
-    def ready_labels(self) -> tuple[ComponentLabel, ...]:
-        return tuple(lab for lab in self.labels if lab.ready.any())
 
 
 def build_epoch(

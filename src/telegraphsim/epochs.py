@@ -51,7 +51,7 @@ import numpy as np
 from .configurations import EpochGraph
 from .flow import FlowSystem
 from .rules import hazards
-from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
+from .state import ComponentLabel, EdgeKind, FlowEdge
 
 FAST_SPAN_EFOLDS = 60.0
 TAIL_EFOLDS = 50.0
@@ -129,11 +129,6 @@ class EpochTemplate:
         self.conservation_residual = float(np.abs(self.masses.sum(axis=1) - 1.0).max())
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_chain(cls, state: ChainState, active: Sequence[FlowEdge]) -> "EpochTemplate":
-        ready = tuple(lab for lab in state.labels if lab.ready.any())
-        return cls(FlowSystem(state.labels, active), ready, state.masses)
 
     def _build_grid(self) -> tuple[np.ndarray, list[tuple[int, float]]]:
         outflow = -np.diag(self.system.generator)

@@ -17,10 +17,6 @@ class InvalidStep(TelegraphError):
     """The integrator was asked for a non-positive step."""
 
 
-class OracleUnsupported(TelegraphError):
-    """The brute-force integrator only handles acyclic flow graphs."""
-
-
 class InvalidDepth(TelegraphError):
     """Epoch graphs need at least one cycle of depth."""
 

@@ -2,7 +2,8 @@
 
 An ``EventLog`` keeps one numpy array per field; an ``EventRecord`` is one
 row of it. Every function here takes an ``EventLog`` or any sequence of
-``EventRecord``s (converted once through ``EventLog.of``).
+``EventRecord``s (converted once through ``EventLog.of``). ``hits`` selects
+the hit rows; ``EventLog.of_kind`` selects the rows of either kind.
 
 One line per record: time, kind, epoch, then the label fields (atom
 level, detector clicks, strong count, weak count) and an auxiliary
@@ -25,8 +26,6 @@ from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
-
-from .state import AtomLevel, ComponentLabel, make_label
 
 FORMAT_VERSION = 2
 _HEADER = (
@@ -62,10 +61,6 @@ class EventRecord:
     strong: int
     weak: int
     aux: float
-
-    @property
-    def label(self) -> ComponentLabel:
-        return make_label(AtomLevel(self.atom), self.clicks, self.strong, self.weak)
 
 
 class EventLog:
@@ -133,9 +128,6 @@ class EventLog:
         if not isinstance(other, EventLog):
             return NotImplemented
         return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
-
-    def __repr__(self) -> str:
-        return f"EventLog({len(self)} records)"
 
 
 Records = Union[EventLog, Iterable[EventRecord]]
@@ -224,7 +216,3 @@ def read_log(path: Path) -> EventLog:
 
 def hits(records: Records) -> EventLog:
     return EventLog.of(records).of_kind(EventKind.HIT)
-
-
-def crossings(records: Records) -> EventLog:
-    return EventLog.of(records).of_kind(EventKind.WEAK_EDGE_CROSSING)

@@ -5,8 +5,9 @@ with rate k, mass leaves the source at k * m_source. Within one epoch
 the active edge set is constant, so the evolution is a linear ODE
 m' = A m with a conservative generator (columns of A sum to zero). The
 stepper applies the exact matrix-exponential propagator, which keeps
-total mass to machine precision; a fine-step RK4 oracle provides an
-independent numerical route for tests.
+total mass to machine precision. The tests compare it with a fine-step
+RK4 oracle of their own (``tests/references.py``), an independent
+numerical route.
 
 The propagators come from ``expm``, a scaling-and-squaring Pade
 exponential on numpy alone, cached per step size on the ``FlowSystem``
@@ -16,20 +17,16 @@ of one label ordering and active edge set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidStep, OracleUnsupported
+from .errors import InvalidStep
 from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
 
 # Per-substep transported fraction is capped so the trigger sees
 # time-resolved currents (sum of J*dt stays well under 0.1).
 SUBSTEP_CURRENT_CAP = 0.05
-
-#: Oracle step: 1e-4 of the fastest timescale present in the graph.
-ORACLE_STEP_FRACTION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -199,44 +196,18 @@ class Substep:
 
 @dataclass(frozen=True)
 class CurrentReport:
-    """Per-edge flows and per-component net inflows over one step.
+    """The masses of one step, sub-interval by sub-interval.
 
-    Edge currents are the rate times the time-averaged source mass over
-    the sub-intervals, so the trigger sees time-resolved inflow rather
-    than a per-call average. The aggregate arrays are materialized
-    lazily; the stepping hot loop only ever touches the substep masses.
+    The trigger sees each sub-interval's masses rather than a per-call
+    average, so it resolves the inflow into each ready target in time.
     """
 
     t_start: float
     t_end: float
     epoch: int
     labels: tuple[ComponentLabel, ...]
-    index: dict
     edges: tuple[FlowEdge, ...]
     substeps: tuple[Substep, ...]
-    _src_idx: np.ndarray
-    _rates: np.ndarray
-
-    @cached_property
-    def edge_currents(self) -> np.ndarray:
-        if not len(self.edges):
-            return np.zeros(0)
-        avg = np.zeros(len(self.labels))
-        for sub in self.substeps:
-            avg += 0.5 * (sub.m_start + sub.m_end)
-        avg /= len(self.substeps)
-        return self._rates * avg[self._src_idx]
-
-    @cached_property
-    def net_inflow(self) -> np.ndarray:
-        dt = self.t_end - self.t_start
-        return (self.substeps[-1].m_end - self.substeps[0].m_start) / dt
-
-    def current_on(self, edge: FlowEdge) -> float:
-        for e, j in zip(self.edges, self.edge_currents):
-            if e == edge:
-                return float(j)
-        return 0.0
 
 
 def step(
@@ -276,63 +247,7 @@ def step(
         t_end=state.time + dt,
         epoch=state.epoch,
         labels=state.labels,
-        index=state._index,
         edges=sys_.edges,
         substeps=tuple(subs),
-        _src_idx=sys_.src_idx,
-        _rates=sys_.rates,
     )
     return state.with_masses(m, time=state.time + dt), report
-
-
-def _assert_acyclic(labels: Sequence[ComponentLabel], edges: Sequence[FlowEdge]) -> None:
-    # Kahn's algorithm; the four level configurations always pass.
-    index = {lab: i for i, lab in enumerate(labels)}
-    indeg = [0] * len(labels)
-    out = [[] for _ in labels]
-    for e in edges:
-        out[index[e.source]].append(index[e.target])
-        indeg[index[e.target]] += 1
-    queue = [i for i, d in enumerate(indeg) if d == 0]
-    seen = 0
-    while queue:
-        i = queue.pop()
-        seen += 1
-        for j in out[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if seen != len(labels):
-        raise OracleUnsupported("flow graph contains a cycle")
-
-
-def integrate_exact_oracle(
-    state: ChainState, edges: Sequence[FlowEdge], t: float
-) -> ChainState:
-    """Brute-force fine-step RK4 integration, for use as a test oracle.
-
-    Deliberately independent of the propagator route used by ``step``.
-    Only supports acyclic graphs (raises OracleUnsupported otherwise).
-    For the linear ODE m' = A m one classical RK4 step of size h is the
-    matrix I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, formed once and
-    applied once per step.
-    """
-    _assert_acyclic(state.labels, edges)
-    if t < 0:
-        raise InvalidStep(f"oracle horizon must be nonnegative, got {t}")
-    if t == 0:
-        return state
-    sys_ = FlowSystem(state.labels, edges)
-    A = sys_.generator
-    max_rate = sys_.max_rate if sys_.max_rate > 0 else 1.0
-    dt = ORACLE_STEP_FRACTION / max_rate
-    n = int(np.ceil(t / dt))
-    dt = t / n
-    hA = dt * A
-    hA2 = hA @ hA
-    hA3 = hA2 @ hA
-    rk4 = np.eye(len(A)) + hA + hA2 / 2.0 + hA3 / 6.0 + (hA3 @ hA) / 24.0
-    m = state.masses.copy()
-    for _ in range(n):
-        m = rk4 @ m
-    return state.with_masses(m, time=state.time + t)

@@ -81,14 +81,6 @@ class HitEvent:
     delivered_mass_at_hit: float
 
 
-def ready_indices(
-    labels: Sequence[ComponentLabel], ready_targets: Iterable[ComponentLabel]
-) -> tuple[int, ...]:
-    """Positions of the ready targets among a chain's labels, in chain order."""
-    ready = set(ready_targets)
-    return tuple(i for i, lab in enumerate(labels) if lab in ready)
-
-
 def substep_hit(
     m_start: Sequence[float], m_end: Sequence[float], ready_idx: Iterable[int], u: float
 ) -> Optional[int]:
@@ -164,8 +156,9 @@ def trigger(
     with zero inflow (a dormant phantom) is never chosen regardless of
     its frozen mass.
 
-    ``ready_idx`` holds the targets' chain positions in chain order (see
-    ``ready_indices``); they are resolved once per epoch, not per step.
+    ``ready_idx`` holds the targets' chain positions in chain order, as
+    ``CompiledEpoch.ready_idx`` does; they are resolved once per epoch, not
+    per step.
     Whenever ``ready_idx`` is non-empty, live or dormant targets alike,
     it consumes exactly one ``rng.random()`` per sub-interval, in time
     order, up to and including the one that hits; an empty ``ready_idx``

@@ -112,15 +112,6 @@ class ComponentLabel:
             return self
         return replace(self, ready=BOTH_MARKS)
 
-    def shifted(self, clicks: int = 0, strong: int = 0, weak: int = 0) -> "ComponentLabel":
-        """Translate the ledger counts, e.g. to re-root an epoch template."""
-        return replace(
-            self,
-            clicks=self.clicks + clicks,
-            strong=self.strong + strong,
-            weak=self.weak + weak,
-        )
-
     def __str__(self) -> str:
         marks = "*" if self.ready.any() else ""
         prime = f" w{self.weak}" if self.weak else ""
@@ -221,12 +212,6 @@ class ChainState:
             if e.source not in self._index or e.target not in self._index:
                 raise ValueError(f"edge endpoint {e.source} -> {e.target} names no component")
 
-    def __contains__(self, label: ComponentLabel) -> bool:
-        return label in self._index
-
-    def mass_of(self, label: ComponentLabel) -> float:
-        return float(self.masses[self._index[label]])
-
     def with_masses(self, masses: np.ndarray, time: Optional[float] = None) -> "ChainState":
         new = ChainState.__new__(ChainState)
         new.labels = self.labels
@@ -236,7 +221,3 @@ class ChainState:
         new.epoch = self.epoch
         new._index = self._index
         return new
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{lab}:{m:.4g}" for lab, m in zip(self.labels, self.masses))
-        return f"ChainState(t={self.time:.4g}, epoch={self.epoch}, [{body}])"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import telegraphsim as ts
@@ -31,7 +33,7 @@ def make_single_edge(rate: float = 1.0):
 
 def run_hits_until_collapse(state, edges, ready, rng, dt=0.01, t_max=1e6):
     """Drive the step engine until the trigger fires; returns the hit or None."""
-    ready_idx = ts.ready_indices(state.labels, ready)
+    ready_idx = tuple(i for i, lab in enumerate(state.labels) if lab in set(ready))
     system = ts.FlowSystem(state.labels, edges)
     s = state
     while s.time < t_max:
@@ -47,7 +49,9 @@ def root_shifted(graph):
     r = graph.root
 
     def back(lab):
-        return lab.shifted(clicks=-r.clicks, strong=-r.strong, weak=-r.weak)
+        return replace(
+            lab, clicks=lab.clicks - r.clicks, strong=lab.strong - r.strong, weak=lab.weak - r.weak
+        )
 
     return (
         {back(lab) for lab in graph.labels},

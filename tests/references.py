@@ -1,0 +1,109 @@
+"""Test-side references that ``run`` and ``analyze`` never execute.
+
+``integrate_exact_oracle`` integrates a chain by fine-step RK4, a route
+independent of the propagators ``flow.step`` applies. ``currents`` reads
+per-edge currents and per-component net inflows off a ``flow.step``
+report. ``template_from_chain`` tabulates an ``EpochTemplate`` for any
+chain state, not only a compiled epoch's root.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from telegraphsim.epochs import EpochTemplate
+from telegraphsim.errors import InvalidStep, TelegraphError
+from telegraphsim.flow import CurrentReport, FlowSystem
+from telegraphsim.state import ChainState, ComponentLabel, FlowEdge
+
+#: Oracle step: 1e-4 of the fastest timescale present in the graph.
+ORACLE_STEP_FRACTION = 1e-4
+
+
+class OracleUnsupported(TelegraphError):
+    """The brute-force integrator only handles acyclic flow graphs."""
+
+
+def _assert_acyclic(labels: Sequence[ComponentLabel], edges: Sequence[FlowEdge]) -> None:
+    # Kahn's algorithm; the four level configurations always pass.
+    index = {lab: i for i, lab in enumerate(labels)}
+    indeg = [0] * len(labels)
+    out = [[] for _ in labels]
+    for e in edges:
+        out[index[e.source]].append(index[e.target])
+        indeg[index[e.target]] += 1
+    queue = [i for i, d in enumerate(indeg) if d == 0]
+    seen = 0
+    while queue:
+        i = queue.pop()
+        seen += 1
+        for j in out[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if seen != len(labels):
+        raise OracleUnsupported("flow graph contains a cycle")
+
+
+def integrate_exact_oracle(
+    state: ChainState, edges: Sequence[FlowEdge], t: float
+) -> ChainState:
+    """Brute-force fine-step RK4 integration.
+
+    Deliberately independent of the propagator route used by ``step``.
+    Only supports acyclic graphs (raises OracleUnsupported otherwise).
+    For the linear ODE m' = A m one classical RK4 step of size h is the
+    matrix I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, formed once and
+    applied once per step.
+    """
+    _assert_acyclic(state.labels, edges)
+    if t < 0:
+        raise InvalidStep(f"oracle horizon must be nonnegative, got {t}")
+    if t == 0:
+        return state
+    sys_ = FlowSystem(state.labels, edges)
+    A = sys_.generator
+    max_rate = sys_.max_rate if sys_.max_rate > 0 else 1.0
+    dt = ORACLE_STEP_FRACTION / max_rate
+    n = int(np.ceil(t / dt))
+    dt = t / n
+    hA = dt * A
+    hA2 = hA @ hA
+    hA3 = hA2 @ hA
+    rk4 = np.eye(len(A)) + hA + hA2 / 2.0 + hA3 / 6.0 + (hA3 @ hA) / 24.0
+    m = state.masses.copy()
+    for _ in range(n):
+        m = rk4 @ m
+    return state.with_masses(m, time=state.time + t)
+
+
+def currents(
+    report: CurrentReport,
+) -> tuple[dict[FlowEdge, float], dict[ComponentLabel, float]]:
+    """Each stepped edge's current and each component's net inflow over one step.
+
+    An edge's current is its rate times the source mass averaged over the
+    sub-intervals (trapezoid rule in each), so it resolves the inflow in
+    time rather than averaging over the whole call. A component's net
+    inflow is its mass change over the step divided by the step. An edge
+    that was not stepped, such as a blocked one, carries no current.
+    """
+    avg = np.zeros(len(report.labels))
+    for sub in report.substeps:
+        avg += 0.5 * (sub.m_start + sub.m_end)
+    avg /= len(report.substeps)
+    index = {lab: i for i, lab in enumerate(report.labels)}
+    src = np.array([index[e.source] for e in report.edges], dtype=np.intp)
+    rates = np.array([e.rate for e in report.edges], dtype=np.float64)
+    edge_current = dict(zip(report.edges, (rates * avg[src]).tolist()))
+    dt = report.t_end - report.t_start
+    inflow = (report.substeps[-1].m_end - report.substeps[0].m_start) / dt
+    return edge_current, dict(zip(report.labels, inflow.tolist()))
+
+
+def template_from_chain(state: ChainState, active: Sequence[FlowEdge]) -> EpochTemplate:
+    """The template of ``state``'s masses flowing along ``active``, its marked labels as sinks."""
+    ready = tuple(lab for lab in state.labels if lab.ready.any())
+    return EpochTemplate(FlowSystem(state.labels, active), ready, state.masses)

@@ -65,12 +65,39 @@ def test_rate_set_rejects_non_finite_rate(key, value):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
-@pytest.mark.parametrize("key", ["duration", "dt_max", "threshold_gap"])
+@pytest.mark.parametrize(
+    "key", ["duration", "dt_max", "threshold_gap", "k_strong_absorb", "k_weak_emit"]
+)
 def test_run_config_rejects_non_finite_or_non_positive_value(key, value):
     """Built in code, not parsed: an infinite duration or a zero step never ends a run."""
     with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
         RunConfig(**{key: value})
     with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        with_overrides(RunConfig(), **{key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("engine", "bogus"),
+        ("trajectories", 0),
+        ("kind", "x"),
+        ("mode", "zzz"),
+        ("master_seed", -1),
+        ("lasers", "none"),
+        ("depth", 0),
+    ],
+)
+def test_run_config_applies_the_parsers_rules(key, value):
+    """Built in code, not parsed: each value fails as its key's parser fails, at construction.
+
+    Unchecked, ``engine='bogus'`` ran the renewal engine, ``trajectories=0``
+    made the output directory and then failed, and the others failed at
+    first use, with a ``KeyError`` or inside numpy.
+    """
+    with pytest.raises(ValueError, match=f"^{key} must "):
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError, match=f"^{key} must "):
         with_overrides(RunConfig(), **{key: value})
 
 

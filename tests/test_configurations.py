@@ -5,12 +5,15 @@ term sequences: which components exist, which carry ready marks, and
 where flow is blocked.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import telegraphsim as ts
-from telegraphsim.errors import InvalidDepth, NoWeakBranch, NotExtensible
+from telegraphsim.errors import InvalidDepth, NotExtensible
 
 from conftest import root_shifted
+from references import integrate_exact_oracle
 
 G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
 RATES = ts.RateSet()
@@ -102,7 +105,7 @@ class TestBothLasersV:
             lab(G, 1, 1, 1, ready=True),
         }
         assert expected_core <= set(g.labels)
-        ready = set(g.ready_labels)
+        ready = {l for l in g.labels if l.ready.any()}
         assert lab(G, 1, 1, 0, ready=True) in ready
         assert lab(G, 1, 1, 1, ready=True) in ready
 
@@ -161,40 +164,30 @@ class TestCascades:
         assert lab(W, 0, 0, 1) in set(g.labels)
 
 
-@pytest.mark.parametrize(
-    "conf,expected",
-    [
-        (ts.Configuration.V, ts.WeakEdgePosition.TERMINAL_IN_WEAK_CYCLE),
-        (ts.Configuration.LAMBDA, ts.WeakEdgePosition.INITIAL_IN_WEAK_CYCLE),
-        (ts.Configuration.CASCADE_WEAK_UP, ts.WeakEdgePosition.TERMINAL_IN_WEAK_CYCLE),
-        (ts.Configuration.CASCADE_WEAK_DOWN, ts.WeakEdgePosition.INITIAL_IN_WEAK_CYCLE),
-    ],
-)
-def test_weak_edge_position(conf, expected):
-    assert ts.weak_edge_position(ts.ConfigKind(conf)) is expected
-
-
-def test_weak_edge_position_needs_both_lasers():
-    with pytest.raises(NoWeakBranch):
-        ts.weak_edge_position(ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY))
+#: Whether the weak photon ends the weak cycle (and so the dark period) or begins it.
+WEAK_PHOTON_AT_END = {
+    ts.Configuration.V: True,
+    ts.Configuration.LAMBDA: False,
+    ts.Configuration.CASCADE_WEAK_UP: True,
+    ts.Configuration.CASCADE_WEAK_DOWN: False,
+}
 
 
 @pytest.mark.parametrize("conf", list(ts.Configuration))
 def test_structural_weak_timing(conf):
     """The photon-creating edge sits at the stated end of every weak cycle."""
-    kind = ts.ConfigKind(conf)
     g = build(conf, depth=2)
-    position = ts.weak_edge_position(kind)
+    at_end = WEAK_PHOTON_AT_END[conf]
     for e in g.edges:
         if e.kind is ts.EdgeKind.WEAK_EMIT:
-            if position is ts.WeakEdgePosition.TERMINAL_IN_WEAK_CYCLE:
+            if at_end:
                 # photon emitted on the way down from the weak level
                 assert e.source.atom is W and e.target.atom is G
             else:
                 # photon emitted on the way into the weak level
                 assert e.source.atom is G and e.target.atom is W
         if e.kind is ts.EdgeKind.WEAK_ABSORB:
-            if position is ts.WeakEdgePosition.TERMINAL_IN_WEAK_CYCLE:
+            if at_end:
                 assert e.source.atom is G and e.target.atom is W
             else:
                 assert e.source.atom is W and e.target.atom is G
@@ -238,14 +231,15 @@ class TestDepthAndExtension:
             g0 = build(conf, depth=2)
             # take the realized label of the strong branch's first hit
             sink = min(
-                (l for l in g0.ready_labels if l.weak == 0),
+                (l for l in g0.labels if l.ready.any() and l.weak == 0),
                 key=lambda l: l.clicks,
             )
             g1 = ts.build_epoch(kind, sink.without_marks(), RATES, 2)
             assert root_shifted(g1) == root_shifted(ts.build_epoch(kind, g1.root, RATES, 2))
             # roots of equal atom level renew the same shape
             g1b = ts.build_epoch(
-                kind, sink.without_marks().shifted(clicks=3, strong=3, weak=1), RATES, 2
+                kind, replace(sink.without_marks(), clicks=sink.clicks + 3,
+                              strong=sink.strong + 3, weak=sink.weak + 1), RATES, 2
             )
             assert root_shifted(g1) == root_shifted(g1b)
 
@@ -260,7 +254,7 @@ def test_graphs_are_acyclic():
     for conf in ts.Configuration:
         g = build(conf, depth=2)
         state = ts.chain_from_graph(g)
-        ts.integrate_exact_oracle(state, g.edges, 0.0)  # raises on cycles
+        integrate_exact_oracle(state, g.edges, 0.0)  # raises on cycles
 
 
 def test_every_edge_runs_forward_in_label_order():

@@ -9,7 +9,6 @@ from telegraphsim.eventlog import (
     EventKind,
     EventLog,
     EventRecord,
-    crossings,
     hits,
     parse_log,
     serialize_log,
@@ -89,7 +88,7 @@ def test_round_trip_and_record_view(recs):
         assert log[-1] == recs[-1]
         assert list(log[1:]) == recs[1:]
     assert list(hits(log)) == [r for r in recs if r.kind is EventKind.HIT]
-    assert list(crossings(recs)) == [r for r in recs if r.kind is EventKind.WEAK_EDGE_CROSSING]
+    assert list(EventLog.of(recs).of_kind(EventKind.WEAK_EDGE_CROSSING)) == [r for r in recs if r.kind is EventKind.WEAK_EDGE_CROSSING]
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,18 +20,34 @@ output, or on another stack, record them again with::
 
     PYTHONPATH=src python tests/test_golden_logs.py
 
-which prints each (case, file) whose digest it rewrote.
+which prints each (case, file) whose digest it rewrote. To see how far the
+outputs moved against another tree, such as a ``git archive`` of the parent
+commit unpacked into DIR, run::
+
+    PYTHONPATH=src python tests/test_golden_logs.py --compare DIR
+
+which runs every case on both trees (DIR's through its own command line) and
+prints, for each file that differs, an event log's row counts, whether its
+integer columns are equal and its largest time and aux differences, or a
+report's moved keys and any count that differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from telegraphsim.config import RunConfig
+import numpy as np
+
+from telegraphsim.config import RunConfig, format_config
+from telegraphsim.eventlog import EventLog, read_log, serialize_log
 from telegraphsim.runner import UNIFORM_BLOCK, run
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -122,6 +138,33 @@ def test_golden_logs(tmp_path):
     assert atom_moves == 2  # both lambda trajectories
 
 
+def test_compare_finds_one_perturbed_float(tmp_path):
+    """``--compare``'s report on a copy of a case's outputs with one time and one report field moved."""
+    case = "v-both-renewal"
+    old, new = tmp_path / "old" / case, tmp_path / "new" / case
+    _run(_cases()[case], old)
+    shutil.copytree(old, new)
+    assert compare_outputs(tmp_path / "old", tmp_path / "new") == []
+
+    log = read_log(new / "events_001.tsv")
+    log.time[len(log) // 2] += 1e-9
+    (new / "events_001.tsv").write_text(serialize_log(log), encoding="utf-8")
+    report = (new / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(report[0])
+    first["dark_mean"] *= 1.5
+    first["hits"] += 1
+    report[0] = json.dumps(first, sort_keys=True)
+    (new / "report.jsonl").write_text("\n".join(report) + "\n", encoding="utf-8")
+
+    delta = abs(float(read_log(old / "events_001.tsv").time[len(log) // 2]) - log.time[len(log) // 2])
+    assert compare_outputs(tmp_path / "old", tmp_path / "new") == [
+        f"{case} events_001.tsv: rows {len(log)} -> {len(log)}; integer columns equal; "
+        f"max |dtime| {delta:.3g}; max |daux| 0",
+        f"{case} report.jsonl: moved keys dark_mean, hits; "
+        f"counts differ: hits {first['hits'] - 1} -> {first['hits']}",
+    ]
+
+
 def _record(work: Path) -> None:
     """Write every case's digests and print each (case, file) whose digest changed."""
     old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
@@ -132,9 +175,87 @@ def _record(work: Path) -> None:
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _flat(doc: dict, prefix: str = "") -> dict:
+    """A report line's fields, nested ones as dotted keys."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _compare_file(old: Path, new: Path) -> str:
+    """How ``new`` differs from ``old``, a file of the same name from another tree."""
+    if old.suffix == ".tsv":
+        a, b = read_log(old), read_log(new)
+        parts = [f"rows {len(a)} -> {len(b)}"]
+        if len(a) == len(b):
+            ints = [c for c in EventLog.COLUMNS if c not in ("time", "aux")]
+            same = all(np.array_equal(getattr(a, c), getattr(b, c)) for c in ints)
+            parts.append("integer columns " + ("equal" if same else "differ"))
+            for c in ("time", "aux"):
+                delta = np.abs(getattr(a, c) - getattr(b, c)).max(initial=0.0)
+                parts.append(f"max |d{c}| {delta:.3g}")
+        return "; ".join(parts)
+    if old.name == "report.jsonl":
+        a, b = ([_flat(json.loads(line)) for line in f.read_text("utf-8").splitlines()]
+                for f in (old, new))
+        if len(a) != len(b):
+            return f"report lines {len(a)} -> {len(b)}"
+        moved, counts = set(), []
+        for x, y in zip(a, b):
+            for key in sorted(x.keys() | y.keys()):
+                u, v = x.get(key), y.get(key)
+                if u != v:
+                    moved.add(key)
+                    if type(u) is int or type(v) is int:
+                        counts.append(f"{key} {u} -> {v}")
+        return (f"moved keys {', '.join(sorted(moved))}; "
+                + ("counts differ: " + ", ".join(counts) if counts else "counts equal"))
+    lines = [f.read_text("utf-8").splitlines() for f in (old, new)]
+    return f"{sum(u != v for u, v in zip(*lines)) + abs(len(lines[0]) - len(lines[1]))} lines differ"
+
+
+def compare_outputs(old: Path, new: Path) -> list[str]:
+    """One line per file that differs between two trees' case outputs, ``old/<case>/<file>``."""
+    lines = []
+    for case in sorted(p.name for p in new.iterdir()):
+        a, b = old / case, new / case
+        for name in sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}):
+            if not (a / name).exists() or not (b / name).exists():
+                lines.append(f"{case} {name}: only in {'new' if (b / name).exists() else 'old'}")
+            elif (a / name).read_bytes() != (b / name).read_bytes():
+                lines.append(f"{case} {name}: {_compare_file(a / name, b / name)}")
+    return lines
+
+
+def _compare(tree: Path, work: Path) -> None:
+    """Run every case on this tree and on ``tree``, and print how each differing file moved."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name, cfg in _cases().items():
+        _run(cfg, work / "new" / name)
+        config = work / f"{name}.cfg"
+        config.write_text(format_config(replace(cfg, out=str(work / "old" / name))), "utf-8")
+        subprocess.run(
+            [sys.executable, "-m", "telegraphsim", "run", "--config", str(config)],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+    lines = compare_outputs(work / "old", work / "new")
+    print("\n".join(lines) if lines else "every output is byte-identical")
+
+
 if __name__ == "__main__":
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Record the golden digests, or compare outputs.")
+    parser.add_argument("--compare", type=Path, metavar="DIR",
+                        help="another source tree to compare every case's outputs with")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        _record(Path(tmp))
-    print(f"wrote {DIGESTS}", file=sys.stderr)
+        if args.compare is not None:
+            _compare(args.compare.resolve(), Path(tmp))
+        else:
+            _record(Path(tmp))
+            print(f"wrote {DIGESTS}", file=sys.stderr)

@@ -83,7 +83,7 @@ class TestTrigger:
         s = state
         for _ in range(2000):
             s, report = ts.step(s, (e,), 0.01)
-            assert ts.trigger(report, ts.ready_indices(s.labels, {phantom}), 0.01, rng) is None
+            assert ts.trigger(report, (s.labels.index(phantom),), 0.01, rng) is None
 
     def test_branch_fractions_follow_delivered_mass(self):
         m = 0.9
@@ -102,7 +102,7 @@ class TestTrigger:
         _, report = ts.step(state, [edge], 0.01)
         rng = derive_rng(0, 0)
         before = rng.bit_generator.state
-        assert ts.trigger(report, ts.ready_indices(state.labels, ()), 0.01, rng) is None
+        assert ts.trigger(report, (), 0.01, rng) is None
         assert rng.bit_generator.state == before
 
 
@@ -128,7 +128,7 @@ class TestModes:
         for atom in ts.AtomLevel:
             ep = epochs[atom]
             state = ts.chain_from_graph(ep.graph)
-            assert not ep.graph.ready_labels and not ep.ready_idx
+            assert not any(lab.ready.any() for lab in ep.graph.labels) and not ep.ready_idx
             assert ts.blocked_edges(state) == set()
             assert ts.active_edges(state) == ep.graph.edges == ep.system.edges
 
@@ -140,7 +140,7 @@ class TestModes:
         observer = _CompiledEpochs(RunConfig(kind="v", mode="original_with_observer"))
         assert observer.key == nurules.key
         graph = observer[ts.AtomLevel.GROUND].graph
-        assert graph.marks and graph.ready_labels
+        assert graph.marks and any(lab.ready.any() for lab in graph.labels)
         assert graph == ts.build_epoch(graph.kind, graph.root, graph.rates, graph.depth)
 
     def test_no_observer_run_has_zero_hits(self):

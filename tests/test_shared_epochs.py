@@ -16,7 +16,7 @@ import pytest
 from telegraphsim import runner
 from telegraphsim.config import RunConfig
 from telegraphsim.epochs import EpochTemplate
-from telegraphsim.eventlog import crossings, serialize_log
+from telegraphsim.eventlog import EventKind, serialize_log
 
 FAST_WEAK = dict(k_weak_absorb=0.1, k_weak_emit=0.1, threshold_gap=15.0, master_seed=17)
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
@@ -48,7 +48,7 @@ def test_renewal_on_shared_epochs(kind):
     cfg = RunConfig(kind=kind, engine="renewal", duration=2000.0, **FAST_WEAK)
     _, results = _shared_equals_fresh(cfg)
     # the later trajectories reuse templates whose crossing stages are built
-    assert all(len(crossings(r.records)) > 0 for r in results)
+    assert all(len(r.records.of_kind(EventKind.WEAK_EDGE_CROSSING)) > 0 for r in results)
 
 
 def test_steps_on_shared_epochs():

