@@ -52,6 +52,7 @@ from .eventlog import (
     read_log,
     serialize_log,
     validate_log,
+    write_log,
 )
 from .flow import (
     CurrentReport,

@@ -51,17 +51,12 @@ class RunConfig:
     out: str = "out"
 
     def __post_init__(self) -> None:
-        for name in (
-            "k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit",
-            "duration", "dt_max", "threshold_gap",
-        ):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:  # false for nan too
-                raise ValueError(f"{name} must be positive and finite, got {value}")
         # a value given in code goes through its key's parser, as text does,
-        # and is kept as the parser returns it ("V" becomes "v")
+        # and is kept as the parser returns it ("V" becomes "v", 5 becomes 5.0)
         for name in _CHECKED_BY_PARSER:
-            object.__setattr__(self, name, _PARSERS[name](str(getattr(self, name))))
+            value = getattr(self, name)
+            if value is not None:  # threshold_gap=None is auto
+                object.__setattr__(self, name, _PARSERS[name](str(value)))
 
     def config_kind(self) -> ConfigKind:
         return ConfigKind(_CONFIG_NAMES[self.kind], _LASER_NAMES[self.lasers])
@@ -95,10 +90,8 @@ def _parse_choice(value: str, choices, what: str):
 
 def _parse_positive_float(value: str, what: str) -> float:
     x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{what} must be finite, got {value}")
-    if x <= 0:
-        raise ValueError(f"{what} must be positive, got {value}")
+    if not 0 < x < math.inf:  # false for nan too
+        raise ValueError(f"{what} must be positive and finite, got {value}")
     return x
 
 
@@ -139,7 +132,8 @@ _PARSERS = {
     "engine": lambda v: _parse_choice(v, _ENGINES, "engine"),
     "out": lambda v: v.strip(),
 }
-_CHECKED_BY_PARSER = ("kind", "lasers", "mode", "master_seed", "trajectories", "depth", "engine")
+# every key but out, which is any text
+_CHECKED_BY_PARSER = tuple(key for key in _PARSERS if key != "out")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -15,15 +15,28 @@ Each epoch writes its weak-edge crossings, then its hit. Its start is
 implied: epoch 0 starts at t=0 on the ground level with an empty ledger,
 epoch k at hit k-1's time, atom and ledger. ``parse_log`` also reads
 version 1 logs, dropping the ``epoch_start`` records they held.
+
+Text is made and read ``_CHUNK`` records at a time, so no line list or
+Python object per field of a whole log ever exists. ``write_log`` writes
+each chunk's lines to the open file, and ``serialize_log`` joins the same
+chunks. ``parse_log`` splits its text into lines about ``_SPLIT_CHARS``
+characters at a time and converts each chunk of lines with numpy's C reader
+(``np.loadtxt``) into columns sized from the text's tab count. That reader
+converts every float ``repr`` writes to the same bits as ``float`` does.
+Its errors keep their messages: ``line N: expected 8 tab-separated
+fields`` for a line with a field too many or too few, and ``'flash' is not
+a valid EventKind`` for an unknown kind. A field numpy cannot convert, such
+as an int past int64 or a ``#`` inside a data line, raises ``line N: could
+not convert string ...``; only lines that start with ``#`` are comments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -99,9 +112,20 @@ class EventLog:
         return cls(*columns)
 
     @classmethod
-    def concat(cls, logs: Iterable["EventLog"]) -> "EventLog":
-        logs = list(logs)
-        return cls(*(np.concatenate([getattr(g, name) for g in logs]) for name in cls.COLUMNS))
+    def empty(cls, n: int) -> "EventLog":
+        """A log of ``n`` records whose values are not yet set."""
+        none = cls(*[()] * len(cls.COLUMNS))  # no records, but each column's dtype
+        return cls(*(np.empty(n, col.dtype) for col in none.columns()))
+
+    @classmethod
+    def gather(cls, logs: list["EventLog"], order: np.ndarray) -> "EventLog":
+        """The rows of ``logs`` put end to end, taken in ``order``.
+
+        One column is gathered at a time, so besides ``logs`` and the result
+        at most one column's copy is alive.
+        """
+        columns = (np.concatenate([getattr(g, name) for g in logs]) for name in cls.COLUMNS)
+        return cls(*(col[order] for col in columns))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.COLUMNS)
@@ -132,6 +156,19 @@ class EventLog:
 
 Records = Union[EventLog, Iterable[EventRecord]]
 
+# A line as numpy's reader converts it. The kind field is one character wider
+# than the longest kind, so that no longer field is cut down to a valid kind.
+_ROW = np.dtype(
+    [
+        ("time", np.float64),
+        ("kind", f"U{max(map(len, _CODE_OF_VALUE)) + 1}"),
+        *((name, np.int64) for name in EventLog.COLUMNS[2:7]),
+        ("aux", np.float64),
+    ]
+)
+# characters of a log's text split into lines at a time
+_SPLIT_CHARS = 1 << 20
+
 
 def validate_log(records: Records) -> None:
     """Check the ordering invariants: times and epochs nondecreasing, hit epochs consecutive.
@@ -158,60 +195,99 @@ def validate_log(records: Records) -> None:
     raise ValueError(f"hit at epoch={r.epoch} does not follow the previous hit's epoch")
 
 
-def serialize_log(records: Records) -> str:
-    log = EventLog.of(records)
+def _text_chunks(log: EventLog) -> Iterator[str]:
+    """The log's text: its header, then the lines of each ``_CHUNK`` records."""
     kinds = [k.value for k in KINDS]
-    parts = [_HEADER]
+    yield _HEADER
     for i in range(0, len(log), _CHUNK):
         rows = zip(*(col[i : i + _CHUNK].tolist() for col in log.columns()))
-        parts.append(
-            "".join(
-                [
-                    f"{t!r}\t{kinds[k]}\t{e}\t{a}\t{c}\t{s}\t{w}\t{x!r}\n"
-                    for t, k, e, a, c, s, w, x in rows
-                ]
-            )
+        yield "".join(
+            [
+                f"{t!r}\t{kinds[k]}\t{e}\t{a}\t{c}\t{s}\t{w}\t{x!r}\n"
+                for t, k, e, a, c, s, w, x in rows
+            ]
         )
-    return "".join(parts)
+
+
+def serialize_log(records: Records) -> str:
+    return "".join(_text_chunks(EventLog.of(records)))
+
+
+def write_log(path: Path, records: Records) -> None:
+    """Write the text ``serialize_log`` gives to ``path``, one chunk of records at a time."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for text in _text_chunks(EventLog.of(records)):
+            fh.write(text)
 
 
 def parse_log(text: str) -> EventLog:
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    if list(map(str.count, lines, repeat("\t"))).count(7) != len(lines):
-        lineno = next(
-            n for n, line in enumerate(text.splitlines(), start=1)
-            if line and not line.startswith("#") and line.count("\t") != 7
-        )
-        raise ValueError(f"line {lineno}: expected 8 tab-separated fields")
-    if text.startswith("# telegraph-event-log v1\n"):  # v1 also wrote the implied starts
-        lines = [line for line in lines if line.split("\t", 2)[1] != "epoch_start"]
-    chunks = range(0, max(len(lines), 1), _CHUNK)
-    return EventLog.concat(_parse_lines(lines[i : i + _CHUNK]) for i in chunks)
-
-
-def _parse_lines(lines: list[str]) -> EventLog:
-    """Records of lines that hold eight tab-separated fields each."""
-    # field i of every line sits at i, i + 8, ...
-    fields = "\t".join(lines).split("\t") if lines else []
-    n = len(lines)
-    try:
-        kinds = [_CODE_OF_VALUE[k] for k in fields[1::8]]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]!r} is not a valid EventKind") from None
-    try:
-        ints = [np.fromiter(map(int, fields[i::8]), np.int64, n) for i in range(2, 7)]
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from None
-    return EventLog(
-        np.fromiter(map(float, fields[0::8]), np.float64, n),
-        kinds,
-        *ints,
-        np.fromiter(map(float, fields[7::8]), np.float64, n),
-    )
+    """The records of a log's text, converted ``_CHUNK`` lines at a time."""
+    v1 = text.startswith("# telegraph-event-log v1\n")  # v1 also wrote the implied starts
+    # a record's line holds seven tabs, so there are at most this many records
+    log = EventLog.empty(text.count("\t") // 7)
+    filled = 0
+    lineno = 0  # lines before this chunk
+    lines = _split(text)
+    while chunk := list(islice(lines, _CHUNK)):
+        data = [line for line in chunk if _is_data(line)]
+        if data:
+            part = _records(data, v1, chunk, lineno)
+            for column, values in zip(log.columns(), part.columns()):
+                column[filled : filled + len(part)] = values
+            filled += len(part)
+        lineno += len(chunk)
+    return log[:filled]
 
 
 def read_log(path: Path) -> EventLog:
     return parse_log(Path(path).read_text(encoding="utf-8"))
+
+
+def _split(text: str) -> Iterator[str]:
+    """The lines of ``text``, split about ``_SPLIT_CHARS`` characters at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SPLIT_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _is_data(line: str) -> bool:
+    return bool(line) and line[0] != "#"
+
+
+def _records(data: list[str], v1: bool, chunk: list[str], lineno: int) -> EventLog:
+    """The records of ``data``, the data lines of ``chunk``, which follows line ``lineno``."""
+    try:
+        rows = np.loadtxt(data, dtype=_ROW, delimiter="\t", comments=None, ndmin=1)
+    except ValueError as exc:
+        # Name the first line numpy rejects. A line with a field too many or
+        # too few comes before any line whose fields do not convert.
+        numbered = [(n, line) for n, line in enumerate(chunk, lineno + 1) if _is_data(line)]
+        for n, line in numbered:
+            if line.count("\t") != 7:
+                raise ValueError(f"line {n}: expected 8 tab-separated fields") from None
+        for n, line in numbered:
+            try:
+                np.loadtxt([line], dtype=_ROW, delimiter="\t", comments=None)
+            except ValueError as line_exc:
+                # numpy names the row and column within this one line: drop them
+                why = str(line_exc).partition(" at row ")[0]
+                raise ValueError(f"line {n}: {why}") from None
+        raise
+    kind = rows["kind"]
+    keep = kind != "epoch_start" if v1 else np.ones(len(rows), dtype=bool)
+    codes = np.full(len(rows), -1, dtype=np.int8)
+    for value, code in _CODE_OF_VALUE.items():
+        codes[kind == value] = code
+    bad = np.flatnonzero(keep & (codes < 0))
+    if bad.size:
+        # the line's own field: the kind column may have cut a longer one short
+        kind = data[bad[0]].split("\t")[1]
+        raise ValueError(f"{kind!r} is not a valid EventKind")
+    return EventLog(
+        rows["time"][keep], codes[keep], *(rows[name][keep] for name in EventLog.COLUMNS[2:])
+    )
 
 
 def hits(records: Records) -> EventLog:

@@ -56,12 +56,13 @@ from .analysis import (
     segment_telegraph,
 )
 from .config import RunConfig, format_config
-# extend_frontier, step and trigger are unused here: perfbench's traced run
-# looks them up in this module
+# extend_frontier, serialize_log, step and trigger are unused here: perfbench's
+# traced run looks them up in this module
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
 from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate, HazardChunk, hazard_chunk
 from .errors import EmptyLog, InvariantBreach
-from .eventlog import HIT, WEAK_EDGE_CROSSING, EventLog, hits, serialize_log
+from .eventlog import HIT, WEAK_EDGE_CROSSING, EventLog, hits, write_log
+from .eventlog import serialize_log  # noqa: F401
 from .flow import step  # noqa: F401
 from .rules import active_edges, substep_hit, trigger  # noqa: F401
 from .state import AtomLevel, ComponentLabel, Mode, make_label
@@ -212,8 +213,9 @@ def _trajectory(epochs: _CompiledEpochs, draw: Callable, res: TrajectoryResult) 
         t = float(times[-1])
         ledger = after[-1]
         atom = AtomLevel(int(ep.sink_atoms[sinks[-1]]))
-    log = EventLog.concat(crossing_rows + hit_rows)
-    res.records = log[np.argsort(log.epoch, kind="stable")]
+    parts = crossing_rows + hit_rows
+    order = np.argsort(np.concatenate([g.epoch for g in parts]), kind="stable")
+    res.records = EventLog.gather(parts, order)
     res.epochs = epoch
     res.final_time = t
     return res
@@ -563,9 +565,7 @@ def run(cfg: RunConfig) -> int:
     try:
         for i in range(cfg.trajectories):
             result = run_trajectory(cfg, i, epochs)
-            (out / f"events_{i:03d}.tsv").write_text(
-                serialize_log(result.records), encoding="utf-8"
-            )
+            write_log(out / f"events_{i:03d}.tsv", result.records)
             summaries.append(summarize_trajectory(cfg, i, result))
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}")

@@ -4,17 +4,22 @@
 independent of the propagators ``flow.step`` applies. ``currents`` reads
 per-edge currents and per-component net inflows off a ``flow.step``
 report. ``template_from_chain`` tabulates an ``EpochTemplate`` for any
-chain state, not only a compiled epoch's root.
+chain state, not only a compiled epoch's root. ``parse_log_by_fields``
+reads an event log's whole text field by field with ``str.split``,
+``float`` and ``int``, a route independent of numpy's reader that
+``eventlog.parse_log`` uses.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from telegraphsim.epochs import EpochTemplate
 from telegraphsim.errors import InvalidStep, TelegraphError
+from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog
 from telegraphsim.flow import CurrentReport, FlowSystem
 from telegraphsim.state import ChainState, ComponentLabel, FlowEdge
 
@@ -107,3 +112,38 @@ def template_from_chain(state: ChainState, active: Sequence[FlowEdge]) -> EpochT
     """The template of ``state``'s masses flowing along ``active``, its marked labels as sinks."""
     ready = tuple(lab for lab in state.labels if lab.ready.any())
     return EpochTemplate(FlowSystem(state.labels, active), ready, state.masses)
+
+
+def parse_log_by_fields(text: str) -> EventLog:
+    """The records of a log's text, converted one field at a time.
+
+    It reads what ``eventlog.parse_log`` reads and raises ``ValueError``
+    where it does; its messages for a line with a field too many or too
+    few and for an unknown kind are the same.
+    """
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    if list(map(str.count, lines, repeat("\t"))).count(7) != len(lines):
+        lineno = next(
+            n for n, line in enumerate(text.splitlines(), start=1)
+            if line and not line.startswith("#") and line.count("\t") != 7
+        )
+        raise ValueError(f"line {lineno}: expected 8 tab-separated fields")
+    if text.startswith("# telegraph-event-log v1\n"):  # v1 also wrote the implied starts
+        lines = [line for line in lines if line.split("\t", 2)[1] != "epoch_start"]
+    # field i of every line sits at i, i + 8, ...
+    fields = "\t".join(lines).split("\t") if lines else []
+    n = len(lines)
+    try:
+        kinds = [_CODE_OF_VALUE[k] for k in fields[1::8]]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]!r} is not a valid EventKind") from None
+    try:
+        ints = [np.fromiter(map(int, fields[i::8]), np.int64, n) for i in range(2, 7)]
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+    return EventLog(
+        np.fromiter(map(float, fields[0::8]), np.float64, n),
+        kinds,
+        *ints,
+        np.fromiter(map(float, fields[7::8]), np.float64, n),
+    )

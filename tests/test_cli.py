@@ -318,7 +318,7 @@ class TestFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         key = flags[0][2:].replace("-", "_")
-        assert captured.err.startswith(f"config error: {flags[0]}: {key} must be finite")
+        assert captured.err.startswith(f"config error: {flags[0]}: {key} must be positive and finite")
 
     @pytest.mark.parametrize(
         "flags, code",

@@ -51,7 +51,7 @@ def test_negative_rate_names_line():
     "key", ["duration", "dt_max", "k_strong_absorb", "k_weak_absorb", "threshold_gap"]
 )
 def test_non_finite_float_names_key_and_line(key, value):
-    with pytest.raises(ConfigError, match=f"line 2: {key} must be finite, got {value}"):
+    with pytest.raises(ConfigError, match=f"line 2: {key} must be positive and finite, got {value}"):
         parse_config(f"kind = v\n{key} = {value}\n")
 
 
