@@ -6,6 +6,8 @@ Usage: python scripts/telegraph_demo.py [duration] [seed]
 
 import sys
 
+import numpy as np
+
 import telegraphsim as ts
 from telegraphsim.config import RunConfig
 from telegraphsim.runner import derive_rng, run_trajectory_renewal
@@ -30,16 +32,13 @@ def main() -> None:
         print()
 
     # coarse strip chart: one character per bin, # = fluorescing
+    # a bin is dark when its midpoint t has start < t <= end for some dark interval
     bins = 100
-    span = seg.intervals[-1].end - seg.intervals[0].start
-    strip = []
-    for i in range(bins):
-        t = seg.intervals[0].start + (i + 0.5) * span / bins
-        phase = next(
-            (iv.phase for iv in seg.intervals if iv.start <= t <= iv.end), None
-        )
-        strip.append("#" if phase is ts.Phase.BRIGHT else ".")
-    print("  signal: " + "".join(strip))
+    span = seg.last_hit - seg.first_hit
+    t = seg.first_hit + (np.arange(bins) + 0.5) * span / bins
+    k = np.searchsorted(seg.dark_intervals[:, 0], t, side="left") - 1
+    ends = np.append(seg.dark_intervals[:, 1], -np.inf)  # k = -1: before every dark interval
+    print("  signal: " + "".join(np.where(t <= ends[k], ".", "#")))
 
 
 if __name__ == "__main__":

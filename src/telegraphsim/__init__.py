@@ -9,10 +9,7 @@ the weak photon.
 """
 
 from .analysis import (
-    DarkTimingEntry,
-    Interval,
     IntervalStats,
-    Phase,
     TelegraphSegmentation,
     TimingReport,
     WeakTiming,

@@ -3,7 +3,7 @@
 Turns an event log into the observable story: alternating bright and
 dark fluorescence intervals, their duration statistics, and for each
 dark interval whether the weak photon was emitted at its start or its
-end.
+end. Every result is a set of arrays with one row per interval.
 """
 
 from __future__ import annotations
@@ -21,36 +21,24 @@ from .eventlog import EventKind, EventLog, Records
 from .flow import RateSet
 
 
-class Phase(Enum):
-    BRIGHT = "bright"
-    DARK = "dark"
-
-
-@dataclass(frozen=True)
-class Interval:
-    start: float
-    end: float
-    phase: Phase
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 @dataclass(frozen=True)
 class TelegraphSegmentation:
-    """Alternating bright/dark intervals tiling the span between hits."""
+    """The dark gaps of a hit train; the bright runs fill the span between them.
 
-    intervals: tuple[Interval, ...]
-    threshold_gap: float
+    ``dark_intervals`` is an (n, 2) array holding each dark interval's
+    bounding hit times: its last bright hit and the hit that ends it.
+    """
+
+    dark_intervals: np.ndarray
+    first_hit: float
+    last_hit: float
 
     @property
-    def dark_intervals(self) -> tuple[Interval, ...]:
-        return tuple(iv for iv in self.intervals if iv.phase is Phase.DARK)
-
-    @property
-    def bright_intervals(self) -> tuple[Interval, ...]:
-        return tuple(iv for iv in self.intervals if iv.phase is Phase.BRIGHT)
+    def bright_intervals(self) -> np.ndarray:
+        """The (n + 1, 2) array of bright runs, from the first hit to the last."""
+        starts = np.concatenate(([self.first_hit], self.dark_intervals[:, 1]))
+        ends = np.concatenate((self.dark_intervals[:, 0], [self.last_hit]))
+        return np.stack((starts, ends), axis=1)
 
 
 def segment_telegraph(records: Records, threshold_gap: float) -> TelegraphSegmentation:
@@ -64,17 +52,8 @@ def segment_telegraph(records: Records, threshold_gap: float) -> TelegraphSegmen
     if not times.size:
         raise EmptyLog("no detector hits to segment")
     gaps = np.flatnonzero(times[1:] - times[:-1] > threshold_gap)
-    # each dark gap runs from its last bright hit to its first; bright runs fill the rest
-    dark_from = times[gaps].tolist()
-    dark_to = times[gaps + 1].tolist()
-    bright_from = [times[0].item()] + dark_to
-    bright_to = dark_from + [times[-1].item()]
-    intervals = []
-    for b0, b1, d0, d1 in zip(bright_from, bright_to, dark_from, dark_to):
-        intervals.append(Interval(b0, b1, Phase.BRIGHT))
-        intervals.append(Interval(d0, d1, Phase.DARK))
-    intervals.append(Interval(bright_from[-1], bright_to[-1], Phase.BRIGHT))
-    return TelegraphSegmentation(tuple(intervals), threshold_gap)
+    dark = np.stack((times[gaps], times[gaps + 1]), axis=1)
+    return TelegraphSegmentation(dark, times[0].item(), times[-1].item())
 
 
 class WeakTiming(Enum):
@@ -84,19 +63,17 @@ class WeakTiming(Enum):
 
 
 @dataclass(frozen=True)
-class DarkTimingEntry:
-    dark_start: float
-    dark_end: float
-    weak_crossing_time: Optional[float]
-    classification: WeakTiming
-
-
-@dataclass(frozen=True)
 class TimingReport:
-    entries: tuple[DarkTimingEntry, ...]
+    """Per dark interval: the weak photon's estimated time (nan when none) and its class.
+
+    ``classification`` is an object array of ``WeakTiming`` members.
+    """
+
+    median_time: np.ndarray
+    classification: np.ndarray
 
     def count(self, cls: WeakTiming) -> int:
-        return sum(1 for e in self.entries if e.classification is cls)
+        return int(np.count_nonzero(self.classification == cls))
 
 
 def _weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
@@ -120,9 +97,11 @@ def classify_weak_timing(
     """Locate each dark interval's weak-photon emission and classify it.
 
     The interval's emission time is the flux-weighted median of the
-    weak-edge crossings it contains. It classifies AtEnd when within one
-    strong-cycle time of the dark end, else AtStart when within one
-    weak-absorption time of the dark start, else Ambiguous.
+    weak-edge crossings within one strong cycle of it. It classifies
+    AtEnd when within one strong-cycle time of the dark end, else
+    AtStart when within one weak-absorption time of the dark start, else
+    Ambiguous. The crossings are found by bisection, so their times must
+    be nondecreasing, as ``validate_log`` checks.
     """
     if config.lasers is not LaserDrive.BOTH:
         raise NoWeakBranch("timing classification needs both lasers in the generating run")
@@ -130,24 +109,20 @@ def classify_weak_timing(
     weak_absorb_time = 1.0 / rates.k_weak_absorb
     cross = EventLog.of(records).of_kind(EventKind.WEAK_EDGE_CROSSING)
     weights = np.maximum(cross.aux, 1e-30)
+    starts, ends = seg.dark_intervals.T
+    lo = np.searchsorted(cross.time, starts - strong_cycle, side="left")
+    hi = np.searchsorted(cross.time, ends + strong_cycle, side="right")
 
-    entries = []
-    for iv in seg.dark_intervals:
-        lo = iv.start - strong_cycle
-        hi = iv.end + strong_cycle
-        inside = (lo <= cross.time) & (cross.time <= hi)
-        if not inside.any():
-            entries.append(DarkTimingEntry(iv.start, iv.end, None, WeakTiming.AMBIGUOUS))
-            continue
-        t_med = _weighted_median(cross.time[inside], weights[inside])
-        if abs(t_med - iv.end) <= strong_cycle:
-            cls = WeakTiming.AT_END
-        elif abs(t_med - iv.start) <= weak_absorb_time:
-            cls = WeakTiming.AT_START
-        else:
-            cls = WeakTiming.AMBIGUOUS
-        entries.append(DarkTimingEntry(iv.start, iv.end, t_med, cls))
-    return TimingReport(tuple(entries))
+    t_med = np.full(len(starts), np.nan)
+    for i in np.flatnonzero(hi > lo):
+        t_med[i] = _weighted_median(cross.time[lo[i] : hi[i]], weights[lo[i] : hi[i]])
+    # nan compares false, so an interval without crossings is ambiguous
+    at_end = np.abs(t_med - ends) <= strong_cycle
+    at_start = np.abs(t_med - starts) <= weak_absorb_time
+    cls = np.select(
+        [at_end, at_start], [WeakTiming.AT_END, WeakTiming.AT_START], WeakTiming.AMBIGUOUS
+    )
+    return TimingReport(t_med, cls)
 
 
 @dataclass(frozen=True)
@@ -158,39 +133,24 @@ class IntervalStats:
     bright_std: float
     dark_mean: float
     dark_std: float
-    bright_durations: tuple[float, ...]
-    dark_durations: tuple[float, ...]
     dark_rate_estimate: Optional[float]
 
 
-def _mean_std(xs: Sequence[float]) -> tuple[float, float]:
-    if not xs:
-        return float("nan"), float("nan")
-    a = np.asarray(xs, dtype=float)
-    return float(a.mean()), float(a.std())
-
-
 def interval_stats(seg: TelegraphSegmentation) -> IntervalStats:
-    """Descriptive statistics of the segmentation.
+    """Descriptive statistics of the segmentation; nan for the moments of no dark interval.
 
     Dark durations are additionally fit to an exponential; the rate
     estimate (1/mean) is a diagnostic, not a distributional claim.
     """
-    if not seg.intervals:
-        raise EmptyLog("no intervals to summarize")
-    bright = [iv.duration for iv in seg.bright_intervals]
-    dark = [iv.duration for iv in seg.dark_intervals]
-    b_mean, b_std = _mean_std(bright)
-    d_mean, d_std = _mean_std(dark)
-    rate = (1.0 / d_mean) if dark and d_mean > 0 else None
+    bright = np.diff(seg.bright_intervals, axis=1)[:, 0]
+    dark = np.diff(seg.dark_intervals, axis=1)[:, 0]
+    d_mean, d_std = (float(dark.mean()), float(dark.std())) if dark.size else (math.nan,) * 2
     return IntervalStats(
         bright_count=len(bright),
         dark_count=len(dark),
-        bright_mean=b_mean,
-        bright_std=b_std,
+        bright_mean=float(bright.mean()),
+        bright_std=float(bright.std()),
         dark_mean=d_mean,
         dark_std=d_std,
-        bright_durations=tuple(bright),
-        dark_durations=tuple(dark),
-        dark_rate_estimate=rate,
+        dark_rate_estimate=(1.0 / d_mean) if dark.size and d_mean > 0 else None,
     )

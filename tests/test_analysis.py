@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import telegraphsim as ts
-from telegraphsim.analysis import Phase
 from telegraphsim.config import RunConfig
 from telegraphsim.errors import EmptyLog, NoWeakBranch
 from telegraphsim.eventlog import EventKind, EventRecord
@@ -22,18 +21,14 @@ class TestSegmentation:
     def test_uniform_hits_single_bright(self):
         recs = [hit_at(2.0 * i, i) for i in range(50)]
         seg = ts.segment_telegraph(recs, 40.0)
-        assert len(seg.intervals) == 1
-        assert seg.intervals[0].phase is Phase.BRIGHT
+        assert len(seg.dark_intervals) == 0
+        assert seg.bright_intervals.tolist() == [[0.0, 98.0]]
 
     def test_constructed_gap(self):
         recs = [hit_at(t, i) for i, t in enumerate([0, 2, 4, 4000, 4002])]
         seg = ts.segment_telegraph(recs, 40.0)
-        phases = [(iv.start, iv.end, iv.phase) for iv in seg.intervals]
-        assert phases == [
-            (0.0, 4.0, Phase.BRIGHT),
-            (4.0, 4000.0, Phase.DARK),
-            (4000.0, 4002.0, Phase.BRIGHT),
-        ]
+        assert seg.bright_intervals.tolist() == [[0.0, 4.0], [4000.0, 4002.0]]
+        assert seg.dark_intervals.tolist() == [[4.0, 4000.0]]
 
     def test_empty_log(self):
         with pytest.raises(EmptyLog):
@@ -60,15 +55,15 @@ class TestSegmentation:
         times = np.cumsum(gaps)
         recs = [hit_at(float(t), i) for i, t in enumerate(times)]
         seg = ts.segment_telegraph(recs, threshold)
-        ivs = seg.intervals
-        assert ivs[0].start == times[0]
-        assert ivs[-1].end == times[-1]
-        for a, b in zip(ivs, ivs[1:]):
-            assert a.end == b.start
-            assert a.phase is not b.phase
-        for iv in ivs:
-            if iv.phase is Phase.DARK:
-                assert iv.duration > threshold
+        bright, dark = seg.bright_intervals, seg.dark_intervals
+        # bright and dark alternate, starting and ending bright
+        assert len(bright) == len(dark) + 1
+        ivs = np.empty((len(bright) + len(dark), 2))
+        ivs[0::2], ivs[1::2] = bright, dark
+        assert ivs[0, 0] == times[0]
+        assert ivs[-1, 1] == times[-1]
+        assert np.array_equal(ivs[1:, 0], ivs[:-1, 1])
+        assert np.all(dark[:, 1] - dark[:, 0] > threshold)
 
 
 class TestTimingClassification:
@@ -102,9 +97,10 @@ class TestTimingClassification:
     def test_crossing_inside_interval_window(self):
         seg, rep = self._run("v", 105)
         cycle = 2.0  # one strong cycle at unit rates
-        for e in rep.entries:
-            if e.weak_crossing_time is not None:
-                assert e.dark_start - cycle <= e.weak_crossing_time <= e.dark_end + cycle
+        found = ~np.isnan(rep.median_time)
+        starts, ends = seg.dark_intervals[found].T
+        assert np.all(starts - cycle <= rep.median_time[found])
+        assert np.all(rep.median_time[found] <= ends + cycle)
 
     def test_strong_only_rejected(self):
         recs = [hit_at(0.0), hit_at(2.0, 1)]
@@ -131,9 +127,7 @@ class TestTimingClassification:
         rates_c = ts.RateSet(1.0 / c, 1.0 / c, 1e-3 / c, 1e-3 / c)
         seg_c = ts.segment_telegraph(scaled, 40.0 * c)
         rep_c = ts.classify_weak_timing(scaled, seg_c, kind, rates_c)
-        assert [e.classification for e in rep.entries] == [
-            e.classification for e in rep_c.entries
-        ]
+        assert list(rep.classification) == list(rep_c.classification)
 
 
 class TestIntervalStats:
