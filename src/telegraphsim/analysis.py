@@ -27,9 +27,11 @@ class TelegraphSegmentation:
 
     ``dark_intervals`` is an (n, 2) array holding each dark interval's
     bounding hit times: its last bright hit and the hit that ends it.
+    ``dark_epochs`` holds the epoch that each closing hit ends.
     """
 
     dark_intervals: np.ndarray
+    dark_epochs: np.ndarray
     first_hit: float
     last_hit: float
 
@@ -48,12 +50,13 @@ def segment_telegraph(records: Records, threshold_gap: float) -> TelegraphSegmen
     interval; a longer gap becomes a dark interval. Raises EmptyLog when
     the log contains no hits.
     """
-    times = EventLog.of(records).of_kind(EventKind.HIT).time
+    hit = EventLog.of(records).of_kind(EventKind.HIT)
+    times = hit.time
     if not times.size:
         raise EmptyLog("no detector hits to segment")
     gaps = np.flatnonzero(times[1:] - times[:-1] > threshold_gap)
     dark = np.stack((times[gaps], times[gaps + 1]), axis=1)
-    return TelegraphSegmentation(dark, times[0].item(), times[-1].item())
+    return TelegraphSegmentation(dark, hit.epoch[gaps + 1], times[0].item(), times[-1].item())
 
 
 class WeakTiming(Enum):
@@ -97,11 +100,11 @@ def classify_weak_timing(
     """Locate each dark interval's weak-photon emission and classify it.
 
     The interval's emission time is the flux-weighted median of the
-    weak-edge crossings within one strong cycle of it. It classifies
-    AtEnd when within one strong-cycle time of the dark end, else
-    AtStart when within one weak-absorption time of the dark start, else
-    Ambiguous. The crossings are found by bisection, so their times must
-    be nondecreasing, as ``validate_log`` checks.
+    weak-edge crossings of its epoch, the one its closing hit ends. It
+    classifies AtEnd when within one strong-cycle time of the dark end,
+    else AtStart when within one weak-absorption time of the dark start,
+    else Ambiguous. The crossings are found by bisection, so their epochs
+    must be nondecreasing, as ``validate_log`` checks.
     """
     if config.lasers is not LaserDrive.BOTH:
         raise NoWeakBranch("timing classification needs both lasers in the generating run")
@@ -110,8 +113,8 @@ def classify_weak_timing(
     cross = EventLog.of(records).of_kind(EventKind.WEAK_EDGE_CROSSING)
     weights = np.maximum(cross.aux, 1e-30)
     starts, ends = seg.dark_intervals.T
-    lo = np.searchsorted(cross.time, starts - strong_cycle, side="left")
-    hi = np.searchsorted(cross.time, ends + strong_cycle, side="right")
+    lo = np.searchsorted(cross.epoch, seg.dark_epochs, side="left")
+    hi = np.searchsorted(cross.epoch, seg.dark_epochs, side="right")
 
     t_med = np.full(len(starts), np.nan)
     for i in np.flatnonzero(hi > lo):
@@ -142,8 +145,8 @@ def interval_stats(seg: TelegraphSegmentation) -> IntervalStats:
     Dark durations are additionally fit to an exponential; the rate
     estimate (1/mean) is a diagnostic, not a distributional claim.
     """
-    bright = np.diff(seg.bright_intervals, axis=1)[:, 0]
-    dark = np.diff(seg.dark_intervals, axis=1)[:, 0]
+    (b0, b1), (d0, d1) = seg.bright_intervals.T, seg.dark_intervals.T
+    bright, dark = b1 - b0, d1 - d0
     d_mean, d_std = (float(dark.mean()), float(dark.std())) if dark.size else (math.nan,) * 2
     return IntervalStats(
         bright_count=len(bright),

@@ -9,7 +9,7 @@ from pathlib import Path
 from .config import _PARSERS, RunConfig, parse_config, with_overrides
 from .errors import ConfigError
 from .eventlog import read_log, validate_log
-from .runner import analyze_log, run
+from .runner import analyze_log, format_timing, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,11 +71,7 @@ def _cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
             + (f" (mean {a['dark_mean']:.4g})" if a["dark_intervals"] else "")
         )
         if "timing" in a:
-            t = a["timing"]
-            print(
-                f"  weak timing: at_end={t['at_end']} at_start={t['at_start']}"
-                f" ambiguous={t['ambiguous']}"
-            )
+            print(format_timing(a["timing"]))
     return 0
 
 

@@ -516,6 +516,14 @@ def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -
     return summary
 
 
+def format_timing(t: dict) -> str:
+    """The weak-timing line of ``run``'s text report and of ``analyze``."""
+    return (
+        f"  weak timing: at_end={t['at_end']} at_start={t['at_start']}"
+        f" ambiguous={t['ambiguous']}"
+    )
+
+
 def render_text_report(cfg: RunConfig, summaries: list[dict]) -> str:
     lines = [
         "telegraph run report",
@@ -537,11 +545,7 @@ def render_text_report(cfg: RunConfig, summaries: list[dict]) -> str:
         if "stationarity_residual" in s:
             lines.append(f"  stationarity_residual={s['stationarity_residual']!r}")
         if "timing" in s:
-            t = s["timing"]
-            lines.append(
-                f"  weak timing: at_end={t['at_end']} at_start={t['at_start']}"
-                f" ambiguous={t['ambiguous']}"
-            )
+            lines.append(format_timing(s["timing"]))
         lines.append("")
     return "\n".join(lines)
 

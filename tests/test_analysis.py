@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import telegraphsim as ts
 from telegraphsim.config import RunConfig
 from telegraphsim.errors import EmptyLog, NoWeakBranch
-from telegraphsim.eventlog import EventKind, EventRecord
+from telegraphsim.eventlog import EventKind, EventRecord, validate_log
 from telegraphsim.runner import derive_rng, run_trajectory_renewal
 
 
@@ -96,11 +96,25 @@ class TestTimingClassification:
 
     def test_crossing_inside_interval_window(self):
         seg, rep = self._run("v", 105)
-        cycle = 2.0  # one strong cycle at unit rates
         found = ~np.isnan(rep.median_time)
         starts, ends = seg.dark_intervals[found].T
-        assert np.all(starts - cycle <= rep.median_time[found])
-        assert np.all(rep.median_time[found] <= ends + cycle)
+        assert np.all(starts <= rep.median_time[found])
+        assert np.all(rep.median_time[found] <= ends)
+
+    def test_previous_epochs_crossing_is_not_the_dark_periods(self):
+        # epoch 2's crossing sits within one strong cycle before the dark start
+        recs = [
+            hit_at(0.0, 0), hit_at(2.0, 1),
+            crossing_at(3.0, 2), hit_at(4.5, 2),
+            hit_at(5.0, 3),
+            crossing_at(1498.3, 4), hit_at(1500.0, 4),
+            hit_at(1502.0, 5),
+        ]
+        validate_log(recs)
+        seg = ts.segment_telegraph(recs, 40.0)
+        rep = ts.classify_weak_timing(recs, seg, ts.ConfigKind(ts.Configuration.V), ts.RateSet())
+        assert seg.dark_intervals.tolist() == [[5.0, 1500.0]]
+        assert list(rep.classification) == [ts.WeakTiming.AT_END]
 
     def test_strong_only_rejected(self):
         recs = [hit_at(0.0), hit_at(2.0, 1)]
@@ -112,8 +126,8 @@ class TestTimingClassification:
     def test_rescaling_invariance(self):
         # scaling all times, rates and the threshold together changes nothing
         recs = [hit_at(t, i) for i, t in enumerate([0, 2, 4, 4000, 4002])]
-        recs.insert(3, crossing_at(3998.3))
-        recs.sort(key=lambda r: r.time)
+        recs.insert(3, crossing_at(3998.3, 3))
+        validate_log(recs)
         kind = ts.ConfigKind(ts.Configuration.V)
         rates = ts.RateSet(1.0, 1.0, 1e-3, 1e-3)
         seg = ts.segment_telegraph(recs, 40.0)
@@ -127,7 +141,7 @@ class TestTimingClassification:
         rates_c = ts.RateSet(1.0 / c, 1.0 / c, 1e-3 / c, 1e-3 / c)
         seg_c = ts.segment_telegraph(scaled, 40.0 * c)
         rep_c = ts.classify_weak_timing(scaled, seg_c, kind, rates_c)
-        assert list(rep.classification) == list(rep_c.classification)
+        assert list(rep.classification) == list(rep_c.classification) == [ts.WeakTiming.AT_END]
 
 
 class TestIntervalStats:

@@ -232,6 +232,29 @@ class TestAnalyzeCommand:
         assert printed[0] == printed[1]
         assert "bright=1" in printed[0]
 
+    @pytest.mark.parametrize("kind", ["v", "lambda", "cascade_weak_up", "cascade_weak_down"])
+    def test_analyze_prints_what_the_run_reported(self, tmp_path, capsys, kind):
+        flags = ["--kind", kind, "--k-weak-absorb", "0.1", "--k-weak-emit", "0.1",
+                 "--threshold-gap", "15", "--duration", "2000", "--trajectories", "2"]
+        out = tmp_path / "run"
+        assert run_cli("run", *flags, "--seed", "17", "--out", str(out)) == 0
+        lines = (out / "report.jsonl").read_text().splitlines()[:-1]
+        expected = []
+        for s in map(json.loads, lines):
+            assert s["dark_intervals"] > 0
+            log = out / f"events_{s['trajectory']:03d}.tsv"
+            expected += [
+                f"{log}:",
+                f"  bright={s['bright_intervals']} (mean {s['bright_mean']:.4g})"
+                f" dark={s['dark_intervals']} (mean {s['dark_mean']:.4g})",
+                "  weak timing: at_end={at_end} at_start={at_start}"
+                " ambiguous={ambiguous}".format(**s["timing"]),
+            ]
+        logs = sorted(map(str, out.glob("events_*.tsv")))
+        capsys.readouterr()
+        assert run_cli("analyze", *flags, *logs) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_analyze_missing_file(self, tmp_path):
         assert run_cli("analyze", str(tmp_path / "nope.tsv")) == 1
 

@@ -28,14 +28,16 @@ commit unpacked into DIR, run::
 
 which runs every case on both trees (DIR's through its own command line) and
 prints, for each file that differs, an event log's row counts, whether its
-integer columns are equal and its largest time and aux differences, or a
-report's moved keys and any count that differs.
+integer columns are equal and its largest time and aux differences, a
+``report.jsonl``'s moved keys and each count that differs with its
+trajectory (or ``aggregate``), or the lines of a ``report.txt`` that differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -161,7 +163,7 @@ def test_compare_finds_one_perturbed_float(tmp_path):
         f"{case} events_001.tsv: rows {len(log)} -> {len(log)}; integer columns equal; "
         f"max |dtime| {delta:.3g}; max |daux| 0",
         f"{case} report.jsonl: moved keys dark_mean, hits; "
-        f"counts differ: hits {first['hits'] - 1} -> {first['hits']}",
+        f"counts differ: trajectory 0: hits {first['hits'] - 1} -> {first['hits']}",
     ]
 
 
@@ -186,6 +188,13 @@ def _flat(doc: dict, prefix: str = "") -> dict:
     return out
 
 
+def _labelled(doc: dict) -> tuple[str, dict]:
+    """A report line's owner, ``trajectory N`` or ``aggregate``, and its flat fields."""
+    if "aggregate" in doc:
+        return "aggregate", _flat(doc["aggregate"])
+    return f"trajectory {doc['trajectory']}", _flat(doc)
+
+
 def _compare_file(old: Path, new: Path) -> str:
     """How ``new`` differs from ``old``, a file of the same name from another tree."""
     if old.suffix == ".tsv":
@@ -200,22 +209,24 @@ def _compare_file(old: Path, new: Path) -> str:
                 parts.append(f"max |d{c}| {delta:.3g}")
         return "; ".join(parts)
     if old.name == "report.jsonl":
-        a, b = ([_flat(json.loads(line)) for line in f.read_text("utf-8").splitlines()]
+        a, b = ([_labelled(json.loads(line)) for line in f.read_text("utf-8").splitlines()]
                 for f in (old, new))
         if len(a) != len(b):
             return f"report lines {len(a)} -> {len(b)}"
         moved, counts = set(), []
-        for x, y in zip(a, b):
+        for (label, x), (_, y) in zip(a, b):
             for key in sorted(x.keys() | y.keys()):
                 u, v = x.get(key), y.get(key)
                 if u != v:
                     moved.add(key)
                     if type(u) is int or type(v) is int:
-                        counts.append(f"{key} {u} -> {v}")
+                        counts.append(f"{label}: {key} {u} -> {v}")
         return (f"moved keys {', '.join(sorted(moved))}; "
                 + ("counts differ: " + ", ".join(counts) if counts else "counts equal"))
-    lines = [f.read_text("utf-8").splitlines() for f in (old, new)]
-    return f"{sum(u != v for u, v in zip(*lines)) + abs(len(lines[0]) - len(lines[1]))} lines differ"
+    a, b = (f.read_text("utf-8").splitlines() for f in (old, new))
+    differ = [f"{u.strip()!r} -> {v.strip()!r}"
+              for u, v in itertools.zip_longest(a, b, fillvalue="") if u != v]
+    return f"{len(differ)} lines differ: " + ", ".join(differ)
 
 
 def compare_outputs(old: Path, new: Path) -> list[str]:
