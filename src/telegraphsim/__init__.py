@@ -10,6 +10,7 @@ the weak photon.
 
 from .analysis import (
     IntervalStats,
+    LogFold,
     TelegraphSegmentation,
     TimingReport,
     WeakTiming,
@@ -44,12 +45,14 @@ from .eventlog import (
     EventKind,
     EventLog,
     EventRecord,
+    append_records,
     hits,
+    iter_log,
+    open_log,
     parse_log,
     read_log,
     serialize_log,
     validate_log,
-    write_log,
 )
 from .flow import (
     CurrentReport,

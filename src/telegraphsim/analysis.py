@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .configurations import ConfigKind, LaserDrive
 from .errors import EmptyLog, NoWeakBranch
-from .eventlog import EventKind, EventLog, Records
+from .eventlog import WEAK_EDGE_CROSSING, EventKind, EventLog, Records, hits
 from .flow import RateSet
 
 
@@ -157,3 +157,80 @@ def interval_stats(seg: TelegraphSegmentation) -> IntervalStats:
         dark_std=d_std,
         dark_rate_estimate=(1.0 / d_mean) if dark.size and d_mean > 0 else None,
     )
+
+
+def _push(parts: list, rows, join: Callable) -> None:
+    """Append ``rows`` to ``parts``, joining the last two parts while the last is not shorter.
+
+    So ``parts`` stays a few pieces, about log2 of its rows, however many
+    blocks add rows, and each row is copied about that many times.
+    """
+    parts.append(rows)
+    while len(parts) > 1 and len(parts[-2]) <= len(parts[-1]):
+        parts[-2:] = [join(parts[-2:])]
+
+
+class LogFold:
+    """What the telegraph analysis needs of a log, folded over its records a block at a time.
+
+    ``add`` takes the log's records in order, cut into blocks anywhere,
+    even between a crossing and its epoch's hit. Each block's hits are
+    segmented with the last hit before them, so the gap across the cut is
+    segmented too. The fold carries that hit and the crossings after it of
+    a later epoch, which a later hit decides on, and otherwise keeps only
+    what grows with the dark periods: the hit count, the first hit, the
+    largest gap between hits, each dark interval with its closing epoch,
+    and the crossings of those epochs. ``segmentation`` and ``crossings``
+    give ``interval_stats`` and ``classify_weak_timing`` what
+    ``segment_telegraph`` and the whole log would give them.
+    """
+
+    def __init__(self, threshold_gap: float):
+        self._threshold = threshold_gap
+        self.hits = 0
+        self.max_gap: Optional[float] = None  # the largest gap between consecutive hits
+        self._first_hit: Optional[float] = None
+        self._last = EventLog.of(())  # the last hit so far
+        self._pending = EventLog.of(())  # the crossings after it, of a later epoch
+        self._dark = [np.empty((0, 2))]
+        self._dark_epochs = [np.empty(0, np.int64)]
+        self._crossings: list[EventLog] = []  # of the dark periods' epochs
+
+    def add(self, block: EventLog) -> None:
+        log = EventLog.concat([self._last, self._pending, block])
+        crossing = log.kind == WEAK_EDGE_CROSSING
+        hit = hits(log)
+        if not len(hit):
+            self._pending = log[crossing]
+            return
+        seg = segment_telegraph(hit, self._threshold)
+        self.hits += len(hit) - len(self._last)
+        if self._first_hit is None:
+            self._first_hit = seg.first_hit
+        if len(hit) >= 2:
+            gap = np.diff(hit.time).max()
+            self.max_gap = gap if self.max_gap is None else np.maximum(self.max_gap, gap)
+        # a dark period's weak photon is among the crossings of the epoch its
+        # closing hit ends, which may be the last block's, after that hit
+        dark = np.concatenate((self._dark_epochs[-1][-1:], seg.dark_epochs))
+        keep = crossing & np.isin(log.epoch, dark)
+        if keep.any():
+            _push(self._crossings, log[keep], EventLog.concat)
+        if len(seg.dark_epochs):
+            _push(self._dark, seg.dark_intervals, np.concatenate)
+            _push(self._dark_epochs, seg.dark_epochs, np.concatenate)
+        self._last = hit[-1:]
+        self._pending = log[crossing & ~keep & (log.epoch > self._last.epoch[0])]
+
+    def segmentation(self) -> TelegraphSegmentation:
+        """``segment_telegraph`` of the records so far; they must hold a hit."""
+        return TelegraphSegmentation(
+            np.concatenate(self._dark),
+            np.concatenate(self._dark_epochs),
+            self._first_hit,
+            float(self._last.time[0]),
+        )
+
+    def crossings(self) -> EventLog:
+        """The crossings so far of the epochs that close a dark period."""
+        return EventLog.concat(self._crossings)

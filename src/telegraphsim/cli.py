@@ -6,9 +6,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from .analysis import LogFold
 from .config import _PARSERS, RunConfig, parse_config, with_overrides
 from .errors import ConfigError
-from .eventlog import read_log, validate_log
+# read_log is unused here: perfbench's traced run looks it up in this module
+from .eventlog import iter_log, read_log, validate_log  # noqa: F401
 from .runner import analyze_log, format_timing, run
 
 
@@ -52,16 +54,24 @@ def _cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     return run(cfg)
 
 
+def _fold(path: Path, threshold_gap: float) -> LogFold:
+    """The log at ``path`` folded a chunk at a time, each chunk checked by ``validate_log``."""
+    fold, tail = LogFold(threshold_gap), None
+    for chunk in iter_log(path):
+        tail = validate_log(chunk, tail)
+        fold.add(chunk)
+    return fold
+
+
 def _cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     for path in args.logs:
         try:
-            records = read_log(path)
-            validate_log(records)
+            fold = _fold(path, cfg.resolved_threshold())
         except (OSError, ValueError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 1
         print(f"{path}:")
-        a = analyze_log(cfg, records)
+        a = analyze_log(cfg, fold)
         if a is None:
             print("  no hits")
             continue

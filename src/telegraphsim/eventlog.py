@@ -17,36 +17,41 @@ epoch k at hit k-1's time, atom and ledger. ``parse_log`` also reads
 version 1 logs, dropping the ``epoch_start`` records they held.
 
 Text is made and read ``_CHUNK`` records at a time, so no line list or
-Python object per field of a whole log ever exists. ``write_log`` writes
-each chunk's lines to the open file, and ``serialize_log`` joins the same
-chunks. ``parse_log`` splits its text into lines about ``_SPLIT_CHARS``
-characters at a time and converts each chunk of lines with numpy's C reader
-(``np.loadtxt``) into columns sized from the text's tab count. That reader
-converts every float ``repr`` writes to the same bits as ``float`` does.
-Its errors keep their messages: ``line N: expected 8 tab-separated
-fields`` for a line with a field too many or too few, and ``'flash' is not
-a valid EventKind`` for an unknown kind. A field numpy cannot convert, such
-as an int past int64 or a ``#`` inside a data line, raises ``line N: could
-not convert string ...``; only lines that start with ``#`` are comments.
+Python object per field of a whole log ever exists. ``append_records``
+writes the lines of each chunk to a file ``open_log`` opened, and
+``serialize_log`` joins the same chunks. ``iter_log`` reads a log's file
+``_SPLIT_CHARS`` characters at a time and converts each chunk of lines
+with numpy's C reader (``np.loadtxt``) into columns, so a log can be read
+without ever holding all of it; ``read_log`` and ``parse_log`` put the
+same chunks together into one log. That reader converts every float
+``repr`` writes to the same bits as ``float`` does. Its errors keep their
+messages: ``line N: expected 8 tab-separated fields`` for a line with a
+field too many or too few, and ``'flash' is not a valid EventKind`` for an
+unknown kind. A field numpy cannot convert, such as an int past int64 or a
+``#`` inside a data line, raises ``line N: could not convert string ...``;
+only lines that start with ``#`` are comments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
 FORMAT_VERSION = 2
+_V1_HEADER = "# telegraph-event-log v1\n"  # v1 also wrote the implied epoch starts
 _HEADER = (
     f"# telegraph-event-log v{FORMAT_VERSION}\n"
     "# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux\n"
 )
 # records converted to or from text at a time, which bounds the Python objects alive at once
-_CHUNK = 8192
+_CHUNK = 2048
 
 
 class EventKind(Enum):
@@ -112,13 +117,7 @@ class EventLog:
         return cls(*columns)
 
     @classmethod
-    def empty(cls, n: int) -> "EventLog":
-        """A log of ``n`` records whose values are not yet set."""
-        none = cls(*[()] * len(cls.COLUMNS))  # no records, but each column's dtype
-        return cls(*(np.empty(n, col.dtype) for col in none.columns()))
-
-    @classmethod
-    def gather(cls, logs: list["EventLog"], order: np.ndarray) -> "EventLog":
+    def gather(cls, logs: list["EventLog"], order: Union[np.ndarray, slice]) -> "EventLog":
         """The rows of ``logs`` put end to end, taken in ``order``.
 
         One column is gathered at a time, so besides ``logs`` and the result
@@ -126,6 +125,12 @@ class EventLog:
         """
         columns = (np.concatenate([getattr(g, name) for g in logs]) for name in cls.COLUMNS)
         return cls(*(col[order] for col in columns))
+
+    @classmethod
+    def concat(cls, logs: Iterable["EventLog"]) -> "EventLog":
+        """The rows of ``logs`` put end to end."""
+        logs = list(logs)
+        return cls.gather(logs, slice(None)) if logs else cls.of(())
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.COLUMNS)
@@ -167,26 +172,48 @@ _ROW = np.dtype(
     ]
 )
 # characters of a log's text split into lines at a time
-_SPLIT_CHARS = 1 << 20
+_SPLIT_CHARS = 1 << 16
 
 
-def validate_log(records: Records) -> None:
+#: What ``validate_log`` carries from a chunk of a log to the next: the last
+#: record's time and epoch, and the last hit's epoch (None before any hit).
+LogTail = tuple[float, int, Optional[int]]
+_NO_TAIL: LogTail = (-math.inf, int(np.iinfo(np.int64).min), None)
+
+
+def validate_log(records: Records, before: Optional[LogTail] = None) -> Optional[LogTail]:
     """Check the ordering invariants: times and epochs nondecreasing, hit epochs consecutive.
 
     Consecutive hit epochs are what lets the hits imply every epoch start.
     Reports the first offending record, checking its time, epoch, then hit epoch.
+    A log may be checked a chunk at a time: given as ``before`` the tail
+    that the call on the records before returned, each call checks its
+    records against them too, so the chunks raise what the whole log raises.
+    Returns the tail of the records checked so far (None while there are none).
     """
     log = EventLog.of(records)
-    time_down = np.flatnonzero(log.time[1:] < log.time[:-1]) + 1
-    epoch_down = np.flatnonzero(log.epoch[1:] < log.epoch[:-1]) + 1
+    last_time, last_epoch, last_hit = before or _NO_TAIL
+    time = np.concatenate(([last_time], log.time))
+    epoch = np.concatenate(([last_epoch], log.epoch))
     hit_at = np.flatnonzero(log.kind == HIT)
-    not_next = hit_at[1:][np.diff(log.epoch[hit_at]) != 1]
+    hit_epochs = np.concatenate(
+        (np.array([] if last_hit is None else [last_hit], np.int64), log.epoch[hit_at])
+    )
+    time_down = np.flatnonzero(time[1:] < time[:-1])
+    epoch_down = np.flatnonzero(epoch[1:] < epoch[:-1])
+    not_next = hit_at[len(hit_at) + 1 - len(hit_epochs) :][np.diff(hit_epochs) != 1]
     firsts = [
         int(found[0]) if found.size else len(log) for found in (time_down, epoch_down, not_next)
     ]
     first = min(firsts)
     if first == len(log):
-        return
+        if not len(log):
+            return before
+        return (
+            float(log.time[-1]),
+            int(log.epoch[-1]),
+            int(hit_epochs[-1]) if hit_epochs.size else None,
+        )
     r = log[first]
     if first == firsts[0]:
         raise ValueError(f"record times decrease at t={r.time}")
@@ -195,10 +222,9 @@ def validate_log(records: Records) -> None:
     raise ValueError(f"hit at epoch={r.epoch} does not follow the previous hit's epoch")
 
 
-def _text_chunks(log: EventLog) -> Iterator[str]:
-    """The log's text: its header, then the lines of each ``_CHUNK`` records."""
+def _record_text(log: EventLog) -> Iterator[str]:
+    """The lines of the log's records, ``_CHUNK`` records at a time."""
     kinds = [k.value for k in KINDS]
-    yield _HEADER
     for i in range(0, len(log), _CHUNK):
         rows = zip(*(col[i : i + _CHUNK].tolist() for col in log.columns()))
         yield "".join(
@@ -210,46 +236,69 @@ def _text_chunks(log: EventLog) -> Iterator[str]:
 
 
 def serialize_log(records: Records) -> str:
-    return "".join(_text_chunks(EventLog.of(records)))
+    return "".join(chain((_HEADER,), _record_text(EventLog.of(records))))
 
 
-def write_log(path: Path, records: Records) -> None:
-    """Write the text ``serialize_log`` gives to ``path``, one chunk of records at a time."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for text in _text_chunks(EventLog.of(records)):
-            fh.write(text)
+def open_log(path: Path) -> TextIO:
+    """``path`` opened for writing with a log's header; ``append_records`` writes the rest."""
+    fh = Path(path).open("w", encoding="utf-8")
+    fh.write(_HEADER)
+    return fh
+
+
+def append_records(fh: TextIO, records: Records) -> None:
+    """Write the lines of ``records`` to the open log file ``fh``, a chunk of records at a time.
+
+    A file ``open_log`` opened, given a log's records in consecutive blocks,
+    holds the text ``serialize_log`` gives for the whole log.
+    """
+    for text in _record_text(EventLog.of(records)):
+        fh.write(text)
 
 
 def parse_log(text: str) -> EventLog:
     """The records of a log's text, converted ``_CHUNK`` lines at a time."""
-    v1 = text.startswith("# telegraph-event-log v1\n")  # v1 also wrote the implied starts
-    # a record's line holds seven tabs, so there are at most this many records
-    log = EventLog.empty(text.count("\t") // 7)
-    filled = 0
-    lineno = 0  # lines before this chunk
-    lines = _split(text)
-    while chunk := list(islice(lines, _CHUNK)):
-        data = [line for line in chunk if _is_data(line)]
-        if data:
-            part = _records(data, v1, chunk, lineno)
-            for column, values in zip(log.columns(), part.columns()):
-                column[filled : filled + len(part)] = values
-            filled += len(part)
-        lineno += len(chunk)
-    return log[:filled]
+    pieces = (text[i : i + _SPLIT_CHARS] for i in range(0, len(text), _SPLIT_CHARS))
+    return EventLog.concat(_chunks(pieces))
 
 
 def read_log(path: Path) -> EventLog:
-    return parse_log(Path(path).read_text(encoding="utf-8"))
+    """The records of a log's file: the chunks ``iter_log`` reads, put together."""
+    return EventLog.concat(iter_log(path))
 
 
-def _split(text: str) -> Iterator[str]:
-    """The lines of ``text``, split about ``_SPLIT_CHARS`` characters at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _SPLIT_CHARS) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+def iter_log(path: Path) -> Iterator[EventLog]:
+    """The records of a log's file, read and converted ``_CHUNK`` lines at a time."""
+    with Path(path).open(encoding="utf-8") as fh:
+        yield from _chunks(iter(partial(fh.read, _SPLIT_CHARS), ""))
+
+
+def _chunks(pieces: Iterator[str]) -> Iterator[EventLog]:
+    """The records of the text that ``pieces`` make up, ``_CHUNK`` lines at a time."""
+    first = next(pieces, "")
+    v1 = first.startswith(_V1_HEADER)
+    lines = _lines(chain((first,), pieces))
+    lineno = 0  # lines before this chunk
+    while chunk := list(islice(lines, _CHUNK)):
+        data = [line for line in chunk if _is_data(line)]
+        if data:
+            yield _records(data, v1, chunk, lineno)
+        lineno += len(chunk)
+
+
+def _lines(pieces: Iterable[str]) -> Iterator[str]:
+    """The lines of the text that ``pieces`` make up, split after each piece's last newline.
+
+    A line never straddles the split, so the lines are those of the whole
+    text's ``splitlines``.
+    """
+    rest = ""
+    for piece in pieces:
+        text = rest + piece
+        end = text.rfind("\n") + 1
+        yield from text[:end].splitlines()
+        rest = text[end:]
+    yield from rest.splitlines()
 
 
 def _is_data(line: str) -> bool:

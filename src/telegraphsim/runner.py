@@ -23,8 +23,11 @@ cycles and kept to the labels its root reaches along active edges: mass
 that reaches a frontier label stays there until the hit.
 Both draw from one stream of uniforms per trajectory, ``_Uniforms``, and
 hand their hits to one trajectory loop, ``_trajectory``, which keeps the
-root's atom and photon ledger and writes the log as columns: each hit
-and the weak-edge crossings before it.
+root's atom and photon ledger and makes the log as columns: each hit
+and the weak-edge crossings before it. It hands them on a block of epochs
+at a time; ``run`` writes each block to the log file and folds it into
+the trajectory's summary (``analysis.LogFold``), so no whole log is ever
+held.
 
 The no-observer mode has no stochastic events at all. On every engine
 it runs a third driver, ``flow``, which moves the flow forward in large
@@ -49,7 +52,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import (
+# segment_telegraph is unused here: perfbench's traced run looks it up in this module
+from .analysis import (  # noqa: F401
+    LogFold,
     WeakTiming,
     classify_weak_timing,
     interval_stats,
@@ -60,8 +65,8 @@ from .config import RunConfig, format_config
 # traced run looks them up in this module
 from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
 from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate, HazardChunk, hazard_chunk
-from .errors import EmptyLog, InvariantBreach
-from .eventlog import HIT, WEAK_EDGE_CROSSING, EventLog, hits, write_log
+from .errors import InvariantBreach
+from .eventlog import _CHUNK, HIT, WEAK_EDGE_CROSSING, EventLog, append_records, open_log
 from .eventlog import serialize_log  # noqa: F401
 from .flow import step  # noqa: F401
 from .rules import active_edges, substep_hit, trigger  # noqa: F401
@@ -77,9 +82,13 @@ def derive_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, index))))
 
 
+#: Takes each block of a trajectory's records, in log order.
+Consumer = Callable[[EventLog], None]
+
+
 @dataclass
 class TrajectoryResult:
-    records: EventLog
+    records: EventLog  # empty when a consumer took the records
     epochs: int
     steps_taken: int = 0
     max_mass_residual: float = 0.0
@@ -163,8 +172,10 @@ def _rows(kind: int, time, epoch, atom, ledger: np.ndarray, aux) -> EventLog:
     )
 
 
-def _trajectory(epochs: _CompiledEpochs, draw: Callable, res: TrajectoryResult) -> TrajectoryResult:
-    """Epochs from the ground atom at t = 0 until ``draw`` ends them, logged into ``res``.
+def _trajectory(
+    epochs: _CompiledEpochs, draw: Callable, res: TrajectoryResult, consume: Optional[Consumer]
+) -> TrajectoryResult:
+    """Epochs from the ground atom at t = 0 until ``draw`` ends them, logged into ``consume``.
 
     ``draw(ep, t, epoch)`` samples the epochs that start at ``t`` on ``ep``,
     numbered from ``epoch``, up to and including the first hit that moves
@@ -175,47 +186,72 @@ def _trajectory(epochs: _CompiledEpochs, draw: Callable, res: TrajectoryResult) 
     None. The loop keeps the root's atom and photon ledger: a hit's record
     holds the ledger after it, and each of its weak-edge crossings the
     ledger before it plus the crossed edge's target's.
+
+    The records go to ``consume`` in log order, a block of whole epochs at
+    a time, once about ``_CHUNK`` of them are drawn, and every epoch drawn
+    so far when the loop ends, also by an ``InvariantBreach``. Without
+    ``consume`` they are put together into ``res.records``.
     """
-    # an epoch's records are its crossings and its hit: stably sorted by epoch,
-    # these two lists concatenated give the log
-    crossing_rows: list[EventLog] = []
-    hit_rows: list[EventLog] = []
+    blocks = []
+    rows = []  # whole epochs, each draw's crossings and then its hits
+    buffered = 0  # records in rows
+
+    def flush() -> None:
+        nonlocal buffered
+        if buffered:
+            # stably sorted by epoch, the rows give the log's order
+            order = np.argsort(np.concatenate([g.epoch for g in rows]), kind="stable")
+            block = EventLog.gather(rows, order)
+            rows.clear()
+            buffered = 0
+            (consume or blocks.append)(block)
+
     atom = AtomLevel.GROUND
     ledger = np.zeros(3, dtype=np.int64)  # the root's clicks, strong and weak counts
     t = 0.0
     epoch = 0
-    while True:
-        ep = epochs[atom]
-        sinks, tau, times, delivered, end = draw(ep, t, epoch)
-        deltas = ep.sink_ledger[sinks]
-        after = ledger + np.cumsum(deltas, axis=0)
-        for q in np.flatnonzero(deltas[:, 2] > 0):
-            crossed = _crossings(_template(ep), ep.ready[sinks[q]], float(tau[q]), float(times[q]))
-            shifts = [(lab.clicks, lab.strong, lab.weak) for _, lab in crossed]
-            crossing_rows.append(
-                _rows(
-                    WEAK_EDGE_CROSSING,
-                    [c for c, _ in crossed],
-                    epoch + q,
-                    [lab.atom.value for _, lab in crossed],
-                    after[q] - deltas[q] + np.array(shifts, dtype=np.int64).reshape(-1, 3),
-                    1.0,
+    try:
+        while True:
+            ep = epochs[atom]
+            sinks, tau, times, delivered, end = draw(ep, t, epoch)
+            deltas = ep.sink_ledger[sinks]
+            after = ledger + np.cumsum(deltas, axis=0)
+            crossings = []
+            for q in np.flatnonzero(deltas[:, 2] > 0):
+                crossed = _crossings(
+                    _template(ep), ep.ready[sinks[q]], float(tau[q]), float(times[q])
                 )
+                shifts = [(lab.clicks, lab.strong, lab.weak) for _, lab in crossed]
+                crossings.append(
+                    _rows(
+                        WEAK_EDGE_CROSSING,
+                        [c for c, _ in crossed],
+                        epoch + q,
+                        [lab.atom.value for _, lab in crossed],
+                        after[q] - deltas[q] + np.array(shifts, dtype=np.int64).reshape(-1, 3),
+                        1.0,
+                    )
+                )
+            n = len(sinks)
+            # only whole epochs are buffered: a breach above leaves none half logged
+            rows.extend(crossings)
+            rows.append(
+                _rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after, delivered)
             )
-        n = len(sinks)
-        hit_rows.append(
-            _rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after, delivered)
-        )
-        epoch += n
-        if end is not None:
-            t = end
-            break
-        t = float(times[-1])
-        ledger = after[-1]
-        atom = AtomLevel(int(ep.sink_atoms[sinks[-1]]))
-    parts = crossing_rows + hit_rows
-    order = np.argsort(np.concatenate([g.epoch for g in parts]), kind="stable")
-    res.records = EventLog.gather(parts, order)
+            buffered += n + sum(map(len, crossings))
+            epoch += n
+            if end is not None:
+                t = end
+                break
+            if buffered >= _CHUNK:
+                flush()
+            t = float(times[-1])
+            ledger = after[-1]
+            atom = AtomLevel(int(ep.sink_atoms[sinks[-1]]))
+    finally:
+        flush()
+    if consume is None:
+        res.records = EventLog.concat(blocks)
     res.epochs = epoch
     res.final_time = t
     return res
@@ -252,7 +288,10 @@ class _Uniforms:
 
 
 def run_trajectory_renewal(
-    cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
+    cfg: RunConfig,
+    rng: np.random.Generator,
+    epochs: Optional[_CompiledEpochs] = None,
+    consume: Optional[Consumer] = None,
 ) -> TrajectoryResult:
     """Event-driven trajectory: one uniform per epoch, drawn ``UNIFORM_BLOCK`` at a time.
 
@@ -283,7 +322,7 @@ def run_trajectory_renewal(
         n = int(late[0]) + int(times[late[0] + 1] == cfg.duration)
         return j[:n], tau[:n], times[: n + 1], delivered[:n], cfg.duration
 
-    return _trajectory(_own_epochs(cfg, epochs), draw, res)
+    return _trajectory(_own_epochs(cfg, epochs), draw, res, consume)
 
 
 def _steps(
@@ -369,6 +408,7 @@ def run_trajectory_steps(
     rng: np.random.Generator,
     max_steps: Optional[int] = None,
     epochs: Optional[_CompiledEpochs] = None,
+    consume: Optional[Consumer] = None,
 ) -> TrajectoryResult:
     """Per-step trajectory: at most ``max_steps`` steps of transport and trigger.
 
@@ -404,7 +444,7 @@ def run_trajectory_steps(
         j, t_hit, delivered = hit
         return [j], [t_hit - t_epoch], [t_epoch, t_hit], [delivered], None
 
-    return _trajectory(_own_epochs(cfg, epochs), draw, res)
+    return _trajectory(_own_epochs(cfg, epochs), draw, res, consume)
 
 
 def run_trajectory_flow(
@@ -445,36 +485,39 @@ def run_trajectory_flow(
 
 
 def run_trajectory(
-    cfg: RunConfig, index: int, epochs: Optional[_CompiledEpochs] = None
+    cfg: RunConfig,
+    index: int,
+    epochs: Optional[_CompiledEpochs] = None,
+    consume: Optional[Consumer] = None,
 ) -> TrajectoryResult:
     """Dispatch one trajectory: the no-observer mode to the flow driver, else by engine.
 
-    The flow driver serves the no-observer mode on every engine and
-    reports a ``stationarity_residual``. ``epochs`` are compiled epochs
-    shared with the run's other trajectories; without them the driver
-    compiles its own.
+    The flow driver serves the no-observer mode on every engine, logs
+    nothing and reports a ``stationarity_residual``. ``epochs`` are
+    compiled epochs shared with the run's other trajectories; without them
+    the driver compiles its own. The records go to ``consume`` a block of
+    epochs at a time, or without it into the result's ``records``.
     """
     rng = derive_rng(cfg.master_seed, index)
     if cfg.mode_enum() is Mode.ORIGINAL_NO_OBSERVER:
         return run_trajectory_flow(cfg, rng, epochs)
     if cfg.engine == "steps":
-        return run_trajectory_steps(cfg, rng, epochs=epochs)
-    return run_trajectory_renewal(cfg, rng, epochs)
+        return run_trajectory_steps(cfg, rng, epochs=epochs, consume=consume)
+    return run_trajectory_renewal(cfg, rng, epochs, consume)
 
 
 # -- reporting ----------------------------------------------------------
 
 
-def analyze_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:
-    """Telegraph segmentation, interval statistics and weak timing of one log.
+def analyze_log(cfg: RunConfig, fold: LogFold) -> Optional[dict]:
+    """Interval statistics and weak timing of the log whose records ``fold`` took.
 
-    ``run``'s report and ``analyze`` both print these fields. Returns
-    None when the log holds no hits.
+    ``run``'s report and ``analyze`` both print these fields. Returns None
+    when the log holds no hits.
     """
-    try:
-        seg = segment_telegraph(records, cfg.resolved_threshold())
-    except EmptyLog:
+    if not fold.hits:
         return None
+    seg = fold.segmentation()
     stats = interval_stats(seg)
     out = {
         "bright_intervals": stats.bright_count,
@@ -484,7 +527,7 @@ def analyze_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:
         "dark_rate_estimate": stats.dark_rate_estimate,
     }
     if cfg.lasers == "both" and stats.dark_count:
-        timing = classify_weak_timing(records, seg, cfg.config_kind(), cfg.rate_set())
+        timing = classify_weak_timing(fold.crossings(), seg, cfg.config_kind(), cfg.rate_set())
         out["timing"] = {
             "at_end": timing.count(WeakTiming.AT_END),
             "at_start": timing.count(WeakTiming.AT_START),
@@ -493,8 +536,10 @@ def analyze_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:
     return out
 
 
-def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -> dict:
-    hit_times = hits(result.records).time
+def summarize_trajectory(
+    cfg: RunConfig, index: int, result: TrajectoryResult, fold: LogFold
+) -> dict:
+    """The report's entry for a trajectory whose records ``fold`` took."""
     summary: dict = {
         "trajectory": index,
         "engine": cfg.engine,
@@ -502,17 +547,15 @@ def summarize_trajectory(cfg: RunConfig, index: int, result: TrajectoryResult) -
         "kind": cfg.kind,
         "lasers": cfg.lasers,
         "epochs": result.epochs,
-        "hits": len(hit_times),
+        "hits": fold.hits,
         "final_time": result.final_time,
         "max_mass_residual": result.max_mass_residual,
     }
     if result.stationarity_residual is not None:
         summary["stationarity_residual"] = result.stationarity_residual
-    if len(hit_times) >= 2:
-        summary["max_interhit_gap"] = float(np.diff(hit_times).max())
-    summary.update(
-        analyze_log(cfg, result.records) or {"bright_intervals": 0, "dark_intervals": 0}
-    )
+    if fold.max_gap is not None:
+        summary["max_interhit_gap"] = float(fold.max_gap)
+    summary.update(analyze_log(cfg, fold) or {"bright_intervals": 0, "dark_intervals": 0})
     return summary
 
 
@@ -553,10 +596,14 @@ def render_text_report(cfg: RunConfig, summaries: list[dict]) -> str:
 def run(cfg: RunConfig) -> int:
     """Execute a full run: one log per trajectory plus text/JSON reports.
 
-    Returns 0 on success, 1 for I/O failure, 2 for a runtime invariant
-    breach (with a diagnostic dump of the offending trajectory:
-    ``diagnostic.json`` holds the error, the trajectory index and the
-    run's config as key=value text that ``parse_config`` reads back).
+    Each trajectory's records go to its log file and to its summary's fold
+    a block at a time, so no whole log is held. Returns 0 on success, 1
+    for I/O failure, 2 for a runtime invariant breach, with a diagnostic
+    dump of the offending trajectory: ``diagnostic.json`` holds the error,
+    the trajectory index, the run's config as key=value text that
+    ``parse_config`` reads back, and the trajectory's log file
+    (``partial_log``), which holds the records of every epoch completed
+    before the breach (``epochs_logged``, one hit each).
     """
     try:
         out = cfg.out_dir()
@@ -568,12 +615,25 @@ def run(cfg: RunConfig) -> int:
     epochs = _CompiledEpochs(cfg)
     try:
         for i in range(cfg.trajectories):
-            result = run_trajectory(cfg, i, epochs)
-            write_log(out / f"events_{i:03d}.tsv", result.records)
-            summaries.append(summarize_trajectory(cfg, i, result))
+            log = out / f"events_{i:03d}.tsv"
+            fold = LogFold(cfg.resolved_threshold())
+            with open_log(log) as fh:
+
+                def consume(block: EventLog) -> None:
+                    append_records(fh, block)
+                    fold.add(block)
+
+                result = run_trajectory(cfg, i, epochs, consume)
+            summaries.append(summarize_trajectory(cfg, i, result, fold))
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}")
-        diagnostic = {"error": str(exc), "trajectory": i, "config": format_config(cfg)}
+        diagnostic = {
+            "error": str(exc),
+            "trajectory": i,
+            "config": format_config(cfg),
+            "partial_log": log.name,
+            "epochs_logged": fold.hits,
+        }
         (out / "diagnostic.json").write_text(
             json.dumps(diagnostic, sort_keys=True), encoding="utf-8"
         )

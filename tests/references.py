@@ -7,19 +7,28 @@ report. ``template_from_chain`` tabulates an ``EpochTemplate`` for any
 chain state, not only a compiled epoch's root. ``parse_log_by_fields``
 reads an event log's whole text field by field with ``str.split``,
 ``float`` and ``int``, a route independent of numpy's reader that
-``eventlog.parse_log`` uses.
+``eventlog.parse_log`` uses. ``analyze_whole_log`` analyses a whole log at
+once, a route independent of ``analysis.LogFold``'s carry-over from one block
+of records to the next.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from telegraphsim.analysis import (
+    WeakTiming,
+    classify_weak_timing,
+    interval_stats,
+    segment_telegraph,
+)
+from telegraphsim.config import RunConfig
 from telegraphsim.epochs import EpochTemplate
-from telegraphsim.errors import InvalidStep, TelegraphError
-from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog
+from telegraphsim.errors import EmptyLog, InvalidStep, TelegraphError
+from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog, hits
 from telegraphsim.flow import CurrentReport, FlowSystem
 from telegraphsim.state import ChainState, ComponentLabel, FlowEdge
 
@@ -147,3 +156,36 @@ def parse_log_by_fields(text: str) -> EventLog:
         *ints,
         np.fromiter(map(float, fields[7::8]), np.float64, n),
     )
+
+
+def analyze_whole_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:
+    """A log's hit count, largest gap between hits and telegraph analysis, from all of it at once.
+
+    Returns ``hits``, ``max_gap`` (None with fewer than two hits) and
+    ``analysis``: the fields ``runner.analyze_log`` gives, or None without a hit.
+    """
+    hit_times = hits(records).time
+    out = {
+        "hits": len(hit_times),
+        "max_gap": float(np.diff(hit_times).max()) if len(hit_times) >= 2 else None,
+    }
+    try:
+        seg = segment_telegraph(records, cfg.resolved_threshold())
+    except EmptyLog:
+        return {**out, "analysis": None}
+    stats = interval_stats(seg)
+    analysis = {
+        "bright_intervals": stats.bright_count,
+        "dark_intervals": stats.dark_count,
+        "bright_mean": stats.bright_mean,
+        "dark_mean": stats.dark_mean if stats.dark_count else None,
+        "dark_rate_estimate": stats.dark_rate_estimate,
+    }
+    if cfg.lasers == "both" and stats.dark_count:
+        timing = classify_weak_timing(records, seg, cfg.config_kind(), cfg.rate_set())
+        analysis["timing"] = {
+            "at_end": timing.count(WeakTiming.AT_END),
+            "at_start": timing.count(WeakTiming.AT_START),
+            "ambiguous": timing.count(WeakTiming.AMBIGUOUS),
+        }
+    return {**out, "analysis": analysis}

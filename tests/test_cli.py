@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import telegraphsim as ts
 from telegraphsim import runner
 from telegraphsim.cli import main
 from telegraphsim.config import RunConfig, parse_config
+from telegraphsim.epochs import EpochTemplate
 from telegraphsim.errors import InvariantBreach
 from telegraphsim.eventlog import (
     EventKind,
@@ -169,6 +171,45 @@ class TestRunCommand:
         assert diag["error"] == "injected breach"
         assert diag["trajectory"] == 1
         assert parse_config(diag["config"]) == cfg
+        assert diag["partial_log"] == "events_001.tsv" and diag["epochs_logged"] == 0
+        assert serialize_log([]) == (tmp_path / "out" / "events_001.tsv").read_text()
+
+    def test_breach_leaves_the_completed_epochs_logged(self, tmp_path, monkeypatch):
+        # about 1e4 epochs at 3e4 units: the renewal engine draws blocks of 4096
+        cfg = RunConfig(kind="v", duration=3e4, master_seed=5, trajectories=2,
+                        out=str(tmp_path / "whole"))
+        assert runner.run(cfg) == 0
+        whole = [(tmp_path / "whole" / f"events_{i:03d}.tsv").read_text() for i in (0, 1)]
+
+        real_run, real_sample = runner.run_trajectory, EpochTemplate.sample_hits
+        now = {"trajectory": None, "draws": 0}
+
+        def tracked(cfg, index, *args):
+            now["trajectory"] = index
+            return real_run(cfg, index, *args)
+
+        def breach_on_third_draw(tpl, u):
+            # a renewal draw samples its block of epochs in one call
+            if now["trajectory"] == 1:
+                now["draws"] += 1
+                if now["draws"] == 3:
+                    raise InvariantBreach("injected breach")
+            return real_sample(tpl, u)
+
+        monkeypatch.setattr(runner, "run_trajectory", tracked)
+        monkeypatch.setattr(EpochTemplate, "sample_hits", breach_on_third_draw)
+        out = tmp_path / "out"
+        assert runner.run(replace(cfg, out=str(out))) == 2
+        diag = json.loads((out / "diagnostic.json").read_text())
+        assert diag["trajectory"] == 1 and diag["partial_log"] == "events_001.tsv"
+        assert (out / "events_000.tsv").read_text() == whole[0]
+        partial = (out / diag["partial_log"]).read_text()
+        records = parse_log(partial)
+        validate_log(records)
+        assert 0 < diag["epochs_logged"] < len(ts.hits(parse_log(whole[1])))
+        assert len(ts.hits(records)) == diag["epochs_logged"]
+        assert records.epoch[-1] == diag["epochs_logged"] - 1  # it ends on a hit
+        assert whole[1].startswith(partial)
 
 
 #: renewal, steps, and the no-observer flow driver

@@ -1,8 +1,9 @@
 """The event log's chunked reader and writer.
 
-``parse_log`` converts ``_CHUNK`` lines at a time with numpy's reader; the
-per-field parser in ``references.py`` is its oracle, column for column and
-dtype for dtype. ``run`` writes each log through ``write_log`` a chunk of
+``parse_log`` converts a text ``_CHUNK`` lines at a time with numpy's
+reader, and ``iter_log`` a file; the per-field parser in ``references.py``
+is the oracle of both, column for column and dtype for dtype, and of their
+errors. ``run`` writes each log through ``append_records`` a block of
 records at a time, with the bytes ``serialize_log`` gives.
 """
 
@@ -18,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from references import parse_log_by_fields
 from telegraphsim import eventlog, runner
+from telegraphsim.cli import main
 from telegraphsim.config import RunConfig
 from telegraphsim.eventlog import (
     _CHUNK,
     EventKind,
     EventLog,
     EventRecord,
+    iter_log,
     parse_log,
     read_log,
     serialize_log,
@@ -48,6 +51,19 @@ def outcome(parse, text):
         return parse(text)
     except ValueError as exc:
         return exc
+
+
+def read_streamed(text: str, tmp_path: Path) -> EventLog:
+    """``text`` written to a file and read back by ``iter_log``, a chunk at a time."""
+    path = tmp_path / "events.tsv"
+    path.write_text(text, encoding="utf-8")
+    chunks = list(iter_log(path))
+    assert all(len(chunk) <= _CHUNK for chunk in chunks)
+    return EventLog.concat(chunks)
+
+
+#: the whole-text reader and the file-streaming reader
+READERS = {"text": lambda text, tmp_path: parse_log(text), "file": read_streamed}
 
 
 def test_golden_logs_read_as_the_per_field_parser_reads_them(tmp_path):
@@ -105,7 +121,7 @@ def long_log(n_records: int) -> EventLog:
     )
 
 
-def test_chunk_boundaries_inside_epochs_with_crossings():
+def test_chunk_boundaries_inside_epochs_with_crossings(tmp_path):
     log = long_log(2 * _CHUNK + 9)
     validate_log(log)
     text = serialize_log(log)
@@ -113,10 +129,58 @@ def test_chunk_boundaries_inside_epochs_with_crossings():
         last, first = boundary - HEADER_LINES - 1, boundary - HEADER_LINES
         assert log.epoch[last] == log.epoch[first]
         assert log.kind[last] == eventlog.WEAK_EDGE_CROSSING
-    got = parse_log(text)
+    for read in READERS.values():
+        got = read(text, tmp_path)
+        assert_same_columns(got, parse_log_by_fields(text))
+        assert_same_columns(got, log)
+        assert serialize_log(got) == text
+
+
+def with_lines(text: str, lines: dict[int, str]) -> str:
+    """``text`` with each of ``lines`` inserted so that it is numbered by its key."""
+    out = text.splitlines()
+    for n in sorted(lines):
+        out.insert(n - 1, lines[n])
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_comments_and_blank_lines_across_chunk_edges(reader, tmp_path):
+    log = long_log(2 * _CHUNK + 9)
+    around = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 3)
+    text = with_lines(serialize_log(log), {n: "# a comment" if n % 2 else "" for n in around})
+    got = READERS[reader](text, tmp_path)
     assert_same_columns(got, parse_log_by_fields(text))
     assert_same_columns(got, log)
-    assert serialize_log(got) == text
+    bad = with_lines(text, {2 * _CHUNK + 7: "1.0\thit\t0"})
+    assert str(outcome(lambda t: READERS[reader](t, tmp_path), bad)) == (
+        f"line {2 * _CHUNK + 7}: expected 8 tab-separated fields"
+    )
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_v1_starts_are_dropped_across_chunk_edges(reader, tmp_path):
+    log = long_log(2 * _CHUNK + 9)
+    v2 = serialize_log(log).splitlines()
+    lines = ["# telegraph-event-log v1", v2[1]]
+    for line, epoch, prev in zip(v2[2:], log.epoch, [None, *log.epoch[:-1]]):
+        if epoch != prev:
+            lines.append(line.replace("\tweak_edge_crossing\t", "\tepoch_start\t"))
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    starts = [n for n, line in enumerate(lines, 1) if "\tepoch_start\t" in line]
+    assert {_CHUNK, _CHUNK + 1} & set(starts), "no start on a chunk edge"
+    got = READERS[reader](text, tmp_path)
+    assert_same_columns(got, parse_log_by_fields(text))
+    assert_same_columns(got, log)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_an_unknown_kind_in_a_later_chunk(reader, tmp_path):
+    text = with_lines(serialize_log(long_log(2 * _CHUNK + 9)), {2 * _CHUNK + 6: LINE.replace("hit", "flash")})
+    got = outcome(lambda t: READERS[reader](t, tmp_path), text)
+    want = outcome(parse_log_by_fields, text)
+    assert isinstance(got, ValueError) and str(got) == str(want) == "'flash' is not a valid EventKind"
 
 
 # case: (text, the reader's message where it is not the per-field parser's)
@@ -148,23 +212,37 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_logs_raise_where_the_per_field_parser_raises(case):
+def test_malformed_logs_raise_where_the_per_field_parser_raises(case, tmp_path):
     text, message = MALFORMED[case]
-    got, want = outcome(parse_log, text), outcome(parse_log_by_fields, text)
-    assert isinstance(got, ValueError) and isinstance(want, ValueError), (got, want)
-    assert str(got) == (message or str(want))
+    want = outcome(parse_log_by_fields, text)
+    for read in READERS.values():
+        got = outcome(lambda t: read(t, tmp_path), text)
+        assert isinstance(got, ValueError) and isinstance(want, ValueError), (got, want)
+        assert str(got) == (message or str(want))
 
 
 @pytest.mark.parametrize("bad, message", [
     ("1.0\thit\t0", "expected 8 tab-separated fields"),
     (LINE.replace("\t0\t", "\tzero\t", 1), "could not convert string 'zero' to int64"),
 ])
-def test_a_bad_line_in_a_later_chunk_is_named_by_its_number(bad, message):
+def test_a_bad_line_in_a_later_chunk_is_named_by_its_number(bad, message, tmp_path):
     lines = serialize_log(long_log(2 * _CHUNK + 9)).splitlines()
     lines.insert(2 * _CHUNK + 5, bad)  # the line numbered 2 * _CHUNK + 6
-    with pytest.raises(ValueError) as raised:
-        parse_log("\n".join(lines) + "\n")
-    assert str(raised.value) == f"line {2 * _CHUNK + 6}: {message}"
+    for read in READERS.values():
+        with pytest.raises(ValueError) as raised:
+            read("\n".join(lines) + "\n", tmp_path)
+        assert str(raised.value) == f"line {2 * _CHUNK + 6}: {message}"
+
+
+def test_analyze_names_a_bad_line_in_the_second_chunk(tmp_path, capsys):
+    lines = serialize_log(long_log(2 * _CHUNK + 9)).splitlines()
+    lines.insert(_CHUNK + 4, "1.0\thit\t0")  # the line numbered _CHUNK + 5
+    path = tmp_path / "events_000.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot read {path}: line {_CHUNK + 5}: expected 8 tab-separated fields\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -2,10 +2,11 @@
 
 Each command runs as a child process at two durations, ten times apart, and
 its peak RSS (``ru_maxrss`` from ``os.wait4``) may grow by less than
-``GROWTH_MB`` from the shorter to the longer. At the default V config a
-2e5-unit log holds about 1e5 hits (4.3 MB of text, 5.7 MB as columns); the
-2e4-unit one already fills a ``_CHUNK`` block, so a command that holds a
-block at a time peaks at about the same RSS for both.
+``GROWTH_MB`` from the shorter to the longer. At the default V config and
+seed 4242 a 2e5-unit log holds about 67,000 records (4.3 MB of text, 3.8 MB
+as columns) and a 2e4-unit one about 6,700, already three ``_CHUNK``
+blocks, so a command that holds a block at a time peaks at about the same
+RSS for both. A command that holds the whole log grows by about 11 MB.
 
 A child's ``ru_maxrss`` starts at its parent's RSS (a child begins as a copy
 of it), and this test process may be large. So each command is started by
