@@ -1,7 +1,8 @@
 """Per-epoch flow graphs for the four 3-level configurations.
 
-Each configuration fixes which side of each transition the laser drives
-first:
+The four configurations differ only in whether each laser's side of the
+atom absorbs or emits first out of ground (``ConfigKind.strong_absorb_first``
+and ``weak_absorb_first``):
 
 * V          -- both excited levels above ground: strong side absorbs
                 then emits; the weak cycle absorbs then emits, so the
@@ -14,10 +15,18 @@ first:
 * Cascade down -- strong level above ground (strong side like V), weak
                 level below (weak cycle like Lambda).
 
-Graphs are built breadth-first from the epoch root up to a depth budget
-(detector clicks and weak-photon count each at most ``depth`` above the
-root) with ready marks assigned along the way; labels whose expansion
-was cut off form the frontier, where mass that reaches them stays.
+So one table of laser moves, ``_moves``, gives every configuration's
+graph: out of ground, each switched-on laser drives its side's first
+edge, and from its excited level the other edge returns to ground.
+``build_epoch`` applies the moves breadth-first from the epoch root. An
+emitting edge adds its photon to the ledger and a click for a strong
+photon; an absorbing edge keeps the source's ready marks. A ready label
+takes no weak move: behind its blocked edges it could carry no mass.
+
+Two cuts bound the graph, each at ``depth`` above the root's ledger: the
+clicks budget cuts every strong emission, and the weak budget cuts the
+weak move out of ground, which starts a weak cycle. A label that either
+cut stops is on the frontier, where mass that reaches it stays.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .errors import InvalidDepth, NotExtensible
 from .flow import RateSet
 from .rules import is_decoherent, mark_ready
 from .state import (
+    NO_MARKS,
     AtomLevel,
     ChainState,
     ComponentLabel,
@@ -91,6 +101,26 @@ class EpochGraph:
     marks: bool = True
 
 
+_STRONG = (EdgeKind.STRONG_ABSORB, EdgeKind.STRONG_EMIT)
+_WEAK = (EdgeKind.WEAK_ABSORB, EdgeKind.WEAK_EMIT)
+# what each emitting edge adds to the (clicks, strong, weak) ledger
+_EMITS = {EdgeKind.STRONG_EMIT: (1, 1, 0), EdgeKind.WEAK_EMIT: (0, 0, 1)}
+
+
+def _moves(kind: ConfigKind) -> dict[AtomLevel, list[tuple[EdgeKind, AtomLevel]]]:
+    """The laser moves (edge kind, target level) out of each atom level, strong side then weak."""
+    moves = {atom: [] for atom in AtomLevel}
+    for on, absorb_first, excited, side in (
+        (kind.strong_on, kind.strong_absorb_first, AtomLevel.STRONG, _STRONG),
+        (kind.weak_on, kind.weak_absorb_first, AtomLevel.WEAK, _WEAK),
+    ):
+        if on:
+            first, second = side if absorb_first else side[::-1]
+            moves[AtomLevel.GROUND].append((first, excited))
+            moves[excited].append((second, AtomLevel.GROUND))
+    return moves
+
+
 def build_epoch(
     kind: ConfigKind,
     root: ComponentLabel,
@@ -101,10 +131,9 @@ def build_epoch(
     """Construct the epoch graph rooted at a realized label.
 
     The root is taken as realized (its marks, if any, are stripped).
-    Ready components are extended along the strong cycle only: their
-    weak sub-branches would sit behind blocked edges and never carry
-    mass. With ``marks`` False (no observer) no component is marked
-    ready, so nothing is blocked and no hit can land. Raises
+    With ``marks`` False (no observer) no component is marked ready, so
+    nothing is blocked and no hit can land. Each label is expanded once
+    and is the source of every edge it adds, so no edge repeats. Raises
     InvalidDepth for depth < 1.
     """
     if depth < 1:
@@ -112,104 +141,31 @@ def build_epoch(
     root = root.without_marks()
     clicks_budget = root.clicks + depth
     weak_budget = root.weak + depth
-
-    labels: list[ComponentLabel] = [root]
+    moves = _moves(kind)
+    labels = [root]
     seen = {root}
     edges: list[FlowEdge] = []
-    edge_seen = set()
     frontier: set[ComponentLabel] = set()
-    queue = [root]
-
-    def attach(parent: ComponentLabel, raw_child: ComponentLabel, ekind: EdgeKind) -> None:
-        decoherent = marks and is_decoherent(parent, raw_child)
-        child = mark_ready(parent, raw_child, decoherent)
-        if child not in seen:
-            seen.add(child)
-            labels.append(child)
-            queue.append(child)
-        edge = FlowEdge(parent, child, rates.rate_for(ekind), ekind)
-        if edge not in edge_seen:
-            edge_seen.add(edge)
-            edges.append(edge)
-
-    while queue:
-        lab = queue.pop(0)
-        a = lab.atom
-        if a is AtomLevel.GROUND:
-            if kind.strong_on:
-                if kind.strong_absorb_first:
-                    attach(
-                        lab,
-                        make_label(AtomLevel.STRONG, lab.clicks, lab.strong, lab.weak, lab.ready),
-                        EdgeKind.STRONG_ABSORB,
-                    )
-                elif lab.clicks + 1 <= clicks_budget:
-                    attach(
-                        lab,
-                        make_label(AtomLevel.STRONG, lab.clicks + 1, lab.strong + 1, lab.weak),
-                        EdgeKind.STRONG_EMIT,
-                    )
-                else:
-                    frontier.add(lab)
-            if kind.weak_on and not lab.ready.any():
-                if lab.weak + 1 <= weak_budget:
-                    if kind.weak_absorb_first:
-                        attach(
-                            lab,
-                            make_label(AtomLevel.WEAK, lab.clicks, lab.strong, lab.weak),
-                            EdgeKind.WEAK_ABSORB,
-                        )
-                    else:
-                        attach(
-                            lab,
-                            make_label(AtomLevel.WEAK, lab.clicks, lab.strong, lab.weak + 1),
-                            EdgeKind.WEAK_EMIT,
-                        )
-                else:
-                    frontier.add(lab)
-        elif a is AtomLevel.STRONG:
-            if kind.strong_on:
-                if kind.strong_absorb_first:
-                    if lab.clicks + 1 <= clicks_budget:
-                        attach(
-                            lab,
-                            make_label(
-                                AtomLevel.GROUND, lab.clicks + 1, lab.strong + 1, lab.weak
-                            ),
-                            EdgeKind.STRONG_EMIT,
-                        )
-                    else:
-                        frontier.add(lab)
-                else:
-                    attach(
-                        lab,
-                        make_label(AtomLevel.GROUND, lab.clicks, lab.strong, lab.weak, lab.ready),
-                        EdgeKind.STRONG_ABSORB,
-                    )
-        else:  # AtomLevel.WEAK
-            if kind.weak_on:
-                if kind.weak_absorb_first:
-                    attach(
-                        lab,
-                        make_label(AtomLevel.GROUND, lab.clicks, lab.strong, lab.weak + 1),
-                        EdgeKind.WEAK_EMIT,
-                    )
-                else:
-                    attach(
-                        lab,
-                        make_label(AtomLevel.GROUND, lab.clicks, lab.strong, lab.weak, lab.ready),
-                        EdgeKind.WEAK_ABSORB,
-                    )
-
+    for lab in labels:  # breadth first: the list grows as children are found
+        for ekind, atom in moves[lab.atom]:
+            weak = ekind in _WEAK
+            if weak and lab.ready.any():
+                continue
+            if (ekind is EdgeKind.STRONG_EMIT and lab.clicks == clicks_budget) or (
+                weak and lab.atom is AtomLevel.GROUND and lab.weak == weak_budget
+            ):
+                frontier.add(lab)
+                continue
+            dc, ds, dw = _EMITS.get(ekind, (0, 0, 0))
+            ready = NO_MARKS if ekind in _EMITS else lab.ready
+            child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw, ready)
+            child = mark_ready(lab, child, marks and is_decoherent(lab, child))
+            if child not in seen:
+                seen.add(child)
+                labels.append(child)
+            edges.append(FlowEdge(lab, child, rates.rate_for(ekind), ekind))
     return EpochGraph(
-        kind=kind,
-        rates=rates,
-        depth=depth,
-        root=root,
-        labels=tuple(labels),
-        edges=tuple(edges),
-        frontier=frozenset(frontier),
-        marks=marks,
+        kind, rates, depth, root, tuple(labels), tuple(edges), frozenset(frontier), marks
     )
 
 
