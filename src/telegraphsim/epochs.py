@@ -109,15 +109,10 @@ class EpochTemplate:
         self._pieces = [(system.propagator(dt), n) for n, dt in cells]
         self.masses = propagate(np.asarray(initial, dtype=np.float64), self._pieces)
 
-        if len(self.sink_labels):
-            delivered = self.masses[:, self.sink_idx]
-            self.delivered = np.maximum.accumulate(delivered, axis=0)
-            self.final_delivered = self.delivered[-1]
-            self.cum_final = np.cumsum(self.final_delivered)
-        else:
-            self.delivered = np.zeros((len(self.grid), 0))
-            self.final_delivered = np.zeros(0)
-            self.cum_final = np.zeros(0)
+        # with no sinks these are empty: (grid, 0), (0,) and (0,)
+        self.delivered = np.maximum.accumulate(self.masses[:, self.sink_idx], axis=0)
+        self.final_delivered = self.delivered[-1]
+        self.cum_final = np.cumsum(self.final_delivered)
         self._cum_before = np.concatenate(([0.0], self.cum_final[:-1]))
         self._largest_sink = int(np.argmax(self.final_delivered)) if len(self.sink_labels) else 0
         # every sink's delivery column, one after another, as (sink, delivered)

@@ -7,9 +7,11 @@ the hit rows; ``EventLog.of_kind`` selects the rows of either kind.
 
 One line per record: time, kind, epoch, then the label fields (atom
 level, detector clicks, strong count, weak count) and an auxiliary
-value (delivered mass for hits, crossing flux weight for weak-edge
-crossings). Floats are written with Python's shortest round-trip
-representation so logs are diffable and parse back bit-exactly.
+value: the delivered mass for hits, and a weight for weak-edge
+crossings. ``run`` writes 1.0 for every crossing, and
+``classify_weak_timing`` reads it as that crossing's weight. Floats are
+written with Python's shortest round-trip representation so logs are
+diffable and parse back bit-exactly.
 
 Each epoch writes its weak-edge crossings, then its hit. Its start is
 implied: epoch 0 starts at t=0 on the ground level with an empty ledger,
@@ -19,25 +21,26 @@ version 1 logs, dropping the ``epoch_start`` records they held.
 Text is made and read ``_CHUNK`` records at a time, so no line list or
 Python object per field of a whole log ever exists. ``append_records``
 writes the lines of each chunk to a file ``open_log`` opened, and
-``serialize_log`` joins the same chunks. ``iter_log`` reads a log's file
-``_SPLIT_CHARS`` characters at a time and converts each chunk of lines
-with numpy's C reader (``np.loadtxt``) into columns, so a log can be read
-without ever holding all of it; ``read_log`` and ``parse_log`` put the
-same chunks together into one log. That reader converts every float
-``repr`` writes to the same bits as ``float`` does. Its errors keep their
-messages: ``line N: expected 8 tab-separated fields`` for a line with a
-field too many or too few, and ``'flash' is not a valid EventKind`` for an
-unknown kind. A field numpy cannot convert, such as an int past int64 or a
-``#`` inside a data line, raises ``line N: could not convert string ...``;
-only lines that start with ``#`` are comments.
+``serialize_log`` joins the same chunks. ``iter_log`` takes a log's file
+``_CHUNK`` lines at a time, drops the comment and blank lines, and
+converts the rest with numpy's C reader (``np.loadtxt``) into columns,
+so a log can be read without ever holding all of it; ``read_log`` and
+``parse_log`` put the same chunks together into one log. That reader
+converts every float ``repr`` writes to the same bits as ``float`` does.
+Its errors keep their messages: ``line N: expected 8 tab-separated
+fields`` for a line with a field too many or too few, and ``'flash' is
+not a valid EventKind`` for an unknown kind. A field numpy cannot
+convert, such as an int past int64 or a ``#`` inside a data line,
+raises ``line N: could not convert string ...``; only lines that start
+with ``#`` are comments.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO, Union
@@ -171,8 +174,8 @@ _ROW = np.dtype(
         ("aux", np.float64),
     ]
 )
-# characters of a log's text split into lines at a time
-_SPLIT_CHARS = 1 << 16
+# the first characters of the lines that hold no record: comments and blank lines
+_NOT_DATA = "#\n"
 
 
 #: What ``validate_log`` carries from a chunk of a log to the next: the last
@@ -182,10 +185,12 @@ _NO_TAIL: LogTail = (-math.inf, int(np.iinfo(np.int64).min), None)
 
 
 def validate_log(records: Records, before: Optional[LogTail] = None) -> Optional[LogTail]:
-    """Check the ordering invariants: times and epochs nondecreasing, hit epochs consecutive.
+    """Check the ordering invariants: times finite and nondecreasing, epochs
+    nondecreasing, hit epochs consecutive.
 
     Consecutive hit epochs are what lets the hits imply every epoch start.
-    Reports the first offending record, checking its time, epoch, then hit epoch.
+    Reports the first offending record, checking its time (finite, then
+    not below the one before), epoch, then hit epoch.
     A log may be checked a chunk at a time: given as ``before`` the tail
     that the call on the records before returned, each call checks its
     records against them too, so the chunks raise what the whole log raises.
@@ -199,11 +204,12 @@ def validate_log(records: Records, before: Optional[LogTail] = None) -> Optional
     hit_epochs = np.concatenate(
         (np.array([] if last_hit is None else [last_hit], np.int64), log.epoch[hit_at])
     )
-    time_down = np.flatnonzero(time[1:] < time[:-1])
+    # NaN fails every comparison, so non-finite times are faults of their own
+    time_bad = np.flatnonzero(~np.isfinite(log.time) | (time[1:] < time[:-1]))
     epoch_down = np.flatnonzero(epoch[1:] < epoch[:-1])
     not_next = hit_at[len(hit_at) + 1 - len(hit_epochs) :][np.diff(hit_epochs) != 1]
     firsts = [
-        int(found[0]) if found.size else len(log) for found in (time_down, epoch_down, not_next)
+        int(found[0]) if found.size else len(log) for found in (time_bad, epoch_down, not_next)
     ]
     first = min(firsts)
     if first == len(log):
@@ -216,6 +222,8 @@ def validate_log(records: Records, before: Optional[LogTail] = None) -> Optional
         )
     r = log[first]
     if first == firsts[0]:
+        if not math.isfinite(r.time):
+            raise ValueError(f"record time is not finite at epoch={r.epoch}")
         raise ValueError(f"record times decrease at t={r.time}")
     if first == firsts[1]:
         raise ValueError(f"record epochs decrease at epoch={r.epoch}")
@@ -258,8 +266,7 @@ def append_records(fh: TextIO, records: Records) -> None:
 
 def parse_log(text: str) -> EventLog:
     """The records of a log's text, converted ``_CHUNK`` lines at a time."""
-    pieces = (text[i : i + _SPLIT_CHARS] for i in range(0, len(text), _SPLIT_CHARS))
-    return EventLog.concat(_chunks(pieces))
+    return EventLog.concat(_chunks(io.StringIO(text, newline=None)))
 
 
 def read_log(path: Path) -> EventLog:
@@ -270,39 +277,20 @@ def read_log(path: Path) -> EventLog:
 def iter_log(path: Path) -> Iterator[EventLog]:
     """The records of a log's file, read and converted ``_CHUNK`` lines at a time."""
     with Path(path).open(encoding="utf-8") as fh:
-        yield from _chunks(iter(partial(fh.read, _SPLIT_CHARS), ""))
+        yield from _chunks(fh)
 
 
-def _chunks(pieces: Iterator[str]) -> Iterator[EventLog]:
-    """The records of the text that ``pieces`` make up, ``_CHUNK`` lines at a time."""
-    first = next(pieces, "")
-    v1 = first.startswith(_V1_HEADER)
-    lines = _lines(chain((first,), pieces))
+def _chunks(lines: Iterator[str]) -> Iterator[EventLog]:
+    """The records of ``lines``, a log's lines, converted ``_CHUNK`` lines at a time."""
+    first = next(lines, "")
+    v1 = first == _V1_HEADER
+    lines = chain((first,) if first else (), lines)
     lineno = 0  # lines before this chunk
     while chunk := list(islice(lines, _CHUNK)):
-        data = [line for line in chunk if _is_data(line)]
+        data = [line for line in chunk if line[0] not in _NOT_DATA]
         if data:
             yield _records(data, v1, chunk, lineno)
         lineno += len(chunk)
-
-
-def _lines(pieces: Iterable[str]) -> Iterator[str]:
-    """The lines of the text that ``pieces`` make up, split after each piece's last newline.
-
-    A line never straddles the split, so the lines are those of the whole
-    text's ``splitlines``.
-    """
-    rest = ""
-    for piece in pieces:
-        text = rest + piece
-        end = text.rfind("\n") + 1
-        yield from text[:end].splitlines()
-        rest = text[end:]
-    yield from rest.splitlines()
-
-
-def _is_data(line: str) -> bool:
-    return bool(line) and line[0] != "#"
 
 
 def _records(data: list[str], v1: bool, chunk: list[str], lineno: int) -> EventLog:
@@ -312,7 +300,9 @@ def _records(data: list[str], v1: bool, chunk: list[str], lineno: int) -> EventL
     except ValueError as exc:
         # Name the first line numpy rejects. A line with a field too many or
         # too few comes before any line whose fields do not convert.
-        numbered = [(n, line) for n, line in enumerate(chunk, lineno + 1) if _is_data(line)]
+        numbered = [
+            (n, line) for n, line in enumerate(chunk, lineno + 1) if line[0] not in _NOT_DATA
+        ]
         for n, line in numbered:
             if line.count("\t") != 7:
                 raise ValueError(f"line {n}: expected 8 tab-separated fields") from None

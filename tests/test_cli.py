@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -311,6 +312,22 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"cannot read {log}: record times decrease")
+
+    def test_analyze_rejects_non_finite_times(self, tmp_path, capsys):
+        log = tmp_path / "non_finite.tsv"
+        hit = "{}\thit\t{}\t0\t{}\t{}\t0\t1.0\n"
+        times = ("1.0", "nan", "3.0", "inf")
+        log.write_text(
+            serialize_log([]) + "".join(hit.format(t, e, e + 1, e + 1) for e, t in enumerate(times)),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("analyze", str(log)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {log}: record time is not finite at epoch=1\n"
 
     def test_analyze_imports_no_scipy(self, tmp_path):
         # a fresh interpreter: this one has already imported scipy

@@ -1,5 +1,6 @@
 """The columnar event log against the record sequences it replaces."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -33,11 +34,11 @@ records = st.lists(
     max_size=40,
 )
 
-# few distinct times and epochs, so that ties, decreases and repeated or skipped hit
-# epochs all occur
+# few distinct times and epochs, so that ties, decreases, non-finite times and repeated
+# or skipped hit epochs all occur
 near_valid = st.lists(
     st.tuples(
-        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, math.nan, math.inf, -math.inf]),
         st.sampled_from(list(EventKind)),
         st.integers(min_value=0, max_value=4),
     ),
@@ -51,6 +52,8 @@ def reference_validate(records):
     last_e = -1
     last_hit = None
     for r in records:
+        if not math.isfinite(r.time):
+            raise ValueError(f"record time is not finite at epoch={r.epoch}")
         if r.time < last_t:
             raise ValueError(f"record times decrease at t={r.time}")
         if r.epoch < last_e:
@@ -115,6 +118,9 @@ def test_validate_rejects_each_violation():
         validate_log([hit, replace(next_hit, epoch=0)])
     with pytest.raises(ValueError, match="hit at epoch=2 does not follow"):
         validate_log([crossing, hit, replace(next_hit, epoch=2)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="time is not finite at epoch=1"):
+            validate_log([crossing, hit, replace(next_hit, time=bad)])
 
 
 def test_parse_rejects_bad_lines():

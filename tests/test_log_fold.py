@@ -111,12 +111,14 @@ def _breach(log: EventLog, kind: str, rng: np.random.Generator) -> tuple[EventLo
     at = int(rng.integers(1, len(log)))
     if kind == "time":
         bad.time[at] = bad.time[at - 1] - 1.0
+    elif kind == "non-finite time":
+        bad.time[at] = rng.choice([np.nan, np.inf, -np.inf])
     else:
         bad.epoch[at] = bad.epoch[at - 1] - 1
     return bad, at
 
 
-@pytest.mark.parametrize("kind", ["time", "epoch", "hit epoch"])
+@pytest.mark.parametrize("kind", ["time", "non-finite time", "epoch", "hit epoch"])
 def test_a_breach_on_a_cut_raises_the_whole_logs_message(kind):
     rng = np.random.default_rng(11)
     for name in BOTH:
