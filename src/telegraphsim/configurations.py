@@ -19,9 +19,12 @@ So one table of laser moves, ``_moves``, gives every configuration's
 graph: out of ground, each switched-on laser drives its side's first
 edge, and from its excited level the other edge returns to ground.
 ``build_epoch`` applies the moves breadth-first from the epoch root. An
-emitting edge adds its photon to the ledger and a click for a strong
-photon; an absorbing edge keeps the source's ready marks. A ready label
-takes no weak move: behind its blocked edges it could carry no mass.
+emitting edge adds its photon to the ledger, and a click for a strong
+photon, and its child starts unmarked; an absorbing edge keeps the
+source's ready marks. Either child is then marked ready if it records a
+new click or its source is ready (``rules.is_decoherent``). A ready
+label takes no weak move: behind its blocked edges it could carry no
+mass.
 
 Two cuts bound the graph, each at ``depth`` above the root's ledger: the
 clicks budget cuts every strong emission, and the weak budget cuts the

@@ -315,12 +315,12 @@ class TestAnalyzeCommand:
 
     def test_analyze_rejects_non_finite_times(self, tmp_path, capsys):
         log = tmp_path / "non_finite.tsv"
-        hit = "{}\thit\t{}\t0\t{}\t{}\t0\t1.0\n"
-        times = ("1.0", "nan", "3.0", "inf")
-        log.write_text(
-            serialize_log([]) + "".join(hit.format(t, e, e + 1, e + 1) for e, t in enumerate(times)),
-            encoding="utf-8",
-        )
+        # a v2 log's hits in epochs 0-3, with hit times 1.0, nan, 3.0 and inf
+        lines = [
+            f"{t}\thit\t{e}\t0\t{e + 1}\t{e + 1}\t0\t1.0\n"
+            for e, t in enumerate(("1.0", "nan", "3.0", "inf"))
+        ]
+        log.write_text(serialize_log([]) + "".join(lines), encoding="utf-8")
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
