@@ -352,6 +352,27 @@ class TestAnalyzeCommand:
         assert proc.returncode == 0, proc.stderr
         assert "bright=" in proc.stdout
 
+    def test_run_imports_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs a run about 15 ms and 1.2 MB; np.unique imports it in numpy 2.x
+        script = textwrap.dedent(
+            """
+            import sys
+            import telegraphsim.cli
+            out = sys.argv[1]
+            argv = ["run", "--k-weak-absorb", "0.1", "--k-weak-emit", "0.1",
+                    "--duration", "2000", "--seed", "1", "--out", out]
+            assert telegraphsim.cli.main(argv) == 0
+            with open(f"{out}/events_000.tsv", encoding="utf-8") as fh:
+                assert "weak_edge_crossing" in fh.read()
+            assert "numpy.ma" not in sys.modules, "run imported numpy.ma"
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_run_and_analyze_warn_nothing(self, tmp_path):
         # numpy warnings become errors, and nothing at all may reach stderr
         for i, flags in enumerate(ENGINE_FLAGS):
