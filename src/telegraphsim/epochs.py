@@ -240,8 +240,14 @@ class EpochTemplate:
         # Candidate crossing times from both natural grids: the flux
         # curve's own grid and the lag grid reflected about tau. This
         # keeps resolution fine wherever either factor varies quickly.
-        cand = np.concatenate([self.grid, tau - self.grid])
-        cand = np.unique(np.clip(cand[(cand >= 0.0) & (cand <= tau)], 0.0, tau))
+        # Both runs ascend within [0, tau], so a stable sort merges them,
+        # and dropping repeats leaves the distinct candidates in order.
+        below = self.grid[: np.searchsorted(self.grid, tau, side="right")]
+        cand = np.sort(np.concatenate([below, tau - below[::-1]]), kind="stable")
+        first = np.empty(cand.shape, dtype=bool)
+        first[:1] = True
+        first[1:] = cand[1:] != cand[:-1]
+        cand = cand[first]
         if cand.size < 2:
             return tau
         flux = np.interp(cand, self.grid, stage.flux_rate)

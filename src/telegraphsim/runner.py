@@ -216,29 +216,33 @@ def _trajectory(
             sinks, tau, times, delivered, end = draw(ep, t, epoch)
             deltas = ep.sink_ledger[sinks]
             after = ledger + np.cumsum(deltas, axis=0)
-            crossings = []
-            for q in np.flatnonzero(deltas[:, 2] > 0):
-                crossed = _crossings(
+            # every crossing of the draw's weak epochs, by epoch and then by time
+            crossed = [
+                (q, c, lab)
+                for q in np.flatnonzero(deltas[:, 2] > 0)
+                for c, lab in _crossings(
                     _template(ep), ep.ready[sinks[q]], float(tau[q]), float(times[q])
                 )
-                shifts = [(lab.clicks, lab.strong, lab.weak) for _, lab in crossed]
-                crossings.append(
+            ]
+            n = len(sinks)
+            # only whole epochs are buffered: a breach above leaves none half logged
+            if crossed:
+                q = np.array([q for q, _, _ in crossed])
+                shifts = np.array([(lab.clicks, lab.strong, lab.weak) for _, _, lab in crossed])
+                rows.append(
                     _rows(
                         WEAK_EDGE_CROSSING,
-                        [c for c, _ in crossed],
+                        [c for _, c, _ in crossed],
                         epoch + q,
-                        [lab.atom.value for _, lab in crossed],
-                        after[q] - deltas[q] + np.array(shifts, dtype=np.int64).reshape(-1, 3),
+                        [lab.atom.value for _, _, lab in crossed],
+                        after[q] - deltas[q] + shifts,
                         1.0,
                     )
                 )
-            n = len(sinks)
-            # only whole epochs are buffered: a breach above leaves none half logged
-            rows.extend(crossings)
             rows.append(
                 _rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after, delivered)
             )
-            buffered += n + sum(map(len, crossings))
+            buffered += n + len(crossed)
             epoch += n
             if end is not None:
                 t = end
