@@ -53,7 +53,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         # a value given in code goes through its key's parser, as text does,
         # and is kept as the parser returns it ("V" becomes "v", 5 becomes 5.0)
-        for name in _CHECKED_BY_PARSER:
+        for name in _PARSERS:
             value = getattr(self, name)
             if value is not None:  # threshold_gap=None is auto
                 object.__setattr__(self, name, _PARSERS[name](str(value)))
@@ -109,6 +109,13 @@ def _parse_seed(value: str) -> int:
     return x
 
 
+def _parse_out(value: str) -> str:
+    v = value.strip()
+    if not v:
+        raise ValueError(f"out must name a directory, got {value!r}")
+    return v
+
+
 def _parse_threshold(value: str) -> Optional[float]:
     if value.strip().lower() == "auto":
         return None
@@ -130,10 +137,8 @@ _PARSERS = {
     "threshold_gap": _parse_threshold,
     "depth": lambda v: _parse_positive_int(v, "depth"),
     "engine": lambda v: _parse_choice(v, _ENGINES, "engine"),
-    "out": lambda v: v.strip(),
+    "out": _parse_out,
 }
-# every key but out, which is any text
-_CHECKED_BY_PARSER = tuple(key for key in _PARSERS if key != "out")
 
 
 def parse_config(text: str) -> RunConfig:

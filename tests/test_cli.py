@@ -401,6 +401,12 @@ class TestFlags:
         assert "config error: " + flags[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_out_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--duration", "10", "--out", "") == 1
+        assert capsys.readouterr().err.startswith("config error: --out: out must name a directory")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -101,6 +101,15 @@ def test_run_config_applies_the_parsers_rules(key, value):
         with_overrides(RunConfig(), **{key: value})
 
 
+@pytest.mark.parametrize("value", ["", "   "])
+def test_empty_out_is_rejected(value):
+    """An empty ``out`` once wrote the logs and reports into the working directory."""
+    with pytest.raises(ConfigError, match="^line 1: out must name a directory"):
+        parse_config(f"out = {value}\n")
+    with pytest.raises(ValueError, match="^out must name a directory"):
+        RunConfig(out=value)
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("kind = v\nfrobnicate = 3\n")

@@ -13,10 +13,12 @@ in extended precision, so the sum adds no rounding of its own at these bounds.
 
 The masses and the conservation residual must hold to ``MASS_BOUND``. The
 arrival curves get ``LAG_BOUND``: in Lambda and the weak-down cascade at
-ratio 1e-3, an impulse at a weak edge's target waits out a slow stage over
-the tail piece's 3,000 steps, each by a propagator whose diagonal is close
-to 1, and a curve stepped one product at a time carries about 5.4e-13 of
-their rounding there.
+ratio 1e-3, an impulse at a weak edge's target waits in a slow state through
+the fast piece's 3,000 steps. The fast propagator holds that state's
+diagonal entry to within about 1.8e-16, one rounding, so the waiting mass
+loses about 3,000 times that, and its arrival curve ends about 5.4e-13
+low. The same curve stepped with correctly rounded propagators (computed by
+``mpmath``) ends 1.1e-13 low.
 """
 
 import numpy as np
