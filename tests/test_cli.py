@@ -353,7 +353,7 @@ class TestAnalyzeCommand:
         assert "bright=" in proc.stdout
 
     def test_run_imports_no_numpy_ma(self, tmp_path):
-        # numpy.ma costs a run about 15 ms and 1.2 MB; np.unique imports it in numpy 2.x
+        # numpy.ma costs a run about 17 ms and 1.3 MB; np.unique imports it in numpy 2.x
         script = textwrap.dedent(
             """
             import sys
