@@ -1,7 +1,7 @@
 """Telegraph segmentation, interval statistics, weak-photon timing.
 
 Turns an event log into the observable story: alternating bright and
-dark fluorescence intervals, their duration statistics, and for each
+dark fluorescence intervals, their counts and mean durations, and for each
 dark interval whether the weak photon was emitted at its start or its
 end. Every result is a set of arrays with one row per interval.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,18 +79,6 @@ class TimingReport:
         return int(np.count_nonzero(self.classification == cls))
 
 
-def _weighted_median(values: Sequence[float], weights: Sequence[float]) -> float:
-    order = np.argsort(values)
-    v = np.asarray(values, dtype=float)[order]
-    w = np.asarray(weights, dtype=float)[order]
-    cum = np.cumsum(w)
-    half = 0.5 * cum[-1]
-    k = int(np.searchsorted(cum, half))
-    if math.isclose(cum[k], half, rel_tol=1e-12) and k + 1 < len(v):
-        return 0.5 * (v[k] + v[k + 1])
-    return float(v[k])
-
-
 def classify_weak_timing(
     records: Records,
     seg: TelegraphSegmentation,
@@ -99,26 +87,27 @@ def classify_weak_timing(
 ) -> TimingReport:
     """Locate each dark interval's weak-photon emission and classify it.
 
-    The interval's emission time is the flux-weighted median of the
+    The interval's emission time is the median of the times of the
     weak-edge crossings of its epoch, the one its closing hit ends. It
     classifies AtEnd when within one strong-cycle time of the dark end,
     else AtStart when within one weak-absorption time of the dark start,
-    else Ambiguous. The crossings are found by bisection, so their epochs
-    must be nondecreasing, as ``validate_log`` checks.
+    else Ambiguous. The crossings are found by bisection and each epoch's
+    median is read off its middle pair, so their epochs and times must be
+    nondecreasing, as ``validate_log`` checks.
     """
     if config.lasers is not LaserDrive.BOTH:
         raise NoWeakBranch("timing classification needs both lasers in the generating run")
     strong_cycle = 1.0 / rates.k_strong_absorb + 1.0 / rates.k_strong_emit
     weak_absorb_time = 1.0 / rates.k_weak_absorb
     cross = EventLog.of(records).of_kind(EventKind.WEAK_EDGE_CROSSING)
-    weights = np.maximum(cross.aux, 1e-30)
     starts, ends = seg.dark_intervals.T
     lo = np.searchsorted(cross.epoch, seg.dark_epochs, side="left")
     hi = np.searchsorted(cross.epoch, seg.dark_epochs, side="right")
 
     t_med = np.full(len(starts), np.nan)
-    for i in np.flatnonzero(hi > lo):
-        t_med[i] = _weighted_median(cross.time[lo[i] : hi[i]], weights[lo[i] : hi[i]])
+    some = hi > lo
+    lo, n = lo[some], (hi - lo)[some]
+    t_med[some] = 0.5 * (cross.time[lo + (n - 1) // 2] + cross.time[lo + n // 2])
     # nan compares false, so an interval without crossings is ambiguous
     at_end = np.abs(t_med - ends) <= strong_cycle
     at_start = np.abs(t_med - starts) <= weak_absorb_time
@@ -133,28 +122,24 @@ class IntervalStats:
     bright_count: int
     dark_count: int
     bright_mean: float
-    bright_std: float
     dark_mean: float
-    dark_std: float
     dark_rate_estimate: Optional[float]
 
 
 def interval_stats(seg: TelegraphSegmentation) -> IntervalStats:
-    """Descriptive statistics of the segmentation; nan for the moments of no dark interval.
+    """Interval counts and mean durations; the dark mean is nan when no interval is dark.
 
     Dark durations are additionally fit to an exponential; the rate
     estimate (1/mean) is a diagnostic, not a distributional claim.
     """
     (b0, b1), (d0, d1) = seg.bright_intervals.T, seg.dark_intervals.T
     bright, dark = b1 - b0, d1 - d0
-    d_mean, d_std = (float(dark.mean()), float(dark.std())) if dark.size else (math.nan,) * 2
+    d_mean = float(dark.mean()) if dark.size else math.nan
     return IntervalStats(
         bright_count=len(bright),
         dark_count=len(dark),
         bright_mean=float(bright.mean()),
-        bright_std=float(bright.std()),
         dark_mean=d_mean,
-        dark_std=d_std,
         dark_rate_estimate=(1.0 / d_mean) if dark.size and d_mean > 0 else None,
     )
 

@@ -7,16 +7,16 @@ the hit rows; ``EventLog.of_kind`` selects the rows of either kind.
 
 One line per record: time, kind, epoch, then the label fields (atom
 level, detector clicks, strong count, weak count) and an auxiliary
-value: the delivered mass for hits, and a weight for weak-edge
-crossings. ``run`` writes 1.0 for every crossing, and
-``classify_weak_timing`` reads it as that crossing's weight. Floats are
-written with Python's shortest round-trip representation so logs are
-diffable and parse back bit-exactly.
+value: the delivered mass for hits, and 1.0 for weak-edge crossings,
+which nothing reads. Floats are written with Python's shortest
+round-trip representation so logs are diffable and parse back
+bit-exactly.
 
 Each epoch writes its weak-edge crossings, then its hit. Its start is
 implied: epoch 0 starts at t=0 on the ground level with an empty ledger,
-epoch k at hit k-1's time, atom and ledger. ``parse_log`` also reads
-version 1 logs, dropping the ``epoch_start`` records they held.
+epoch k at hit k-1's time, atom and ledger. Only this format, version 2,
+is read: a version 1 log's ``epoch_start`` records raise as an unknown
+kind.
 
 Text is made and read ``_CHUNK`` records at a time, so no line list or
 Python object per field of a whole log ever exists. ``append_records``
@@ -48,7 +48,6 @@ from typing import Iterable, Iterator, Optional, TextIO, Union
 import numpy as np
 
 FORMAT_VERSION = 2
-_V1_HEADER = "# telegraph-event-log v1\n"  # v1 also wrote the implied epoch starts
 _HEADER = (
     f"# telegraph-event-log v{FORMAT_VERSION}\n"
     "# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux\n"
@@ -282,18 +281,15 @@ def iter_log(path: Path) -> Iterator[EventLog]:
 
 def _chunks(lines: Iterator[str]) -> Iterator[EventLog]:
     """The records of ``lines``, a log's lines, converted ``_CHUNK`` lines at a time."""
-    first = next(lines, "")
-    v1 = first == _V1_HEADER
-    lines = chain((first,) if first else (), lines)
     lineno = 0  # lines before this chunk
     while chunk := list(islice(lines, _CHUNK)):
         data = [line for line in chunk if line[0] not in _NOT_DATA]
         if data:
-            yield _records(data, v1, chunk, lineno)
+            yield _records(data, chunk, lineno)
         lineno += len(chunk)
 
 
-def _records(data: list[str], v1: bool, chunk: list[str], lineno: int) -> EventLog:
+def _records(data: list[str], chunk: list[str], lineno: int) -> EventLog:
     """The records of ``data``, the data lines of ``chunk``, which follows line ``lineno``."""
     try:
         rows = np.loadtxt(data, dtype=_ROW, delimiter="\t", comments=None, ndmin=1)
@@ -315,18 +311,15 @@ def _records(data: list[str], v1: bool, chunk: list[str], lineno: int) -> EventL
                 raise ValueError(f"line {n}: {why}") from None
         raise
     kind = rows["kind"]
-    keep = kind != "epoch_start" if v1 else np.ones(len(rows), dtype=bool)
     codes = np.full(len(rows), -1, dtype=np.int8)
     for value, code in _CODE_OF_VALUE.items():
         codes[kind == value] = code
-    bad = np.flatnonzero(keep & (codes < 0))
+    bad = np.flatnonzero(codes < 0)
     if bad.size:
         # the line's own field: the kind column may have cut a longer one short
         kind = data[bad[0]].split("\t")[1]
         raise ValueError(f"{kind!r} is not a valid EventKind")
-    return EventLog(
-        rows["time"][keep], codes[keep], *(rows[name][keep] for name in EventLog.COLUMNS[2:])
-    )
+    return EventLog(rows["time"], codes, *(rows[name] for name in EventLog.COLUMNS[2:]))
 
 
 def hits(records: Records) -> EventLog:

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,6 +75,8 @@ from .rules import active_edges, substep_hit, trigger  # noqa: F401
 from .state import AtomLevel, ComponentLabel, Mode, make_label
 
 MASS_ABORT_TOL = 1e-6
+# the names of the files ``run`` writes, which a run first deletes from its ``out``
+_RUN_OUTPUT = re.compile(r"report\.jsonl|report\.txt|diagnostic\.json|events_[0-9]+\.tsv")
 #: Uniforms a trajectory draws from its generator at a time, at least.
 UNIFORM_BLOCK = 4096
 
@@ -600,11 +604,14 @@ def render_text_report(cfg: RunConfig, summaries: list[dict]) -> str:
 def run(cfg: RunConfig) -> int:
     """Execute a full run: one log per trajectory plus text/JSON reports.
 
-    Each trajectory's records go to its log file and to its summary's fold
-    a block at a time, so no whole log is held. Returns 0 on success, 1
-    for I/O failure, 2 for a runtime invariant breach, with a diagnostic
-    dump of the offending trajectory: ``diagnostic.json`` holds the error,
-    the trajectory index, the run's config as key=value text that
+    It first deletes from ``out`` the files an earlier run wrote there
+    (``_RUN_OUTPUT``), and nothing else, so the outputs it leaves are all
+    its own. Each trajectory's records go to its log file and to its
+    summary's fold a block at a time, so no whole log is held. Errors are
+    printed on stderr. Returns 0 on success, 1 for I/O failure, 2 for a
+    runtime invariant breach, with a diagnostic dump of the offending
+    trajectory: ``diagnostic.json`` holds the error, the trajectory
+    index, the run's config as key=value text that
     ``parse_config`` reads back, and the trajectory's log file
     (``partial_log``), which holds the records of every epoch completed
     before the breach (``epochs_logged``, one hit each).
@@ -613,11 +620,14 @@ def run(cfg: RunConfig) -> int:
         out = cfg.out_dir()
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory: {exc}")
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 1
     summaries = []
     epochs = _CompiledEpochs(cfg)
     try:
+        for old in out.iterdir():
+            if _RUN_OUTPUT.fullmatch(old.name):
+                old.unlink()
         for i in range(cfg.trajectories):
             log = out / f"events_{i:03d}.tsv"
             fold = LogFold(cfg.resolved_threshold())
@@ -630,7 +640,7 @@ def run(cfg: RunConfig) -> int:
                 result = run_trajectory(cfg, i, epochs, consume)
             summaries.append(summarize_trajectory(cfg, i, result, fold))
     except InvariantBreach as exc:
-        print(f"invariant breach: {exc}")
+        print(f"invariant breach: {exc}", file=sys.stderr)
         diagnostic = {
             "error": str(exc),
             "trajectory": i,
@@ -643,7 +653,7 @@ def run(cfg: RunConfig) -> int:
         )
         return 2
     except OSError as exc:
-        print(f"I/O failure: {exc}")
+        print(f"I/O failure: {exc}", file=sys.stderr)
         return 1
 
     aggregate = {
@@ -659,6 +669,6 @@ def run(cfg: RunConfig) -> int:
             fh.write(json.dumps({"aggregate": aggregate}, sort_keys=True) + "\n")
         (out / "report.txt").write_text(render_text_report(cfg, summaries), encoding="utf-8")
     except OSError as exc:
-        print(f"I/O failure: {exc}")
+        print(f"I/O failure: {exc}", file=sys.stderr)
         return 1
     return 0

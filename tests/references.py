@@ -137,8 +137,6 @@ def parse_log_by_fields(text: str) -> EventLog:
             if line and not line.startswith("#") and line.count("\t") != 7
         )
         raise ValueError(f"line {lineno}: expected 8 tab-separated fields")
-    if text.startswith("# telegraph-event-log v1\n"):  # v1 also wrote the implied starts
-        lines = [line for line in lines if line.split("\t", 2)[1] != "epoch_start"]
     # field i of every line sits at i, i + 8, ...
     fields = "\t".join(lines).split("\t") if lines else []
     n = len(lines)

@@ -116,6 +116,22 @@ class TestTimingClassification:
         assert seg.dark_intervals.tolist() == [[5.0, 1500.0]]
         assert list(rep.classification) == [ts.WeakTiming.AT_END]
 
+    def test_each_dark_periods_time_is_the_median_of_its_epochs_crossings(self):
+        # three dark periods: three crossings, two, and none; the aux values are ignored
+        recs = [
+            hit_at(0.0, 0),
+            crossing_at(100.0, 1, 1, 5.0), crossing_at(101.0, 1, 2, 0.0),
+            crossing_at(180.0, 1, 3), hit_at(200.0, 1),
+            crossing_at(250.0, 2, 1, 9.0), crossing_at(390.0, 2, 2, 0.5), hit_at(400.0, 2),
+            hit_at(600.0, 3),
+        ]
+        validate_log(recs)
+        seg = ts.segment_telegraph(recs, 40.0)
+        rep = ts.classify_weak_timing(recs, seg, ts.ConfigKind(ts.Configuration.V), ts.RateSet())
+        assert seg.dark_epochs.tolist() == [1, 2, 3]
+        assert rep.median_time[:2].tolist() == [101.0, 320.0]
+        assert np.isnan(rep.median_time[2])
+
     def test_strong_only_rejected(self):
         recs = [hit_at(0.0), hit_at(2.0, 1)]
         seg = ts.segment_telegraph(recs, 40.0)
@@ -150,7 +166,6 @@ class TestIntervalStats:
         stats = ts.interval_stats(ts.segment_telegraph(recs, 40.0))
         assert stats.bright_count == 1
         assert stats.bright_mean == 5.0
-        assert stats.bright_std == 0.0
         assert stats.dark_count == 0
         assert stats.dark_rate_estimate is None
 

@@ -175,6 +175,37 @@ class TestRunCommand:
         assert diag["partial_log"] == "events_001.tsv" and diag["epochs_logged"] == 0
         assert serialize_log([]) == (tmp_path / "out" / "events_001.tsv").read_text()
 
+    def test_a_run_replaces_an_earlier_runs_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        for trajectories in ("3", "1"):
+            assert run_cli("run", "--duration", "100", "--trajectories", trajectories,
+                           "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events_000.tsv", "report.jsonl", "report.txt",
+        ]
+        # only the files a run writes go: others stay, such as a log named otherwise
+        (out / "diagnostic.json").write_text("{}")
+        kept = [out / "events_0a1.tsv", out / "events_001.tsv.bak", out / "notes.txt"]
+        for path in kept:
+            path.write_text("kept")
+        assert run_cli("run", "--duration", "100", "--out", str(out)) == 0
+        assert not (out / "diagnostic.json").exists()
+        assert all(path.read_text() == "kept" for path in kept)
+
+    def test_a_breach_after_a_good_run_leaves_no_old_report(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--duration", "100", "--trajectories", "2", "--out", str(out)) == 0
+
+        def breach(*args):
+            raise InvariantBreach("injected breach")
+
+        monkeypatch.setattr(runner, "run_trajectory", breach)
+        assert run_cli("run", "--duration", "100", "--trajectories", "2", "--out", str(out)) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostic.json", "events_000.tsv"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant breach: injected breach\n"
+
     def test_breach_leaves_the_completed_epochs_logged(self, tmp_path, monkeypatch):
         # about 1e4 epochs at 3e4 units: the renewal engine draws blocks of 4096
         cfg = RunConfig(kind="v", duration=3e4, master_seed=5, trajectories=2,
@@ -246,7 +277,8 @@ class TestAnalyzeCommand:
         text = capsys.readouterr().out
         assert "bright=" in text
 
-    def test_v1_log_reads_as_v2(self, tmp_path, capsys):
+    def test_v1_log_is_not_read(self, tmp_path, capsys):
+        # v1 logs also held an epoch_start record per epoch; only v2 is read
         v1 = textwrap.dedent(
             """\
             # telegraph-event-log v1
@@ -254,25 +286,14 @@ class TestAnalyzeCommand:
             0.0\tepoch_start\t0\t0\t0\t0\t0\t0.0
             14.5\tweak_edge_crossing\t0\t0\t0\t0\t1\t1.0
             30.25\thit\t0\t0\t1\t1\t1\t0.0625
-            30.25\tepoch_start\t1\t0\t1\t1\t1\t0.0
-            31.5\thit\t1\t0\t2\t2\t1\t0.75
             """
         )
-        lines = v1.replace("log v1", "log v2").splitlines(keepends=True)
-        v2 = "".join(line for line in lines if "\tepoch_start\t" not in line)
-        records = parse_log(v1)
-        assert records == parse_log(v2)
-        assert serialize_log(records) == v2
-        validate_log(records)
-        printed = []
-        for name, text in (("v1", v1), ("v2", v2)):
-            (tmp_path / name).mkdir()
-            log = tmp_path / name / "events_000.tsv"
-            log.write_text(text, encoding="utf-8")
-            assert run_cli("analyze", str(log)) == 0
-            printed.append(capsys.readouterr().out.replace(str(log), "LOG"))
-        assert printed[0] == printed[1]
-        assert "bright=1" in printed[0]
+        log = tmp_path / "events_000.tsv"
+        log.write_text(v1, encoding="utf-8")
+        assert run_cli("analyze", str(log)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read {log}: 'epoch_start' is not a valid EventKind\n"
 
     @pytest.mark.parametrize("kind", ["v", "lambda", "cascade_weak_up", "cascade_weak_down"])
     def test_analyze_prints_what_the_run_reported(self, tmp_path, capsys, kind):
@@ -353,25 +374,32 @@ class TestAnalyzeCommand:
         assert "bright=" in proc.stdout
 
     def test_run_imports_no_numpy_ma(self, tmp_path):
-        # numpy.ma costs a run about 17 ms and 1.3 MB; np.unique imports it in numpy 2.x
+        # numpy.ma costs a run about 17 ms and 1.3 MB; np.unique imports it in numpy 2.x.
+        # Each command runs in a fresh interpreter; analyze classifies the dark periods.
         script = textwrap.dedent(
             """
             import sys
             import telegraphsim.cli
-            out = sys.argv[1]
-            argv = ["run", "--k-weak-absorb", "0.1", "--k-weak-emit", "0.1",
-                    "--duration", "2000", "--seed", "1", "--out", out]
-            assert telegraphsim.cli.main(argv) == 0
-            with open(f"{out}/events_000.tsv", encoding="utf-8") as fh:
-                assert "weak_edge_crossing" in fh.read()
-            assert "numpy.ma" not in sys.modules, "run imported numpy.ma"
+            command, out = sys.argv[1:]
+            flags = ["--k-weak-absorb", "0.1", "--k-weak-emit", "0.1"]
+            if command == "run":
+                argv = ["run", *flags, "--duration", "2000", "--seed", "1", "--out", out]
+                assert telegraphsim.cli.main(argv) == 0
+                with open(f"{out}/events_000.tsv", encoding="utf-8") as fh:
+                    assert "weak_edge_crossing" in fh.read()
+            else:
+                argv = ["analyze", *flags, "--threshold-gap", "15", f"{out}/events_000.tsv"]
+                assert telegraphsim.cli.main(argv) == 0
+            assert "numpy.ma" not in sys.modules, f"{command} imported numpy.ma"
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120, env=_child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
+        for command in ("run", "analyze"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, command, str(tmp_path / "out")],
+                capture_output=True, text=True, timeout=120, env=_child_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert "weak timing: " in proc.stdout
 
     def test_run_and_analyze_warn_nothing(self, tmp_path):
         # numpy warnings become errors, and nothing at all may reach stderr
@@ -406,6 +434,15 @@ class TestFlags:
         assert run_cli("run", "--duration", "10", "--out", "") == 1
         assert capsys.readouterr().err.startswith("config error: --out: out must name a directory")
         assert not any(tmp_path.iterdir())
+
+    def test_out_naming_a_file_exits_one_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "a_file"
+        out.write_text("kept")
+        assert run_cli("run", "--duration", "10", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot create output directory: ")
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,9 +1,15 @@
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 import telegraphsim as ts
-from telegraphsim.config import RunConfig, format_config, parse_config, with_overrides
+from telegraphsim.config import _PARSERS, RunConfig, format_config, parse_config, with_overrides
 from telegraphsim.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_document_gives_defaults():
@@ -33,6 +39,36 @@ def test_format_config_round_trip(cfg):
     text = format_config(cfg)
     assert parse_config(text) == cfg
     assert ("threshold_gap = auto" in text) == (cfg.threshold_gap is None)
+
+
+def _readme_keys() -> dict[str, tuple[str, str]]:
+    """Each key of README's ``Keys and defaults`` block: its value and its comment."""
+    block = re.search(r"Keys and\s+defaults:\n\n```\n(.*?)```", README.read_text(), re.S)
+    assert block, "README has no Keys and defaults block"
+    keys = {}
+    for line in block.group(1).splitlines():
+        pair, _, comment = line.partition("#")
+        key, _, value = pair.partition("=")
+        keys[key.strip()] = (value.strip(), comment.strip())
+    return keys
+
+
+def _choices(key: str) -> list[str]:
+    """The choices that key's parser names when it rejects a value."""
+    with pytest.raises(ValueError) as raised:
+        _PARSERS[key]("not a choice")
+    return ast.literal_eval(re.search(r"one of (\[.*?\])", str(raised.value)).group(1))
+
+
+def test_readme_lists_every_key_with_its_default_and_choices():
+    keys = _readme_keys()
+    assert sorted(keys) == sorted(_PARSERS)
+    defaults = RunConfig()
+    for key, (value, _) in keys.items():
+        assert _PARSERS[key](value) == getattr(defaults, key), key
+    for key in ("kind", "lasers", "mode", "engine"):
+        listed = [choice.strip() for choice in keys[key][1].split("|")]
+        assert sorted(listed) == _choices(key), key
 
 
 def test_direct_mapping():

@@ -159,23 +159,6 @@ def test_comments_and_blank_lines_across_chunk_edges(reader, tmp_path):
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-def test_v1_starts_are_dropped_across_chunk_edges(reader, tmp_path):
-    log = long_log(2 * _CHUNK + 9)
-    v2 = serialize_log(log).splitlines()
-    lines = ["# telegraph-event-log v1", v2[1]]
-    for line, epoch, prev in zip(v2[2:], log.epoch, [None, *log.epoch[:-1]]):
-        if epoch != prev:
-            lines.append(line.replace("\tweak_edge_crossing\t", "\tepoch_start\t"))
-        lines.append(line)
-    text = "\n".join(lines) + "\n"
-    starts = [n for n, line in enumerate(lines, 1) if "\tepoch_start\t" in line]
-    assert {_CHUNK, _CHUNK + 1} & set(starts), "no start on a chunk edge"
-    got = READERS[reader](text, tmp_path)
-    assert_same_columns(got, parse_log_by_fields(text))
-    assert_same_columns(got, log)
-
-
-@pytest.mark.parametrize("reader", sorted(READERS))
 def test_an_unknown_kind_in_a_later_chunk(reader, tmp_path):
     text = with_lines(serialize_log(long_log(2 * _CHUNK + 9)), {2 * _CHUNK + 6: LINE.replace("hit", "flash")})
     got = outcome(lambda t: READERS[reader](t, tmp_path), text)
