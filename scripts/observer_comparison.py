@@ -8,7 +8,7 @@ never fires and the flow settles into a steady unpulsed profile.
 
 import telegraphsim as ts
 from telegraphsim.config import RunConfig
-from telegraphsim.runner import derive_rng, run_trajectory, run_trajectory_flow
+from telegraphsim.runner import run_trajectory
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
           f" (log byte-identical: {same})")
 
     cfg = RunConfig(kind="v", mode="original_no_observer", duration=2e3, master_seed=seed)
-    flow = run_trajectory_flow(cfg, derive_rng(seed, 0))
+    flow = run_trajectory(cfg, 0)
     print(
         f"no observer:     {len(ts.hits(flow.records))} hits,"
         f" max |dm/dt| = {flow.stationarity_residual:.2e} (steady, unpulsed)"

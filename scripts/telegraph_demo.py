@@ -10,7 +10,7 @@ import numpy as np
 
 import telegraphsim as ts
 from telegraphsim.config import RunConfig
-from telegraphsim.runner import derive_rng, run_trajectory_renewal
+from telegraphsim.runner import run_trajectory
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 42
     cfg = RunConfig(kind="v", duration=duration, master_seed=seed)
 
-    result = run_trajectory_renewal(cfg, derive_rng(seed, 0))
+    result = run_trajectory(cfg, 0)
     seg = ts.segment_telegraph(result.records, cfg.resolved_threshold())
     stats = ts.interval_stats(seg)
 

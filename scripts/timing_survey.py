@@ -14,7 +14,7 @@ import sys
 
 import telegraphsim as ts
 from telegraphsim.config import RunConfig
-from telegraphsim.runner import derive_rng, run_trajectory_renewal
+from telegraphsim.runner import run_trajectory
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"{'configuration':<20} {'darks':>6} {'at_end':>7} {'at_start':>9} {'ambiguous':>10}")
     for kind in ("v", "lambda", "cascade_weak_up", "cascade_weak_down"):
         cfg = RunConfig(kind=kind, duration=duration, master_seed=seed)
-        result = run_trajectory_renewal(cfg, derive_rng(seed, 0))
+        result = run_trajectory(cfg, 0)
         seg = ts.segment_telegraph(result.records, cfg.resolved_threshold())
         rep = ts.classify_weak_timing(
             result.records, seg, cfg.config_kind(), cfg.rate_set()

@@ -74,9 +74,6 @@ from .runner import (
     derive_rng,
     run,
     run_trajectory,
-    run_trajectory_flow,
-    run_trajectory_renewal,
-    run_trajectory_steps,
 )
 from .state import (
     BOTH_MARKS,

@@ -88,31 +88,40 @@ def _parse_choice(value: str, choices, what: str):
     return v
 
 
+def _number(kind: type, value: str):
+    """``kind(value)``, or None for text that is not such a number."""
+    try:
+        return kind(value)
+    except ValueError:
+        return None
+
+
 def _parse_positive_float(value: str, what: str) -> float:
-    x = float(value)
-    if not 0 < x < math.inf:  # false for nan too
+    x = _number(float, value)
+    if x is None or not 0 < x < math.inf:  # false for nan too
         raise ValueError(f"{what} must be positive and finite, got {value}")
     return x
 
 
 def _parse_positive_int(value: str, what: str) -> int:
-    x = int(value)
-    if x < 1:
-        raise ValueError(f"{what} must be at least 1, got {value}")
+    x = _number(int, value)
+    if x is None or x < 1:
+        raise ValueError(f"{what} must be an integer of at least 1, got {value}")
     return x
 
 
 def _parse_seed(value: str) -> int:
-    x = int(value)
-    if not (0 <= x < 2**64):
-        raise ValueError(f"master_seed must fit in 64 bits, got {value}")
+    x = _number(int, value)
+    if x is None or not (0 <= x < 2**64):
+        raise ValueError(f"master_seed must be an integer that fits in 64 bits, got {value}")
     return x
 
 
 def _parse_out(value: str) -> str:
+    # format_config writes out as one line that parse_config reads back, so no # or line break
     v = value.strip()
-    if not v:
-        raise ValueError(f"out must name a directory, got {value!r}")
+    if not v or "#" in v or v.splitlines() != [v]:
+        raise ValueError(f"out must name a directory, without '#' or a line break, got {value!r}")
     return v
 
 

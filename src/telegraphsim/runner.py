@@ -1,4 +1,9 @@
-"""Trajectory drivers, report generation, and the top-level run.
+"""Trajectories, report generation, and the top-level run.
+
+``run_trajectory(cfg, index)`` is the one way to run a trajectory. The
+config alone decides how: the no-observer ``mode`` runs the flow driver,
+every other mode the draw of ``engine``, and trajectory ``index`` draws
+from ``SeedSequence((master_seed, index))``.
 
 Two engines implement the same stochastic law. They differ only in how
 they draw an epoch's hit:
@@ -30,7 +35,7 @@ the trajectory's summary (``analysis.LogFold``), so no whole log is ever
 held.
 
 The no-observer mode has no stochastic events at all. On every engine
-it runs a third driver, ``flow``, which moves the flow forward in large
+it runs the flow driver, ``_flow``, which moves the flow forward in large
 exact jumps on the graph truncated at ``depth`` and reports the
 stationarity residual.
 
@@ -46,7 +51,6 @@ part of the output contract and must stay stable.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -131,15 +135,6 @@ class _CompiledEpochs(dict):
             build_epoch(kind, make_label(atom, 0, 0, 0), rates, depth, marks)
         )
         return compiled
-
-
-def _own_epochs(cfg: RunConfig, epochs: Optional[_CompiledEpochs]) -> _CompiledEpochs:
-    """``epochs`` if given (it must match the config), else fresh ones."""
-    if epochs is None:
-        return _CompiledEpochs(cfg)
-    if epochs.key != _epochs_key(cfg):
-        raise ValueError("compiled epochs were built for another config")
-    return epochs
 
 
 def _template(ep: CompiledEpoch) -> EpochTemplate:
@@ -295,13 +290,8 @@ class _Uniforms:
         self._pos += n
 
 
-def run_trajectory_renewal(
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    epochs: Optional[_CompiledEpochs] = None,
-    consume: Optional[Consumer] = None,
-) -> TrajectoryResult:
-    """Event-driven trajectory: one uniform per epoch, drawn ``UNIFORM_BLOCK`` at a time.
+def _renewal(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Callable:
+    """The ``renewal`` engine's draw: one uniform per epoch, ``UNIFORM_BLOCK`` at a time.
 
     Each draw inverts the unused rest of the block at once under the
     template of the root atom. A hit that lands on another atom cuts it, and
@@ -309,8 +299,6 @@ def run_trajectory_renewal(
     are cumulative sums of the sampled epoch lengths. The tail of the last
     block is never used.
     """
-    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
-    uniforms = _Uniforms(rng)
 
     def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
         tpl = _template(ep)
@@ -330,7 +318,7 @@ def run_trajectory_renewal(
         n = int(late[0]) + int(times[late[0] + 1] == cfg.duration)
         return j[:n], tau[:n], times[: n + 1], delivered[:n], cfg.duration
 
-    return _trajectory(_own_epochs(cfg, epochs), draw, res, consume)
+    return draw
 
 
 def _steps(
@@ -378,25 +366,20 @@ def _steps(
 
 
 def _full_steps(
-    ep: CompiledEpoch,
-    t: float,
-    cfg: RunConfig,
-    uniforms: _Uniforms,
-    budget: float,
-    res: TrajectoryResult,
+    ep: CompiledEpoch, t: float, cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult
 ) -> tuple[int, float, Optional[tuple[int, float, float]]]:
     """An epoch's full steps (``dt_max`` each) from its root at ``t``, on its hazard table.
 
-    A step is full while ``duration - t >= dt_max``, and at most ``budget``
-    are taken, a block of them at a time by ``_steps``. Returns the number
-    of steps taken, the time after the last of them and the hit, if any.
+    A step is full while ``duration - t >= dt_max``, and the steps are taken
+    a block of them at a time by ``_steps``. Returns the number of steps
+    taken, the time after the last of them and the hit, if any.
     """
     table = ep.hazards(cfg.dt_max)
     dt = cfg.dt_max
     k = 0
     while True:
         c, off = divmod(k, HAZARD_CHUNK_STEPS)
-        n = int(min(HAZARD_CHUNK_STEPS - off, budget - k))
+        n = HAZARD_CHUNK_STEPS - off
         # the step boundaries, summed one dt at a time as successive steps sum them
         times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
         short = np.flatnonzero(cfg.duration - times[:n] < dt)
@@ -411,14 +394,8 @@ def _full_steps(
             return k, t, hit
 
 
-def run_trajectory_steps(
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    max_steps: Optional[int] = None,
-    epochs: Optional[_CompiledEpochs] = None,
-    consume: Optional[Consumer] = None,
-) -> TrajectoryResult:
-    """Per-step trajectory: at most ``max_steps`` steps of transport and trigger.
+def _stepped(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Callable:
+    """The ``steps`` engine's draw: per-step transport and trigger, up to the hit.
 
     Every epoch steps the canonical chain of its compiled epoch, and every
     step is decided by ``_steps`` on a table of per-substep hazards: the
@@ -431,18 +408,15 @@ def run_trajectory_steps(
     ``flow.step`` and ``rules.trigger`` on every step, so the logs are
     byte-identical to stepping every step with them.
     """
-    budget = math.inf if max_steps is None else max_steps
-    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
-    uniforms = _Uniforms(rng)
 
     def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
         t_epoch, k, hit = t, 0, None
-        if res.steps_taken < budget and cfg.duration - t >= cfg.dt_max:
-            k, t, hit = _full_steps(ep, t, cfg, uniforms, budget - res.steps_taken, res)
-        if hit is None and t < cfg.duration and res.steps_taken < budget:
+        if cfg.duration - t >= cfg.dt_max:
+            k, t, hit = _full_steps(ep, t, cfg, uniforms, res)
+        if hit is None and t < cfg.duration:
             # the steps shorter than dt_max follow, from the masses the full steps left
             m = ep.hazards(cfg.dt_max).masses_at(k) if k else ep.root_masses
-            while hit is None and t < cfg.duration and res.steps_taken < budget:
+            while hit is None and t < cfg.duration:
                 dt = cfg.duration - t
                 chunk, m = hazard_chunk(ep.system, ep.ready_idx, m, dt, 1)
                 _, hit = _steps(chunk, 0, np.array([t, t + dt]), uniforms, res)
@@ -452,44 +426,34 @@ def run_trajectory_steps(
         j, t_hit, delivered = hit
         return [j], [t_hit - t_epoch], [t_epoch, t_hit], [delivered], None
 
-    return _trajectory(_own_epochs(cfg, epochs), draw, res, consume)
+    return draw
 
 
-def run_trajectory_flow(
-    cfg: RunConfig, rng: np.random.Generator, epochs: Optional[_CompiledEpochs] = None
-) -> TrajectoryResult:
-    """No-observer driver: uninterrupted deterministic flow, no events, an empty log.
+def _flow(cfg: RunConfig, ep: CompiledEpoch, res: TrajectoryResult) -> TrajectoryResult:
+    """The no-observer mode: uninterrupted deterministic flow, no events, an empty log.
 
     The chain is truncated at the configured depth (an unboundedly
     extending chain never reaches a pointwise-stationary profile). The
     masses move in jumps of ``10 / max_rate``, each one exact propagator
-    product; mass settles into the terminal components and the report
+    product; mass settles into the terminal components and the result
     carries the final max |dm/dt| as the stationarity residual.
     """
-    del rng  # nothing stochastic happens without the trigger
-    ep = _own_epochs(cfg, epochs)[AtomLevel.GROUND]
     sys_ = ep.system
     m = ep.root_masses
     dt_jump = 10.0 / sys_.max_rate if sys_.max_rate > 0 else cfg.duration
     t = 0.0
-    jumps = 0
-    residual = 0.0
     while t < cfg.duration:
         dt = min(dt_jump, cfg.duration - t)
         m = sys_.propagator(dt) @ m
         t += dt
-        jumps += 1
-        residual = max(residual, abs(float(m.sum()) - 1.0))
+        res.steps_taken += 1
+        residual = res.max_mass_residual = max(res.max_mass_residual, abs(float(m.sum()) - 1.0))
         if residual > MASS_ABORT_TOL:
             raise InvariantBreach(f"mass conservation broke: residual {residual:.3e}")
-    return TrajectoryResult(
-        records=EventLog.of(()),
-        epochs=1,
-        steps_taken=jumps,
-        max_mass_residual=residual,
-        stationarity_residual=float(np.abs(sys_.generator @ m).max()),
-        final_time=t,
-    )
+    res.epochs = 1
+    res.stationarity_residual = float(np.abs(sys_.generator @ m).max())
+    res.final_time = t
+    return res
 
 
 def run_trajectory(
@@ -498,20 +462,28 @@ def run_trajectory(
     epochs: Optional[_CompiledEpochs] = None,
     consume: Optional[Consumer] = None,
 ) -> TrajectoryResult:
-    """Dispatch one trajectory: the no-observer mode to the flow driver, else by engine.
+    """Trajectory ``index`` of ``cfg``: the one way to run a trajectory.
 
-    The flow driver serves the no-observer mode on every engine, logs
-    nothing and reports a ``stationarity_residual``. ``epochs`` are
-    compiled epochs shared with the run's other trajectories; without them
-    the driver compiles its own. The records go to ``consume`` a block of
-    epochs at a time, or without it into the result's ``records``.
+    The stream is ``derive_rng(cfg.master_seed, index)``, that is
+    ``SeedSequence((master_seed, index))``. The no-observer ``mode`` runs
+    the flow driver on every engine: it draws nothing, logs nothing and
+    reports a ``stationarity_residual``. Every other mode runs the draw of
+    ``engine``: ``steps``, or ``renewal`` for ``renewal`` and ``auto``.
+    ``epochs`` are compiled epochs shared with the run's other
+    trajectories, built for this config; without them the trajectory
+    compiles its own. The records go to ``consume`` a block of epochs at a
+    time, or without it into the result's ``records``.
     """
-    rng = derive_rng(cfg.master_seed, index)
+    if epochs is None:
+        epochs = _CompiledEpochs(cfg)
+    elif epochs.key != _epochs_key(cfg):
+        raise ValueError("compiled epochs were built for another config")
+    res = TrajectoryResult(records=EventLog.of(()), epochs=0)
     if cfg.mode_enum() is Mode.ORIGINAL_NO_OBSERVER:
-        return run_trajectory_flow(cfg, rng, epochs)
-    if cfg.engine == "steps":
-        return run_trajectory_steps(cfg, rng, epochs=epochs, consume=consume)
-    return run_trajectory_renewal(cfg, rng, epochs, consume)
+        return _flow(cfg, epochs[AtomLevel.GROUND], res)
+    engine = _stepped if cfg.engine == "steps" else _renewal
+    draw = engine(cfg, _Uniforms(derive_rng(cfg.master_seed, index)), res)
+    return _trajectory(epochs, draw, res, consume)
 
 
 # -- reporting ----------------------------------------------------------

@@ -61,17 +61,15 @@ NO_MARKS = ReadyMarks()
 BOTH_MARKS = ReadyMarks(atom_ready=True, detector_ready=True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ComponentLabel:
     """Identity of one additive term of the system state.
 
     ``clicks`` counts detector records, ``strong`` counts detected
     photons emitted on the strong transition (the two stay equal in all
     four level configurations), ``weak`` counts undetected weak photons.
-
-    Labels are hashed and compared through a precomputed key: they sit
-    on the hot path of every step (blocked-edge sets, trigger target
-    lookups), where generated field-by-field comparison is too slow.
+    Raises InvalidLabel for a negative count or an atom that is not an
+    ``AtomLevel``, however the label is made.
     """
 
     atom: AtomLevel
@@ -81,26 +79,13 @@ class ComponentLabel:
     ready: ReadyMarks = NO_MARKS
 
     def __post_init__(self) -> None:
-        key = (
-            self.atom.value,
-            self.clicks,
-            self.strong,
-            self.weak,
-            self.ready.atom_ready,
-            self.ready.detector_ready,
-        )
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, ComponentLabel):
-            return NotImplemented
-        return self._key == other._key
+        if self.clicks < 0 or self.strong < 0 or self.weak < 0:
+            raise InvalidLabel(
+                f"counts must be nonnegative, got clicks={self.clicks} strong={self.strong}"
+                f" weak={self.weak}"
+            )
+        if not isinstance(self.atom, AtomLevel):
+            raise InvalidLabel(f"atom must be an AtomLevel, got {self.atom!r}")
 
     def without_marks(self) -> "ComponentLabel":
         if not self.ready.any():
@@ -125,16 +110,10 @@ def make_label(
     weak: int,
     ready: Optional[ReadyMarks] = None,
 ) -> ComponentLabel:
-    """Build a canonical component label; equal inputs give equal labels.
+    """Build a canonical component label, with integer counts; equal inputs give equal labels.
 
     Raises InvalidLabel for negative counts.
     """
-    if clicks < 0 or strong < 0 or weak < 0:
-        raise InvalidLabel(
-            f"counts must be nonnegative, got clicks={clicks} strong={strong} weak={weak}"
-        )
-    if not isinstance(atom, AtomLevel):
-        raise InvalidLabel(f"atom must be an AtomLevel, got {atom!r}")
     return ComponentLabel(atom, int(clicks), int(strong), int(weak), ready or NO_MARKS)
 
 

@@ -6,7 +6,7 @@ import telegraphsim as ts
 from telegraphsim.config import RunConfig
 from telegraphsim.errors import EmptyLog, NoWeakBranch
 from telegraphsim.eventlog import EventKind, EventRecord, validate_log
-from telegraphsim.runner import derive_rng, run_trajectory_renewal
+from telegraphsim.runner import run_trajectory
 
 
 def hit_at(t, epoch=0):
@@ -38,7 +38,7 @@ class TestSegmentation:
 
     def test_dark_interval_count_tracks_branch_share(self):
         cfg = RunConfig(kind="v", duration=3e5, master_seed=17)
-        res = run_trajectory_renewal(cfg, derive_rng(17, 0))
+        res = run_trajectory(cfg, 0)
         seg = ts.segment_telegraph(res.records, cfg.resolved_threshold())
         n_epochs = res.epochs
         share = cfg.k_weak_absorb / (cfg.k_strong_absorb + cfg.k_weak_absorb)
@@ -69,7 +69,7 @@ class TestSegmentation:
 class TestTimingClassification:
     def _run(self, kind, seed, duration=2e5):
         cfg = RunConfig(kind=kind, duration=duration, master_seed=seed)
-        res = run_trajectory_renewal(cfg, derive_rng(seed, 0))
+        res = run_trajectory(cfg, 0)
         seg = ts.segment_telegraph(res.records, cfg.resolved_threshold())
         rep = ts.classify_weak_timing(res.records, seg, cfg.config_kind(), cfg.rate_set())
         return seg, rep
@@ -190,7 +190,7 @@ class TestIntervalStats:
 
     def test_strong_only_run_has_zero_darks(self):
         cfg = RunConfig(kind="v", lasers="strong_only", duration=5000.0, master_seed=4)
-        res = run_trajectory_renewal(cfg, derive_rng(4, 0))
+        res = run_trajectory(cfg, 0)
         seg = ts.segment_telegraph(res.records, cfg.resolved_threshold())
         stats = ts.interval_stats(seg)
         assert stats.dark_count == 0

@@ -435,6 +435,32 @@ class TestFlags:
         assert capsys.readouterr().err.startswith("config error: --out: out must name a directory")
         assert not any(tmp_path.iterdir())
 
+    def test_out_with_a_hash_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """``diagnostic.json`` would hold ``out = a#b``, which reads back as ``out = a``."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--duration", "10", "--out", "a#b") == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: --out: out must name a directory, without '#' or a line break"
+        )
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--duration abc", "duration must be positive and finite, got abc"),
+            ("--depth 2.5", "depth must be an integer of at least 1, got 2.5"),
+            ("--seed x", "master_seed must be an integer that fits in 64 bits, got x"),
+            ("--trajectories 1e3", "trajectories must be an integer of at least 1, got 1e3"),
+        ],
+    )
+    def test_flag_text_that_is_not_a_number_gets_the_keys_message(
+        self, tmp_path, capsys, flag, message
+    ):
+        out = tmp_path / "out"
+        assert run_cli("run", *flag.split(), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: {flag.split()[0]}: {message}\n"
+        assert not out.exists()
+
     def test_out_naming_a_file_exits_one_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "a_file"
         out.write_text("kept")

@@ -146,6 +146,55 @@ def test_empty_out_is_rejected(value):
         RunConfig(out=value)
 
 
+@pytest.mark.parametrize("value", ["runs#1", "a\nb", "a\rb", "a\u2028b"])
+def test_out_that_would_not_read_back_is_rejected(value):
+    """``format_config`` once wrote ``out = runs#1``, which ``parse_config`` read as ``runs``."""
+    with pytest.raises(ValueError, match="^out must name a directory, without '#' or a line break"):
+        RunConfig(out=value)
+    with pytest.raises(ValueError, match="^out must name a directory, without '#' or a line break"):
+        with_overrides(RunConfig(), out=value)
+
+
+#: Each number key's rule, as its message states it.
+NUMBER_RULES = {
+    **{
+        key: "must be positive and finite"
+        for key in (
+            "k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit", "duration",
+            "dt_max", "threshold_gap",
+        )
+    },
+    "trajectories": "must be an integer of at least 1",
+    "depth": "must be an integer of at least 1",
+    "master_seed": "must be an integer that fits in 64 bits",
+}
+
+
+def test_number_rules_cover_every_number_key():
+    assert sorted(NUMBER_RULES) == sorted(
+        key for key in _PARSERS if key not in ("kind", "lasers", "mode", "engine", "out")
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (key, value)
+        for key, rule in sorted(NUMBER_RULES.items())
+        for value in ["abc", "1,5", "", *(["2.5", "1e3"] if "integer" in rule else [])]
+    ],
+)
+def test_text_that_is_not_a_number_gets_the_keys_message(key, value):
+    """``duration = abc`` once failed with float's message, ``depth = 2.5`` with int's."""
+    message = f"{key} {NUMBER_RULES[key]}, got {value}"
+    with pytest.raises(ValueError) as raised:
+        _PARSERS[key](value)
+    assert str(raised.value) == message
+    with pytest.raises(ConfigError) as raised:
+        parse_config(f"{key} = {value}\n")
+    assert str(raised.value) == f"line 1: {message}"
+
+
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("kind = v\nfrobnicate = 3\n")

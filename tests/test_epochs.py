@@ -88,8 +88,11 @@ def test_steps_engine_builds_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(runner, "build_epoch", counting)
     monkeypatch.setattr(configurations, "build_epoch", counting)
-    cfg = RunConfig(kind="lambda", k_weak_absorb=1.0, k_weak_emit=1.0, duration=100.0)
-    res = runner.run_trajectory_steps(cfg, runner.derive_rng(17, 0))
+    cfg = RunConfig(
+        kind="lambda", k_weak_absorb=1.0, k_weak_emit=1.0, duration=100.0, master_seed=17,
+        engine="steps",
+    )
+    res = runner.run_trajectory(cfg, 0)
     assert res.epochs > 10
     assert len(built) == len(set(built))
     assert {depth for _, depth in built} == {cfg.depth}

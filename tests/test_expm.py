@@ -46,7 +46,7 @@ def _exercise_engines(cfg: RunConfig) -> list[float]:
     no_observer = replace(cfg, mode="original_no_observer")
     epochs = runner._CompiledEpochs(no_observer)
     jump = 10.0 / epochs[AtomLevel.GROUND].system.max_rate  # one jump of the flow driver
-    runner.run_trajectory_flow(replace(no_observer, duration=jump), None, epochs)
+    runner.run_trajectory(replace(no_observer, duration=jump), 0, epochs)
     return residuals
 
 

@@ -145,10 +145,10 @@ class TestModes:
 
     def test_no_observer_run_has_zero_hits(self):
         from telegraphsim.config import RunConfig
-        from telegraphsim.runner import run_trajectory_flow
+        from telegraphsim.runner import run_trajectory
 
         cfg = RunConfig(kind="v", mode="original_no_observer", duration=100.0)
-        res = run_trajectory_flow(cfg, derive_rng(0, 0))
+        res = run_trajectory(cfg, 0)
         assert len(ts.hits(res.records)) == 0
 
     def test_no_observer_runs_the_flow_driver_on_every_engine(self):
@@ -182,16 +182,18 @@ class TestModes:
         # same law, two routes: event-driven sampling vs per-step hazards;
         # compared on the strong-only chain, whose inter-hit distribution
         # has no heavy dark tail to drown the comparison in variance
+        from dataclasses import replace
+
         from telegraphsim.config import RunConfig
-        from telegraphsim.runner import run_trajectory_renewal, run_trajectory_steps
+        from telegraphsim.runner import run_trajectory
 
         gaps_r, gaps_s = [], []
         for seed in range(4):
             cfg = RunConfig(
                 kind="v", lasers="strong_only", duration=800.0, master_seed=seed
             )
-            r = run_trajectory_renewal(cfg, derive_rng(seed, 0))
-            s = run_trajectory_steps(cfg, derive_rng(seed, 0))
+            r = run_trajectory(replace(cfg, engine="renewal"), 0)
+            s = run_trajectory(replace(cfg, engine="steps"), 0)
             gaps_r.extend(np.diff([x.time for x in ts.hits(r.records)]))
             gaps_s.extend(np.diff([x.time for x in ts.hits(s.records)]))
         mean_r, mean_s = np.mean(gaps_r), np.mean(gaps_s)
@@ -203,10 +205,10 @@ class TestModes:
     def test_strong_only_mean_interhit_time(self):
         # mean cycle time = 1/k_absorb + 1/k_emit
         from telegraphsim.config import RunConfig
-        from telegraphsim.runner import run_trajectory_renewal
+        from telegraphsim.runner import run_trajectory
 
         cfg = RunConfig(kind="v", lasers="strong_only", duration=4000.0, master_seed=2)
-        res = run_trajectory_renewal(cfg, derive_rng(2, 0))
+        res = run_trajectory(cfg, 0)
         times = [r.time for r in ts.hits(res.records)]
         gaps = np.diff(times)
         expected = 1.0 / cfg.k_strong_absorb + 1.0 / cfg.k_strong_emit

@@ -33,6 +33,17 @@ def test_make_label_undetected_weak_photon():
 def test_make_label_rejects_negative_counts(bad):
     with pytest.raises(InvalidLabel):
         ts.make_label(ts.AtomLevel.GROUND, *bad)
+    # direct construction and replace once skipped make_label's check
+    with pytest.raises(InvalidLabel):
+        ts.ComponentLabel(ts.AtomLevel.GROUND, *bad)
+    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    with pytest.raises(InvalidLabel):
+        replace(lab, **dict(zip(["clicks", "strong", "weak"], bad)))
+
+
+def test_a_label_rejects_an_atom_that_is_not_an_atom_level():
+    with pytest.raises(InvalidLabel, match="atom must be an AtomLevel"):
+        ts.ComponentLabel(0, 0, 0, 0)
 
 
 @given(atoms, counts, counts, counts)

@@ -1,9 +1,9 @@
 """The ``steps`` engine against the per-substep loop it replaced.
 
-``run_trajectory_steps`` decides every step on a table of per-substep
-hazards. ``_oracle_steps`` below is the loop that stepped every step with
-``flow.step`` and drew every uniform inside the trigger, with that
-trigger's arithmetic written out. It realizes each hit and logs it with its
+``run_trajectory`` on the ``steps`` engine decides every step on a table
+of per-substep hazards. ``_oracle_steps`` below is the loop that stepped
+every step with ``flow.step`` and drew every uniform inside the trigger,
+with that trigger's arithmetic written out. It realizes each hit and logs it with its
 own label bookkeeping (``_shift_to`` and ``_record``), apart from the
 engine's column writer. The two must give byte-identical logs and equal
 result fields, and raise the same breach.
@@ -32,8 +32,7 @@ from telegraphsim.runner import (
     _crossings,
     _template,
     derive_rng,
-    run_trajectory_renewal,
-    run_trajectory_steps,
+    run_trajectory,
 )
 from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, make_label
 
@@ -95,7 +94,7 @@ def _oracle_trigger(report, ready_idx, rng) -> Optional[HitEvent]:
     return None
 
 
-def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
+def _oracle_steps(cfg, rng, epochs=None) -> TrajectoryResult:
     """One ``flow.step`` and one trigger call per step, one scalar draw per substep."""
     epochs = _CompiledEpochs(cfg) if epochs is None else epochs
     records: list[EventRecord] = []
@@ -103,14 +102,14 @@ def _oracle_steps(cfg, rng, max_steps=None, epochs=None) -> TrajectoryResult:
     root = make_label(AtomLevel.GROUND, 0, 0, 0)
     t = 0.0
     epoch = 0
-    while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
+    while t < cfg.duration:
         ep = epochs[root.atom]
         state = ChainState(
             ep.system.labels, ep.root_masses, ep.system.edges, time=t, epoch=epoch
         )
         t_epoch = t
         hit = None
-        while t < cfg.duration and (max_steps is None or res.steps_taken < max_steps):
+        while t < cfg.duration:
             dt = min(cfg.dt_max, cfg.duration - t)
             state, report = step(state, ep.system.edges, dt, ep.system)
             res.steps_taken += 1
@@ -158,9 +157,9 @@ def per_step_calls(monkeypatch):
     return calls
 
 
-def _assert_same(cfg, index, max_steps=None, epochs=None) -> TrajectoryResult:
-    got = run_trajectory_steps(cfg, derive_rng(cfg.master_seed, index), max_steps, epochs)
-    want = _oracle_steps(cfg, derive_rng(cfg.master_seed, index), max_steps, epochs)
+def _assert_same(cfg, index, epochs=None) -> TrajectoryResult:
+    got = run_trajectory(cfg, index, epochs)
+    want = _oracle_steps(cfg, derive_rng(cfg.master_seed, index), epochs)
     assert serialize_log(got.records) == serialize_log(want.records)
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
@@ -182,7 +181,7 @@ def test_every_kind_laser_and_step_matches_the_loop(kind, per_step_calls):
                 hits += res.epochs
                 moves += int((res.records.atom[res.records.kind == 0] != 0).any())
         renewal = replace(cfg, engine="renewal")
-        run_trajectory_renewal(renewal, derive_rng(5, 0), epochs)
+        run_trajectory(renewal, 0, epochs)
     assert hits > 0
     if kind == "lambda":
         assert moves > 0  # some lambda hit moves the root off the ground atom
@@ -214,12 +213,22 @@ def test_a_hit_inside_the_final_short_step(kind, seed, duration, per_step_calls)
     assert per_step_calls == []
 
 
-@pytest.mark.parametrize("max_steps", [1, 700, 1024, 2500, 3 * 1024 + 17])
-def test_max_steps_cuts_mid_epoch_and_mid_block(max_steps):
-    cfg = RunConfig(kind="v", engine="steps", duration=1e9, master_seed=3)
-    res = _assert_same(cfg, 0, max_steps)
-    assert res.steps_taken == max_steps
-    assert not len(res.records) or res.records.time[-1] < res.final_time  # mid-epoch
+@pytest.mark.parametrize("steps", [1, 700, 1024, 2500, 3 * 1024 + 17])
+def test_duration_cuts_mid_epoch_and_mid_block(steps):
+    """A run of ``steps`` full steps ends in its first epoch, inside a table chunk or at its edge.
+
+    The strong rates are slow, so the first epoch outlasts the run. The
+    duration is ``steps`` steps of ``dt_max`` summed as successive steps sum
+    them, so no step shorter than ``dt_max`` follows.
+    """
+    duration = float(np.cumsum(np.full(steps, 0.01))[-1])
+    cfg = RunConfig(
+        kind="v", engine="steps", duration=duration, master_seed=3, k_strong_absorb=1e-3,
+        k_strong_emit=1e-3,
+    )
+    res = _assert_same(cfg, 0)
+    assert res.steps_taken == steps
+    assert res.epochs == 0 and res.final_time == duration  # mid-epoch
 
 
 @pytest.mark.parametrize("duration", [0.005, 1e-9, 0.01, 0.0199])
@@ -245,7 +254,7 @@ def test_breach_matches_the_loop(tol, monkeypatch, tmp_path):
     monkeypatch.setattr(runner, "MASS_ABORT_TOL", tol)
     cfg = RunConfig(kind="v", engine="steps", duration=200.0, master_seed=4242)
     with pytest.raises(InvariantBreach) as got:
-        run_trajectory_steps(cfg, derive_rng(cfg.master_seed, 0))
+        run_trajectory(cfg, 0)
     with pytest.raises(InvariantBreach) as want:
         _oracle_steps(cfg, derive_rng(cfg.master_seed, 0))
     assert str(got.value) == str(want.value)

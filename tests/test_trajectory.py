@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -46,3 +47,25 @@ def test_steps_without_weak_hits_builds_no_template():
     assert len(epochs) > 0
     for ep in epochs.values():
         assert "template" not in ep.__dict__
+
+
+@pytest.mark.parametrize(
+    "engine, mode",
+    [("renewal", "nurules"), ("steps", "nurules"), ("renewal", "original_no_observer")],
+)
+def test_run_writes_what_the_library_call_returns(engine, mode, tmp_path):
+    """Each log and report entry of ``run`` is that of ``run_trajectory(cfg, i)``."""
+    cfg = RunConfig(
+        kind="v", k_weak_absorb=0.1, k_weak_emit=0.1, duration=300.0, master_seed=7,
+        trajectories=2, engine=engine, mode=mode, out=str(tmp_path),
+    )
+    assert runner.run(cfg) == 0
+    report = (tmp_path / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    for i in range(cfg.trajectories):
+        res = runner.run_trajectory(cfg, i)
+        assert (mode == "original_no_observer") == (len(res.records) == 0)
+        log = (tmp_path / f"events_{i:03d}.tsv").read_bytes()
+        assert log == serialize_log(res.records).encode("utf-8")
+        entry = json.loads(report[i])
+        for field in ("epochs", "final_time", "max_mass_residual", "stationarity_residual"):
+            assert entry.get(field) == getattr(res, field), field
