@@ -18,7 +18,7 @@ from .analysis import (
     interval_stats,
     segment_telegraph,
 )
-from .config import RunConfig, parse_config, with_overrides
+from .config import RunConfig, parse_config
 from .configurations import (
     ConfigKind,
     Configuration,
@@ -76,15 +76,12 @@ from .runner import (
     run_trajectory,
 )
 from .state import (
-    BOTH_MARKS,
-    NO_MARKS,
     AtomLevel,
     ChainState,
     ComponentLabel,
     EdgeKind,
     FlowEdge,
     Mode,
-    ReadyMarks,
     make_label,
 )
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import LogFold
-from .config import _PARSERS, RunConfig, parse_config, with_overrides
+from .config import _PARSERS, RunConfig, parse_config
 from .errors import ConfigError
 # read_log is unused here: perfbench's traced run looks it up in this module
 from .eventlog import iter_log, read_log, validate_log  # noqa: F401
@@ -47,7 +48,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 overrides[key] = parse(text)
             except ValueError as exc:
                 raise ConfigError(f"{_flag(key)}: {exc}") from None
-    return with_overrides(cfg, **overrides)
+    return replace(cfg, **overrides)
 
 
 def _cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:

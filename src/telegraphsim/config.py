@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -193,10 +193,3 @@ def format_config(cfg: RunConfig) -> str:
         lines.append(f"{key} = {text}\n")
     return "".join(lines)
 
-
-def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply already-parsed override values (e.g. from command-line flags).
-
-    Every given key is applied; ``threshold_gap=None`` selects auto.
-    """
-    return replace(cfg, **overrides)

@@ -20,11 +20,10 @@ graph: out of ground, each switched-on laser drives its side's first
 edge, and from its excited level the other edge returns to ground.
 ``build_epoch`` applies the moves breadth-first from the epoch root. An
 emitting edge adds its photon to the ledger, and a click for a strong
-photon, and its child starts unmarked; an absorbing edge keeps the
-source's ready marks. Either child is then marked ready if it records a
-new click or its source is ready (``rules.is_decoherent``). A ready
-label takes no weak move: behind its blocked edges it could carry no
-mass.
+photon. A child is marked ready if it records a new click or its source
+is ready (``rules.is_decoherent``), so every child of a ready label is
+ready and Rule (4) blocks every edge out of one. A ready label takes no
+weak move: behind its blocked edges it could carry no mass.
 
 Two cuts bound the graph, each at ``depth`` above the root's ledger: the
 clicks budget cuts every strong emission, and the weak budget cuts the
@@ -41,7 +40,6 @@ from .errors import InvalidDepth, NotExtensible
 from .flow import RateSet
 from .rules import is_decoherent, mark_ready
 from .state import (
-    NO_MARKS,
     AtomLevel,
     ChainState,
     ComponentLabel,
@@ -133,7 +131,7 @@ def build_epoch(
 ) -> EpochGraph:
     """Construct the epoch graph rooted at a realized label.
 
-    The root is taken as realized (its marks, if any, are stripped).
+    The root is taken as realized (its mark, if any, is stripped).
     With ``marks`` False (no observer) no component is marked ready, so
     nothing is blocked and no hit can land. Each label is expanded once
     and is the source of every edge it adds, so no edge repeats. Raises
@@ -152,7 +150,7 @@ def build_epoch(
     for lab in labels:  # breadth first: the list grows as children are found
         for ekind, atom in moves[lab.atom]:
             weak = ekind in _WEAK
-            if weak and lab.ready.any():
+            if weak and lab.ready:
                 continue
             if (ekind is EdgeKind.STRONG_EMIT and lab.clicks == clicks_budget) or (
                 weak and lab.atom is AtomLevel.GROUND and lab.weak == weak_budget
@@ -160,8 +158,7 @@ def build_epoch(
                 frontier.add(lab)
                 continue
             dc, ds, dw = _EMITS.get(ekind, (0, 0, 0))
-            ready = NO_MARKS if ekind in _EMITS else lab.ready
-            child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw, ready)
+            child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
             child = mark_ready(lab, child, marks and is_decoherent(lab, child))
             if child not in seen:
                 seen.add(child)

@@ -390,27 +390,21 @@ class CompiledEpoch:
     one FlowSystem over its active edges (whose propagators every step and
     the template share), and the ready targets in chain order, with each
     one's atom and photon ledger as arrays. The FlowSystem holds only the
-    live subgraph, the labels the root reaches along active edges: the
-    labels past a branch's first ready component never receive mass, so
-    the chain ``build_epoch`` displays keeps them and the compiled epoch
-    does not. The engines run on these canonical labels; the trajectory
-    loop adds the root's ledger to what it records.
+    live subgraph, the root and the targets of active edges: every child
+    of a ready label is ready, so Rule (4) blocks every edge out of one,
+    and the labels past a branch's first ready component never receive
+    mass. The chain ``build_epoch`` displays keeps them; the compiled
+    epoch does not. The engines run on these canonical labels; the
+    trajectory loop adds the root's ledger to what it records.
     The template and the hazard tables, one per step size, are built on
     first use.
     """
 
     def __init__(self, graph: EpochGraph, active: Sequence[FlowEdge]):
         self.graph = graph
-        # the labels the root reaches along active edges, in one sweep by
-        # source position: every edge runs forward in label order
-        position = {lab: i for i, lab in enumerate(graph.labels)}
-        live = {graph.labels[0]}
-        for e in sorted(active, key=lambda e: position[e.source]):
-            if e.source in live:
-                live.add(e.target)
-        labels = [lab for lab in graph.labels if lab in live]
-        self.system = FlowSystem(labels, [e for e in active if e.source in live])
-        self.ready = tuple(lab for lab in self.system.labels if lab.ready.any())
+        live = {graph.root, *(e.target for e in active)}
+        self.system = FlowSystem([lab for lab in graph.labels if lab in live], active)
+        self.ready = tuple(lab for lab in self.system.labels if lab.ready)
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
         # each ready target's atom and photon ledger (clicks, strong, weak), as arrays
         self.sink_atoms = np.array([lab.atom.value for lab in self.ready], dtype=np.int64)

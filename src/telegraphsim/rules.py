@@ -2,17 +2,17 @@
 
 The mechanism in brief: components that record a new detector click are
 decoherent, so their states become *ready* (potential collapse basis).
-Flow between two components that both hold ready states of the same
-object is forbidden, which stalls the chain at the first ready
-component until a stochastic hit lands there. The hit rate into a ready
-component equals the probability current flowing into it, so the total
-hit probability over an epoch equals the mass delivered: full delivery
-makes the hit certain, a dormant (zero-inflow) phantom is never hit.
+Flow between two ready components is forbidden (Rule 4), which stalls
+the chain at the first ready component until a stochastic hit lands
+there. The hit rate into a ready component equals the probability
+current flowing into it, so the total hit probability over an epoch
+equals the mass delivered: full delivery makes the hit certain, a
+dormant (zero-inflow) phantom is never hit.
 
 ``trigger`` samples a hit per step, one uniform per substep; the engines
 decide the same hits from ``hazards``, tabulated once per step size, and
-``substep_hit``. A hit realizes its target without its ready marks as the
-root of the next epoch.
+``substep_hit``. A hit realizes its target, unmarked, as the root of the
+next epoch.
 """
 
 from __future__ import annotations
@@ -35,30 +35,25 @@ def is_decoherent(parent: ComponentLabel, child: ComponentLabel) -> bool:
     component macroscopically distinct; descendants of a ready component
     stay in the decoherent sector even when the detector is untouched.
     """
-    return parent.ready.any() or child.clicks != parent.clicks
+    return parent.ready or child.clicks != parent.clicks
 
 
 def mark_ready(
     parent: ComponentLabel, child: ComponentLabel, decoherent: bool
 ) -> ComponentLabel:
-    """Mark the atom and detector states of a decoherent new component."""
+    """Mark a decoherent new component ready."""
     if decoherent:
         return child.with_marks()
     return child
 
 
 def blocked_edges(state: ChainState) -> Set[FlowEdge]:
-    """Edges forbidden because both endpoints hold a ready state of the same object.
+    """Edges forbidden because both endpoints are ready (Rule 4).
 
     These carry exactly zero flow; they are excluded from the active set
     before stepping rather than clamped numerically.
     """
-    blocked = set()
-    for e in state.edges:
-        s, t = e.source.ready, e.target.ready
-        if (s.atom_ready and t.atom_ready) or (s.detector_ready and t.detector_ready):
-            blocked.add(e)
-    return blocked
+    return {e for e in state.edges if e.source.ready and e.target.ready}
 
 
 def active_edges(state: ChainState) -> tuple[FlowEdge, ...]:

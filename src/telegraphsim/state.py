@@ -1,7 +1,7 @@
 """Data model of components and chains.
 
 A system state is an ordered set of *components*: each carries a label
-(atom level, detector click count, photon ledger, ready marks) and a
+(atom level, detector click count, photon ledger, ready flag) and a
 nonnegative mass (square modulus). Probability mass moves between
 components along directed flow edges; a stochastic hit on a ready
 component collapses the chain to that single component.
@@ -47,74 +47,58 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
-class ReadyMarks:
-    """Collapse-basis marks on the atom and detector states of a component."""
-
-    atom_ready: bool = False
-    detector_ready: bool = False
-
-    def any(self) -> bool:
-        return self.atom_ready or self.detector_ready
-
-
-NO_MARKS = ReadyMarks()
-BOTH_MARKS = ReadyMarks(atom_ready=True, detector_ready=True)
-
-
-@dataclass(frozen=True)
 class ComponentLabel:
     """Identity of one additive term of the system state.
 
     ``clicks`` counts detector records, ``strong`` counts detected
     photons emitted on the strong transition (the two stay equal in all
     four level configurations), ``weak`` counts undetected weak photons.
-    Raises InvalidLabel for a negative count or an atom that is not an
-    ``AtomLevel``, however the label is made.
+    ``ready`` marks the component's atom and detector states as ready
+    (a potential collapse basis). Raises InvalidLabel for a count that is
+    not a nonnegative integer, a ``ready`` that is not a bool or an atom
+    that is not an ``AtomLevel``, however the label is made.
     """
 
     atom: AtomLevel
     clicks: int
     strong: int
     weak: int
-    ready: ReadyMarks = NO_MARKS
+    ready: bool = False
 
     def __post_init__(self) -> None:
-        if self.clicks < 0 or self.strong < 0 or self.weak < 0:
+        counts = (self.clicks, self.strong, self.weak)
+        if not all(type(n) is int for n in counts):
+            raise InvalidLabel(f"counts must be integers, got {counts!r}")
+        if min(counts) < 0:
             raise InvalidLabel(
                 f"counts must be nonnegative, got clicks={self.clicks} strong={self.strong}"
                 f" weak={self.weak}"
             )
+        if type(self.ready) is not bool:
+            raise InvalidLabel(f"ready must be a bool, got {self.ready!r}")
         if not isinstance(self.atom, AtomLevel):
             raise InvalidLabel(f"atom must be an AtomLevel, got {self.atom!r}")
 
     def without_marks(self) -> "ComponentLabel":
-        if not self.ready.any():
-            return self
-        return replace(self, ready=NO_MARKS)
+        return replace(self, ready=False) if self.ready else self
 
     def with_marks(self) -> "ComponentLabel":
-        if self.ready == BOTH_MARKS:
-            return self
-        return replace(self, ready=BOTH_MARKS)
+        return self if self.ready else replace(self, ready=True)
 
     def __str__(self) -> str:
-        marks = "*" if self.ready.any() else ""
+        marks = "*" if self.ready else ""
         prime = f" w{self.weak}" if self.weak else ""
         return f"A{self.atom.value}{marks}D{self.clicks}{marks}{prime}"
 
 
 def make_label(
-    atom: AtomLevel,
-    clicks: int,
-    strong: int,
-    weak: int,
-    ready: Optional[ReadyMarks] = None,
+    atom: AtomLevel, clicks: int, strong: int, weak: int, ready: bool = False
 ) -> ComponentLabel:
-    """Build a canonical component label, with integer counts; equal inputs give equal labels.
+    """Build a canonical component label; equal inputs give equal labels.
 
-    Raises InvalidLabel for negative counts.
+    Raises InvalidLabel as ``ComponentLabel`` does.
     """
-    return ComponentLabel(atom, int(clicks), int(strong), int(weak), ready or NO_MARKS)
+    return ComponentLabel(atom, clicks, strong, weak, ready)
 
 
 class EdgeKind(Enum):
@@ -140,8 +124,8 @@ class FlowEdge:
     kind: EdgeKind
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"edge rate must be positive, got {self.rate}")
+        if not 0 < self.rate < np.inf:  # false for nan too
+            raise ValueError(f"edge rate must be positive and finite, got {self.rate}")
         if self.source == self.target:
             raise ValueError("flow edges must connect distinct labels")
         dc = self.target.clicks - self.source.clicks

@@ -119,7 +119,7 @@ def currents(
 
 def template_from_chain(state: ChainState, active: Sequence[FlowEdge]) -> EpochTemplate:
     """The template of ``state``'s masses flowing along ``active``, its marked labels as sinks."""
-    ready = tuple(lab for lab in state.labels if lab.ready.any())
+    ready = tuple(lab for lab in state.labels if lab.ready)
     return EpochTemplate(FlowSystem(state.labels, active), ready, state.masses)
 
 

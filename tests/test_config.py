@@ -1,12 +1,13 @@
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import telegraphsim as ts
-from telegraphsim.config import _PARSERS, RunConfig, format_config, parse_config, with_overrides
+from telegraphsim.config import _PARSERS, RunConfig, format_config, parse_config
 from telegraphsim.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -109,7 +110,7 @@ def test_run_config_rejects_non_finite_or_non_positive_value(key, value):
     with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
         RunConfig(**{key: value})
     with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
-        with_overrides(RunConfig(), **{key: value})
+        replace(RunConfig(), **{key: value})
 
 
 @pytest.mark.parametrize(
@@ -134,7 +135,7 @@ def test_run_config_applies_the_parsers_rules(key, value):
     with pytest.raises(ValueError, match=f"^{key} must "):
         RunConfig(**{key: value})
     with pytest.raises(ValueError, match=f"^{key} must "):
-        with_overrides(RunConfig(), **{key: value})
+        replace(RunConfig(), **{key: value})
 
 
 @pytest.mark.parametrize("value", ["", "   "])
@@ -152,7 +153,7 @@ def test_out_that_would_not_read_back_is_rejected(value):
     with pytest.raises(ValueError, match="^out must name a directory, without '#' or a line break"):
         RunConfig(out=value)
     with pytest.raises(ValueError, match="^out must name a directory, without '#' or a line break"):
-        with_overrides(RunConfig(), out=value)
+        replace(RunConfig(), out=value)
 
 
 #: Each number key's rule, as its message states it.
@@ -241,7 +242,7 @@ def test_depth_constraints():
 
 def test_flag_overrides_file_values():
     cfg = parse_config("kind = lambda\nduration = 10\n")
-    out = with_overrides(cfg, kind="v", master_seed=9)
+    out = replace(cfg, kind="v", master_seed=9)
     assert out.kind == "v"
     assert out.duration == 10.0
     assert out.master_seed == 9

@@ -21,7 +21,7 @@ ROOT = ts.make_label(G, 0, 0, 0)
 
 
 def lab(atom, clicks, strong, weak, ready=False):
-    return ts.make_label(atom, clicks, strong, weak, ts.BOTH_MARKS if ready else None)
+    return ts.make_label(atom, clicks, strong, weak, ready)
 
 
 def build(conf, lasers=ts.LaserDrive.BOTH, depth=2, root=ROOT):
@@ -78,7 +78,7 @@ class TestWeakOnlyChains:
     def test_absorb_first_never_marks(self):
         # {A0 + A2 + A0 w1 + A2 w1 + A0 w2 ...} never touches the detector
         g = build(ts.Configuration.V, ts.LaserDrive.WEAK_ONLY)
-        assert all(not l.ready.any() for l in g.labels)
+        assert all(not l.ready for l in g.labels)
         assert {(l.atom, l.weak) for l in g.labels} == {
             (G, 0), (W, 0), (G, 1), (W, 1), (G, 2),
         }
@@ -88,7 +88,7 @@ class TestWeakOnlyChains:
         assert {(l.atom, l.weak) for l in g.labels} == {
             (G, 0), (W, 1), (G, 1), (W, 2), (G, 2),
         }
-        assert all(not l.ready.any() for l in g.labels)
+        assert all(not l.ready for l in g.labels)
 
 
 class TestBothLasersV:
@@ -105,7 +105,7 @@ class TestBothLasersV:
             lab(G, 1, 1, 1, ready=True),
         }
         assert expected_core <= set(g.labels)
-        ready = {l for l in g.labels if l.ready.any()}
+        ready = {l for l in g.labels if l.ready}
         assert lab(G, 1, 1, 0, ready=True) in ready
         assert lab(G, 1, 1, 1, ready=True) in ready
 
@@ -139,9 +139,9 @@ class TestBothLasersLambda:
 
     def test_unmarked_weak_sector(self):
         g = build(ts.Configuration.LAMBDA, depth=2)
-        assert not lab(W, 0, 0, 1).ready.any()
+        assert not lab(W, 0, 0, 1).ready
         assert lab(G, 0, 0, 1) in set(g.labels)
-        assert not any(l.ready.any() and l.clicks == 0 for l in g.labels)
+        assert not any(l.ready and l.clicks == 0 for l in g.labels)
 
     def test_weak_completion_reaches_detector(self):
         g = build(ts.Configuration.LAMBDA, depth=2)
@@ -215,7 +215,7 @@ class TestDepthAndExtension:
 
     def test_extension_adds_second_weak_cycle(self):
         g1 = build(ts.Configuration.V, depth=1)
-        ground_frontier = [l for l in g1.frontier if l.atom is G and not l.ready.any()]
+        ground_frontier = [l for l in g1.frontier if l.atom is G and not l.ready]
         assert ground_frontier, "the weak branch should be extensible at depth 1"
         g2 = ts.extend_frontier(g1, ground_frontier[0])
         assert any(l.weak == 2 for l in g2.labels)
@@ -231,7 +231,7 @@ class TestDepthAndExtension:
             g0 = build(conf, depth=2)
             # take the realized label of the strong branch's first hit
             sink = min(
-                (l for l in g0.labels if l.ready.any() and l.weak == 0),
+                (l for l in g0.labels if l.ready and l.weak == 0),
                 key=lambda l: l.clicks,
             )
             g1 = ts.build_epoch(kind, sink.without_marks(), RATES, 2)

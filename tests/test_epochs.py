@@ -37,7 +37,7 @@ def test_compiled_template_equals_template_from_chain(kind, atom):
     assert tpl.cum_final.tobytes() == ref.cum_final.tobytes()
     # ready targets: the marked live labels, as chain positions in chain order
     assert [ep.system.labels[i] for i in ep.ready_idx] == [
-        lab for lab in chain.labels if lab.ready.any()
+        lab for lab in chain.labels if lab.ready
     ]
     assert ep.ready_idx == tuple(i for i, lab in enumerate(chain.labels) if lab in set(ep.ready))
 
@@ -140,8 +140,8 @@ def preloaded_sink_template():
     such a column.
     """
     src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    fed = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
-    preloaded = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, ts.BOTH_MARKS)
+    fed = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    preloaded = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, True)
     edge = ts.FlowEdge(src, fed, 1.0, ts.EdgeKind.STRONG_EMIT)
     state = ts.ChainState([src, fed, preloaded], [0.7, 0.0, 0.3], [edge])
     return template_from_chain(state, [edge])
@@ -251,7 +251,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
                 for atom in ts.AtomLevel:
                     case = f"{kind_id(kind)} root {atom.name} ratio {ratio} depth {depth}"
                     graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), rates, depth)
-                    if not any(lab.ready.any() for lab in graph.labels):
+                    if not any(lab.ready for lab in graph.labels):
                         continue  # nothing to cross into
                     tpl = CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph))).template
                     assert set(tpl.crossing_stages) == set(tpl.sink_labels), case
@@ -305,7 +305,7 @@ def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
 def test_backward_edge_rejected():
     """The reachability sweep needs every edge to run from an earlier label to a later one."""
     src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    dst = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
+    dst = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
     edge = ts.FlowEdge(src, dst, 1.0, ts.EdgeKind.STRONG_EMIT)
     tpl = template_from_chain(ts.ChainState([dst, src], [0.0, 1.0], [edge]), [edge])
     with pytest.raises(ValueError, match="runs backward"):

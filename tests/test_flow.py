@@ -33,8 +33,8 @@ def test_single_edge_closed_form_step():
 def test_two_exit_competition_split():
     # asymptotic split follows k1/(k1+k2): 0.999001 vs 0.000999 at 1.0 : 0.001
     src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b1 = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
-    b2 = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, ts.BOTH_MARKS)
+    b1 = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    b2 = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, True)
     e1 = ts.FlowEdge(src, b1, 1.0, ts.EdgeKind.STRONG_EMIT)
     e2 = ts.FlowEdge(src, b2, 1e-3, ts.EdgeKind.STRONG_EMIT)
     state = ts.ChainState([src, b1, b2], [1.0, 0.0, 0.0], [e1, e2])
@@ -154,8 +154,8 @@ def test_dormancy_then_reactivation_in_dark_epoch():
     """
     state = graph_for(ts.Configuration.V, depth=1)
     active = ts.active_edges(state)
-    strong_sink = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
-    weak_sink = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 1, ts.BOTH_MARKS)
+    strong_sink = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    weak_sink = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 1, True)
     s = state
     for _ in range(2000):  # one weak-cycle time at the default rates
         s, report = ts.step(s, active, 1.0)

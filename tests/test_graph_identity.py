@@ -1,4 +1,4 @@
-"""Every epoch graph the builder makes, pinned by a digest.
+"""Every epoch graph the builder makes, and its compiled epoch, pinned by a digest.
 
 For each configuration and laser drive, the graphs at depths 1, 2, 3, 5
 and 8, with and without ready marks, from four roots (an empty ledger, a
@@ -7,6 +7,14 @@ root) are hashed together: the label keys in order, the edges in order
 (source, target, ``repr`` of the rate, kind) and the sorted frontier. A
 change to how graphs are built that moves any label, edge, rate or
 frontier label, or their order, changes a digest.
+
+The same graphs compiled as the engines compile them are hashed
+separately: the flow system's labels and edges, in order, and the ready
+targets. A change to which labels and edges an epoch's flow runs on
+changes a ``COMPILED_DIGESTS`` entry.
+
+``python tests/test_graph_identity.py`` prints both tables, for a
+deliberate re-record.
 """
 
 import hashlib
@@ -23,7 +31,7 @@ ROOTS = (
     ts.make_label(G, 0, 0, 0),
     ts.make_label(G, 3, 3, 2),
     ts.make_label(S, 1, 1, 0),
-    ts.make_label(W, 2, 2, 1, ts.BOTH_MARKS),
+    ts.make_label(W, 2, 2, 1, True),
 )
 
 DIGESTS = {
@@ -40,11 +48,26 @@ DIGESTS = {
     "cascade_weak_down-weak_only": "06513c7cb2c7991513daa36c0a29603a19ab421f0858a2ef82c258733a052a8b",
     "cascade_weak_down-both": "67c2b6aa7f535059e794b30db67476a22e68b4251cca42ec325b25a65673c217",
 }
+COMPILED_DIGESTS = {
+    "v-strong_only": "e7a6ba72f813d34ff8db532fbb37b7868ed36e0b76713f07cce64b35a8ee2f9d",
+    "v-weak_only": "b1a30065cfb9b3fc824b2ac33548e57dd7b7816911f53fe9601c3312a6e1798a",
+    "v-both": "c6d1d6f13699eab30b33cf8c7ce60c4f822738d615183866070f437dca52f098",
+    "lambda-strong_only": "3135b37eccf7d6dd2c398088e57f21730fef3fb85288a08897b9e3f782108465",
+    "lambda-weak_only": "c22dda9bb6e4d0e610d3471299943bfae69f2283e9639e793710a906d2904b58",
+    "lambda-both": "504cc38f9a438c8c19cbb6a44cd93cdd3ab04b41654ea77f10f67eada12b2df5",
+    "cascade_weak_up-strong_only": "3135b37eccf7d6dd2c398088e57f21730fef3fb85288a08897b9e3f782108465",
+    "cascade_weak_up-weak_only": "b1a30065cfb9b3fc824b2ac33548e57dd7b7816911f53fe9601c3312a6e1798a",
+    "cascade_weak_up-both": "d7aca3921473152c0d6bbbac420bdca5a885ab90f3f30fe9028c8784499a2a88",
+    "cascade_weak_down-strong_only": "e7a6ba72f813d34ff8db532fbb37b7868ed36e0b76713f07cce64b35a8ee2f9d",
+    "cascade_weak_down-weak_only": "c22dda9bb6e4d0e610d3471299943bfae69f2283e9639e793710a906d2904b58",
+    "cascade_weak_down-both": "f77ebd91ac19a2357b5271bf00efe0cefd87208d6d873a5f7bb3c97b832e11e3",
+}
 
 
 def key(label):
+    # the flag twice, where labels once held an atom and a detector mark, so the digests hold
     r = label.ready
-    return (label.atom.value, label.clicks, label.strong, label.weak, r.atom_ready, r.detector_ready)
+    return (label.atom.value, label.clicks, label.strong, label.weak, r, r)
 
 
 def graph_text(graph):
@@ -54,13 +77,21 @@ def graph_text(graph):
     return repr((labels, edges, frontier))
 
 
-def digest(kind):
+def compiled_text(graph):
+    ep = ts.CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph)))
+    labels = [key(lab) for lab in ep.system.labels]
+    edges = [(key(e.source), key(e.target), repr(e.rate), e.kind.value) for e in ep.system.edges]
+    ready = [key(lab) for lab in ep.ready]
+    return repr((labels, edges, ready))
+
+
+def digest(kind, text=graph_text):
     h = hashlib.sha256()
     for depth in DEPTHS:
         for marks in (True, False):
             for root in ROOTS:
                 graph = ts.build_epoch(kind, root, RATES, depth, marks)
-                h.update(graph_text(graph).encode())
+                h.update(text(graph).encode())
     return h.hexdigest()
 
 
@@ -72,6 +103,15 @@ def test_graphs_match_their_recorded_digest(conf, lasers):
     assert digest(ts.ConfigKind(conf, lasers)) == DIGESTS[f"{conf.value}-{lasers.value}"]
 
 
+@pytest.mark.parametrize("conf, lasers", CASES, ids=[f"{c.value}-{d.value}" for c, d in CASES])
+def test_compiled_epochs_match_their_recorded_digest(conf, lasers):
+    kind = ts.ConfigKind(conf, lasers)
+    assert digest(kind, compiled_text) == COMPILED_DIGESTS[f"{conf.value}-{lasers.value}"]
+
+
 if __name__ == "__main__":
-    for c, d in CASES:
-        print(f'    "{c.value}-{d.value}": "{digest(ts.ConfigKind(c, d))}",')
+    for name, text in (("DIGESTS", graph_text), ("COMPILED_DIGESTS", compiled_text)):
+        print(f"{name} = {{")
+        for c, d in CASES:
+            print(f'    "{c.value}-{d.value}": "{digest(ts.ConfigKind(c, d), text)}",')
+        print("}")

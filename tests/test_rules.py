@@ -15,13 +15,13 @@ class TestMarkReady:
         child = ts.make_label(G, 1, 1, 0)
         assert ts.is_decoherent(parent, child)
         marked = ts.mark_ready(parent, child, True)
-        assert marked.ready.atom_ready and marked.ready.detector_ready
+        assert marked.ready
 
     def test_weak_absorption_leaves_no_marks(self):
         parent = ts.make_label(G, 0, 0, 0)
         child = ts.make_label(W, 0, 0, 0)
         assert not ts.is_decoherent(parent, child)
-        assert not ts.mark_ready(parent, child, False).ready.any()
+        assert not ts.mark_ready(parent, child, False).ready
 
     def test_strong_absorption_leaves_no_marks(self):
         parent = ts.make_label(G, 0, 0, 0)
@@ -30,22 +30,22 @@ class TestMarkReady:
 
     def test_children_of_ready_components_stay_ready(self):
         # laser absorption inside the recorded sector keeps the marks
-        parent = ts.make_label(G, 1, 1, 0, ts.BOTH_MARKS)
+        parent = ts.make_label(G, 1, 1, 0, True)
         child = ts.make_label(S, 1, 1, 0)
         assert ts.is_decoherent(parent, child)
 
 
 class TestBlockedEdges:
     def test_recorded_pair_is_blocked(self):
-        a = ts.make_label(G, 1, 1, 0, ts.BOTH_MARKS)
-        b = ts.make_label(S, 1, 1, 0, ts.BOTH_MARKS)
+        a = ts.make_label(G, 1, 1, 0, True)
+        b = ts.make_label(S, 1, 1, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([a, b], [1.0, 0.0], [e])
         assert ts.blocked_edges(state) == {e}
 
     def test_unmarked_source_is_not_blocked(self):
         a = ts.make_label(S, 1, 1, 0)
-        b = ts.make_label(G, 2, 2, 0, ts.BOTH_MARKS)
+        b = ts.make_label(G, 2, 2, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_EMIT)
         state = ts.ChainState([a, b], [1.0, 0.0], [e])
         assert ts.blocked_edges(state) == set()
@@ -55,8 +55,8 @@ class TestBlockedEdges:
         assert ts.blocked_edges(ts.ChainState([root], [1.0])) == set()
 
     def test_deeper_recorded_pair_also_blocked(self):
-        a = ts.make_label(G, 2, 2, 0, ts.BOTH_MARKS)
-        b = ts.make_label(S, 2, 2, 0, ts.BOTH_MARKS)
+        a = ts.make_label(G, 2, 2, 0, True)
+        b = ts.make_label(S, 2, 2, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([a, b], [0.0, 0.0], [e])
         assert e in ts.blocked_edges(state)
@@ -75,7 +75,7 @@ class TestTrigger:
     def test_zero_inflow_phantom_never_hit(self):
         # frozen mass on a target with no current: hit probability exactly 0
         src = ts.make_label(G, 0, 0, 0)
-        phantom = ts.make_label(G, 1, 1, 0, ts.BOTH_MARKS)
+        phantom = ts.make_label(G, 1, 1, 0, True)
         other = ts.make_label(S, 0, 0, 0)
         e = ts.FlowEdge(src, other, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([src, phantom, other], [0.1, 0.9, 0.0], [e])
@@ -128,7 +128,7 @@ class TestModes:
         for atom in ts.AtomLevel:
             ep = epochs[atom]
             state = ts.chain_from_graph(ep.graph)
-            assert not any(lab.ready.any() for lab in ep.graph.labels) and not ep.ready_idx
+            assert not any(lab.ready for lab in ep.graph.labels) and not ep.ready_idx
             assert ts.blocked_edges(state) == set()
             assert ts.active_edges(state) == ep.graph.edges == ep.system.edges
 
@@ -140,7 +140,7 @@ class TestModes:
         observer = _CompiledEpochs(RunConfig(kind="v", mode="original_with_observer"))
         assert observer.key == nurules.key
         graph = observer[ts.AtomLevel.GROUND].graph
-        assert graph.marks and any(lab.ready.any() for lab in graph.labels)
+        assert graph.marks and any(lab.ready for lab in graph.labels)
         assert graph == ts.build_epoch(graph.kind, graph.root, graph.rates, graph.depth)
 
     def test_no_observer_run_has_zero_hits(self):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,19 +15,19 @@ def test_make_label_initial_condition():
     lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
     assert lab.atom is ts.AtomLevel.GROUND
     assert (lab.clicks, lab.strong, lab.weak) == (0, 0, 0)
-    assert not lab.ready.any()
+    assert not lab.ready
 
 
 def test_make_label_first_recorded_photon():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, ts.BOTH_MARKS)
-    assert lab.ready.atom_ready and lab.ready.detector_ready
+    lab = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    assert lab.ready
     assert lab.clicks == 1
 
 
 def test_make_label_undetected_weak_photon():
     lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 1)
     assert lab.weak == 1 and lab.clicks == 0
-    assert not lab.ready.any()
+    assert not lab.ready
 
 
 @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, -2, 0), (0, 0, -1)])
@@ -41,6 +42,27 @@ def test_make_label_rejects_negative_counts(bad):
         replace(lab, **dict(zip(["clicks", "strong", "weak"], bad)))
 
 
+@pytest.mark.parametrize("bad", [(2.7, 0, 0), (-0.5, 0, 0), (0, 1.0, 0), (0, 0, "1"), (True, 0, 0)])
+def test_a_label_rejects_counts_that_are_not_integers(bad):
+    # make_label once truncated these: 2.7 clicks became 2 and -0.5 became 0
+    with pytest.raises(InvalidLabel, match="integers"):
+        ts.make_label(ts.AtomLevel.GROUND, *bad)
+    with pytest.raises(InvalidLabel, match="integers"):
+        ts.ComponentLabel(ts.AtomLevel.GROUND, *bad)
+    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    with pytest.raises(InvalidLabel, match="integers"):
+        replace(lab, **dict(zip(["clicks", "strong", "weak"], bad)))
+
+
+@pytest.mark.parametrize("bad", [1, 0, "yes", None, np.bool_(True)])
+def test_a_label_rejects_a_ready_flag_that_is_not_a_bool(bad):
+    with pytest.raises(InvalidLabel, match="ready must be a bool"):
+        ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0, bad)
+    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    with pytest.raises(InvalidLabel, match="ready must be a bool"):
+        replace(lab, ready=bad)
+
+
 def test_a_label_rejects_an_atom_that_is_not_an_atom_level():
     with pytest.raises(InvalidLabel, match="atom must be an AtomLevel"):
         ts.ComponentLabel(0, 0, 0, 0)
@@ -52,7 +74,7 @@ def test_label_value_semantics(atom, c, s, w):
     b = ts.make_label(atom, c, s, w)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != ts.make_label(atom, c, s, w, ts.BOTH_MARKS)
+    assert a != ts.make_label(atom, c, s, w, True)
 
 
 @given(atoms, counts, counts, counts, counts)
@@ -111,3 +133,12 @@ def test_chain_rejects_unknown_edge_endpoint():
     edge = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
     with pytest.raises(ValueError):
         ts.ChainState([a], [1.0], [edge])
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_an_edge_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    # a NaN or infinite rate once passed and gave FlowSystem a NaN or inf generator
+    s = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
+    g = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ts.FlowEdge(s, g, rate, ts.EdgeKind.STRONG_EMIT)
