@@ -25,7 +25,6 @@ from .configurations import (
     EpochGraph,
     LaserDrive,
     build_epoch,
-    chain_from_graph,
     extend_frontier,
 )
 from .epochs import CompiledEpoch, EpochTemplate
@@ -63,9 +62,7 @@ from .flow import (
 from .rules import (
     HitEvent,
     active_edges,
-    blocked_edges,
     is_decoherent,
-    mark_ready,
     trigger,
 )
 from .runner import (

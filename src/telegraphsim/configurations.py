@@ -22,13 +22,16 @@ edge, and from its excited level the other edge returns to ground.
 emitting edge adds its photon to the ledger, and a click for a strong
 photon. A child is marked ready if it records a new click or its source
 is ready (``rules.is_decoherent``), so every child of a ready label is
-ready and Rule (4) blocks every edge out of one. A ready label takes no
-weak move: behind its blocked edges it could carry no mass.
+ready and Rule (4) blocks every edge out of one. A ready label therefore
+takes no move, and the graph is the live ladder: every label in it can
+carry mass.
 
 Two cuts bound the graph, each at ``depth`` above the root's ledger: the
 clicks budget cuts every strong emission, and the weak budget cuts the
 weak move out of ground, which starts a weak cycle. A label that either
-cut stops is on the frontier, where mass that reaches it stays.
+cut stops is on the frontier, where mass that reaches it stays. With
+marks on, the first click makes a label ready, so the clicks cut binds
+only in unmarked graphs.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ from enum import Enum
 
 from .errors import InvalidDepth, NotExtensible
 from .flow import RateSet
-from .rules import is_decoherent, mark_ready
+from .rules import is_decoherent
 from .state import (
     AtomLevel,
-    ChainState,
     ComponentLabel,
     EdgeKind,
     FlowEdge,
@@ -90,7 +92,7 @@ class ConfigKind:
 
 @dataclass(frozen=True)
 class EpochGraph:
-    """The component graph of one epoch, truncated at a depth budget."""
+    """The live component graph of one epoch, truncated at a depth budget."""
 
     kind: ConfigKind
     rates: RateSet
@@ -131,11 +133,12 @@ def build_epoch(
 ) -> EpochGraph:
     """Construct the epoch graph rooted at a realized label.
 
-    The root is taken as realized (its mark, if any, is stripped).
-    With ``marks`` False (no observer) no component is marked ready, so
-    nothing is blocked and no hit can land. Each label is expanded once
-    and is the source of every edge it adds, so no edge repeats. Raises
-    InvalidDepth for depth < 1.
+    The root is taken as realized (its mark, if any, is stripped). A
+    ready label takes no move, since Rule (4) blocks every edge out of
+    one. With ``marks`` False (no observer) no component is marked ready,
+    so nothing is blocked and no hit can land. Each label is expanded at
+    most once and is the source of every edge it adds, so no edge
+    repeats. Raises InvalidDepth for depth < 1.
     """
     if depth < 1:
         raise InvalidDepth(f"depth must be at least 1, got {depth}")
@@ -148,18 +151,18 @@ def build_epoch(
     edges: list[FlowEdge] = []
     frontier: set[ComponentLabel] = set()
     for lab in labels:  # breadth first: the list grows as children are found
+        if lab.ready:
+            continue  # Rule (4) blocks every move out of it
         for ekind, atom in moves[lab.atom]:
-            weak = ekind in _WEAK
-            if weak and lab.ready:
-                continue
             if (ekind is EdgeKind.STRONG_EMIT and lab.clicks == clicks_budget) or (
-                weak and lab.atom is AtomLevel.GROUND and lab.weak == weak_budget
+                ekind in _WEAK and lab.atom is AtomLevel.GROUND and lab.weak == weak_budget
             ):
                 frontier.add(lab)
                 continue
             dc, ds, dw = _EMITS.get(ekind, (0, 0, 0))
             child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
-            child = mark_ready(lab, child, marks and is_decoherent(lab, child))
+            if marks and is_decoherent(lab, child):
+                child = child.with_marks()
             if child not in seen:
                 seen.add(child)
                 labels.append(child)
@@ -180,11 +183,3 @@ def extend_frontier(graph: EpochGraph, label: ComponentLabel) -> EpochGraph:
         raise NotExtensible(f"{label} is not on the frontier")
     return build_epoch(graph.kind, graph.root, graph.rates, graph.depth + 1, graph.marks)
 
-
-def chain_from_graph(graph: EpochGraph) -> ChainState:
-    """Seed a chain state on an epoch graph with all mass at the root, at time 0."""
-    return ChainState(
-        labels=graph.labels,
-        masses=[1.0 if lab == graph.root else 0.0 for lab in graph.labels],
-        edges=graph.edges,
-    )

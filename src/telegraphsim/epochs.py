@@ -31,9 +31,9 @@ batched propagation of unit impulses at the weak edges' targets, made on
 the first crossing query, so a template is immutable once built.
 
 Both engines run every epoch on a CompiledEpoch: the flow system and
-ready targets of one root atom at the run's depth, over the labels its
-root reaches along active edges, compiled once per run for a root with
-an empty photon ledger and shared by its trajectories.
+ready targets of one root atom's live ladder at the run's depth,
+compiled once per run for a root with an empty photon ledger and shared
+by its trajectories.
 The ``steps`` engine also shares its HazardTables: the per-substep hit
 hazards of the epoch's full steps from the root, grown in chunks on first
 use by ``hazard_chunk``, which also tabulates each step shorter than that.
@@ -387,23 +387,20 @@ class CompiledEpoch:
     lands there, so within an epoch the flow graph is fixed, and from one
     epoch to the next it only translates with the root's photon ledger.
     An epoch is therefore compiled once per root atom and depth: the graph,
-    one FlowSystem over its active edges (whose propagators every step and
-    the template share), and the ready targets in chain order, with each
-    one's atom and photon ledger as arrays. The FlowSystem holds only the
-    live subgraph, the root and the targets of active edges: every child
-    of a ready label is ready, so Rule (4) blocks every edge out of one,
-    and the labels past a branch's first ready component never receive
-    mass. The chain ``build_epoch`` displays keeps them; the compiled
-    epoch does not. The engines run on these canonical labels; the
+    one FlowSystem over its labels and edges as ``build_epoch`` returns
+    them (whose propagators every step and the template share), and the
+    ready targets in chain order, with each one's atom and photon ledger
+    as arrays. The graph is the live ladder: ``build_epoch`` takes no move
+    out of a ready label, since Rule (4) blocks every edge out of one, so
+    every edge is active. The engines run on these canonical labels; the
     trajectory loop adds the root's ledger to what it records.
     The template and the hazard tables, one per step size, are built on
     first use.
     """
 
-    def __init__(self, graph: EpochGraph, active: Sequence[FlowEdge]):
+    def __init__(self, graph: EpochGraph):
         self.graph = graph
-        live = {graph.root, *(e.target for e in active)}
-        self.system = FlowSystem([lab for lab in graph.labels if lab in live], active)
+        self.system = FlowSystem(graph.labels, graph.edges)
         self.ready = tuple(lab for lab in self.system.labels if lab.ready)
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
         # each ready target's atom and photon ledger (clicks, strong, weak), as arrays

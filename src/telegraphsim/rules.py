@@ -18,7 +18,7 @@ next epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -38,32 +38,15 @@ def is_decoherent(parent: ComponentLabel, child: ComponentLabel) -> bool:
     return parent.ready or child.clicks != parent.clicks
 
 
-def mark_ready(
-    parent: ComponentLabel, child: ComponentLabel, decoherent: bool
-) -> ComponentLabel:
-    """Mark a decoherent new component ready."""
-    if decoherent:
-        return child.with_marks()
-    return child
-
-
-def blocked_edges(state: ChainState) -> Set[FlowEdge]:
-    """Edges forbidden because both endpoints are ready (Rule 4).
-
-    These carry exactly zero flow; they are excluded from the active set
-    before stepping rather than clamped numerically.
-    """
-    return {e for e in state.edges if e.source.ready and e.target.ready}
-
-
 def active_edges(state: ChainState) -> tuple[FlowEdge, ...]:
-    """The flow edges that actually carry mass this epoch.
+    """The flow edges that carry mass: all but those between two ready components.
 
-    A graph built without ready marks (the no-observer mode) blocks
-    nothing, so all of its edges are active.
+    Rule (4) forbids flow between two ready components, so such an edge
+    carries exactly zero flow; it is left out before stepping rather than
+    clamped numerically. A graph built without ready marks (the
+    no-observer mode) blocks nothing, so all of its edges are active.
     """
-    dead = blocked_edges(state)
-    return tuple(e for e in state.edges if e not in dead)
+    return tuple(e for e in state.edges if not (e.source.ready and e.target.ready))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ they draw an epoch's hit:
                  long desk-scale runs cheap. A block of uniforms is
                  inverted at once.
 
-Both run every epoch on the same compiled epoch, cut at ``depth`` weak
-cycles and kept to the labels its root reaches along active edges: mass
-that reaches a frontier label stays there until the hit.
+Both run every epoch on the same compiled epoch, the live ladder cut at
+``depth`` weak cycles: mass that reaches a frontier label stays there
+until the hit.
 Both draw from one stream of uniforms per trajectory, ``_Uniforms``, and
 hand their hits to one trajectory loop, ``_trajectory``, which keeps the
 root's atom and photon ledger and makes the log as columns: each hit
@@ -67,9 +67,9 @@ from .analysis import (  # noqa: F401
     segment_telegraph,
 )
 from .config import RunConfig, format_config
-# extend_frontier, serialize_log, step and trigger are unused here: perfbench's
-# traced run looks them up in this module
-from .configurations import EpochGraph, build_epoch, chain_from_graph, extend_frontier  # noqa: F401
+# active_edges, extend_frontier, serialize_log, step and trigger are unused here:
+# perfbench's traced run looks them up in this module
+from .configurations import build_epoch, extend_frontier  # noqa: F401
 from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate, HazardChunk, hazard_chunk
 from .errors import InvariantBreach
 from .eventlog import _CHUNK, HIT, WEAK_EDGE_CROSSING, EventLog, append_records, open_log
@@ -104,10 +104,6 @@ class TrajectoryResult:
     final_time: float = 0.0
 
 
-def _compile(graph: EpochGraph) -> CompiledEpoch:
-    return CompiledEpoch(graph, active_edges(chain_from_graph(graph)))
-
-
 def _epochs_key(cfg: RunConfig) -> tuple:
     marks = cfg.mode_enum() is not Mode.ORIGINAL_NO_OBSERVER
     return (cfg.config_kind(), cfg.rate_set(), cfg.depth, marks)
@@ -131,7 +127,7 @@ class _CompiledEpochs(dict):
 
     def __missing__(self, atom: AtomLevel) -> CompiledEpoch:
         kind, rates, depth, marks = self.key
-        compiled = self[atom] = _compile(
+        compiled = self[atom] = CompiledEpoch(
             build_epoch(kind, make_label(atom, 0, 0, 0), rates, depth, marks)
         )
         return compiled

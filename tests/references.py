@@ -1,5 +1,9 @@
 """Test-side references that ``run`` and ``analyze`` never execute.
 
+``displayed_epoch`` builds an epoch's chain as the paper displays it: it
+expands the strong moves out of ready labels, whose edges Rule (4) blocks,
+where ``build_epoch`` builds only the live ladder. ``chain_from_graph``
+seeds a chain state on a graph with all mass at its root.
 ``integrate_exact_oracle`` integrates a chain by fine-step RK4, a route
 independent of the propagators ``flow.step`` applies. ``currents`` reads
 per-edge currents and per-component net inflows off a ``flow.step``
@@ -26,11 +30,13 @@ from telegraphsim.analysis import (
     segment_telegraph,
 )
 from telegraphsim.config import RunConfig
+from telegraphsim.configurations import _EMITS, _WEAK, ConfigKind, EpochGraph, _moves
 from telegraphsim.epochs import EpochTemplate
 from telegraphsim.errors import EmptyLog, InvalidStep, TelegraphError
 from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog, hits
-from telegraphsim.flow import CurrentReport, FlowSystem
-from telegraphsim.state import ChainState, ComponentLabel, FlowEdge
+from telegraphsim.flow import CurrentReport, FlowSystem, RateSet
+from telegraphsim.rules import is_decoherent
+from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, EdgeKind, FlowEdge, make_label
 
 #: Oracle step: 1e-4 of the fastest timescale present in the graph.
 ORACLE_STEP_FRACTION = 1e-4
@@ -38,6 +44,56 @@ ORACLE_STEP_FRACTION = 1e-4
 
 class OracleUnsupported(TelegraphError):
     """The brute-force integrator only handles acyclic flow graphs."""
+
+
+def displayed_epoch(
+    kind: ConfigKind, root: ComponentLabel, rates: RateSet, depth: int, marks: bool = True
+) -> EpochGraph:
+    """The epoch graph as the paper displays it, with the labels behind blocked edges.
+
+    ``build_epoch``'s breadth-first loop, except that a ready label still
+    takes its strong moves (a ready label takes no weak move here either).
+    Every child of a ready label is ready, so each of those edges joins two
+    ready labels and carries no mass.
+    """
+    root = root.without_marks()
+    clicks_budget = root.clicks + depth
+    weak_budget = root.weak + depth
+    moves = _moves(kind)
+    labels = [root]
+    seen = {root}
+    edges: list[FlowEdge] = []
+    frontier: set[ComponentLabel] = set()
+    for lab in labels:
+        for ekind, atom in moves[lab.atom]:
+            weak = ekind in _WEAK
+            if weak and lab.ready:
+                continue
+            if (ekind is EdgeKind.STRONG_EMIT and lab.clicks == clicks_budget) or (
+                weak and lab.atom is AtomLevel.GROUND and lab.weak == weak_budget
+            ):
+                frontier.add(lab)
+                continue
+            dc, ds, dw = _EMITS.get(ekind, (0, 0, 0))
+            child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
+            if marks and is_decoherent(lab, child):
+                child = child.with_marks()
+            if child not in seen:
+                seen.add(child)
+                labels.append(child)
+            edges.append(FlowEdge(lab, child, rates.rate_for(ekind), ekind))
+    return EpochGraph(
+        kind, rates, depth, root, tuple(labels), tuple(edges), frozenset(frontier), marks
+    )
+
+
+def chain_from_graph(graph: EpochGraph) -> ChainState:
+    """Seed a chain state on an epoch graph with all mass at the root, at time 0."""
+    return ChainState(
+        labels=graph.labels,
+        masses=[1.0 if lab == graph.root else 0.0 for lab in graph.labels],
+        edges=graph.edges,
+    )
 
 
 def _assert_acyclic(labels: Sequence[ComponentLabel], edges: Sequence[FlowEdge]) -> None:

@@ -14,7 +14,13 @@ from telegraphsim.config import RunConfig
 from telegraphsim.runner import derive_rng, run_trajectory
 
 from conftest import make_two_branch
-from references import currents, integrate_exact_oracle, template_from_chain
+from references import (
+    chain_from_graph,
+    currents,
+    displayed_epoch,
+    integrate_exact_oracle,
+    template_from_chain,
+)
 
 G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
 RATES = ts.RateSet()
@@ -55,29 +61,34 @@ def _golden_graphs():
 
 
 def test_criterion_2_blocked_edges_carry_exactly_zero():
-    """Instrumented flow across every blocked edge of the depth-2 goldens is 0.0."""
+    """Instrumented flow across every blocked edge of the depth-2 goldens is 0.0.
+
+    The goldens as displayed (``references.displayed_epoch``) keep the moves
+    out of ready labels; ``build_epoch`` builds only the live ladder. Every
+    edge it leaves out joins two ready labels, and stepping the displayed
+    chain carries nothing across one and nothing into a label it leaves out.
+    """
     total_blocked = 0
     for name, conf, lasers, root in _golden_graphs():
-        graph = ts.build_epoch(ts.ConfigKind(conf, lasers), root, RATES, 2)
-        state = ts.chain_from_graph(graph)
-        blocked = ts.blocked_edges(state)
+        kind = ts.ConfigKind(conf, lasers)
+        live = ts.build_epoch(kind, root, RATES, 2)
+        shown = displayed_epoch(kind, root, RATES, 2)
+        blocked = set(shown.edges) - set(live.edges)
         assert blocked, f"{name}: depth-2 golden graph must contain blocked edges"
+        assert all(e.source.ready and e.target.ready for e in blocked), name
         total_blocked += len(blocked)
+        state = chain_from_graph(shown)
         active = ts.active_edges(state)
+        assert active == live.edges, name
         # components fed exclusively through blocked edges must stay at 0.0
-        blocked_only = {
-            lab
-            for lab in state.labels
-            if any(e.target == lab for e in blocked)
-            and not any(e.target == lab for e in active)
-        }
+        dead = set(shown.labels) - set(live.labels)
         s = state
         for _ in range(400):
             s, report = ts.step(s, active, 0.05)
             edge_current, _ = currents(report)
             for e in blocked:
                 assert edge_current.get(e, 0.0) == 0.0
-            for lab in blocked_only:
+            for lab in dead:
                 assert s.masses[s.labels.index(lab)] == 0.0
         # and the active generator carries no coupling for any blocked edge
         sys_ = ts.FlowSystem(state.labels, active)
@@ -199,7 +210,7 @@ def test_criterion_6_eventual_hit_guarantee():
     bound = 50.0 * weak_cycle
     kind = ts.ConfigKind(ts.Configuration.V)
     graph = ts.build_epoch(kind, ts.make_label(G, 0, 0, 0), RATES, 2)
-    chain = ts.chain_from_graph(graph)
+    chain = chain_from_graph(graph)
     tpl = template_from_chain(chain, ts.active_edges(chain))
     carries_weak = np.array([lab.weak > 0 for lab in tpl.sink_labels])
     worst = 0.0
@@ -249,7 +260,7 @@ def test_criterion_8_oracle_equivalence():
     worst = 0.0
     for conf in ts.Configuration:
         graph = ts.build_epoch(ts.ConfigKind(conf), ts.make_label(G, 0, 0, 0), RATES, 2)
-        state = ts.chain_from_graph(graph)
+        state = chain_from_graph(graph)
         active = ts.active_edges(state)
         system = ts.FlowSystem(state.labels, active)
         stepped = state

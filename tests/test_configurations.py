@@ -2,7 +2,9 @@
 
 The depth-2 chains are asserted label by label against the displayed
 term sequences: which components exist, which carry ready marks, and
-where flow is blocked.
+where flow is blocked. ``build_epoch`` builds only the live ladder; the
+chain as displayed, with the labels behind blocked edges, comes from
+``references.displayed_epoch``.
 """
 
 from dataclasses import replace
@@ -13,7 +15,7 @@ import telegraphsim as ts
 from telegraphsim.errors import InvalidDepth, NotExtensible
 
 from conftest import root_shifted
-from references import integrate_exact_oracle
+from references import chain_from_graph, displayed_epoch, integrate_exact_oracle
 
 G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
 RATES = ts.RateSet()
@@ -28,16 +30,30 @@ def build(conf, lasers=ts.LaserDrive.BOTH, depth=2, root=ROOT):
     return ts.build_epoch(ts.ConfigKind(conf, lasers), root, RATES, depth)
 
 
+def displayed(conf, lasers=ts.LaserDrive.BOTH, depth=2, root=ROOT):
+    return displayed_epoch(ts.ConfigKind(conf, lasers), root, RATES, depth)
+
+
 def blocked_pairs(graph):
-    state = ts.chain_from_graph(graph)
-    return {(e.source, e.target) for e in ts.blocked_edges(state)}
+    active = set(ts.active_edges(chain_from_graph(graph)))
+    return {(e.source, e.target) for e in graph.edges if e not in active}
+
+
+def assert_live_ladder_of(live, shown):
+    """``live`` is ``shown`` less the labels behind blocked edges, in the same order."""
+    assert live.edges == ts.active_edges(chain_from_graph(shown))
+    dead = set(shown.labels) - set(live.labels)
+    assert live.labels == tuple(l for l in shown.labels if l not in dead)
+    for l in dead:
+        into = [e for e in shown.edges if e.target == l]
+        assert into and all(e.source.ready and e.target.ready for e in into), l
 
 
 class TestStrongOnlyChains:
     def test_absorb_first_chain(self):
         # (A0 + A1) D0 + A0*D1* (+) A1*D1* (+) A0*D2* (+) A1*D2*
-        g = build(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
-        assert set(g.labels) == {
+        shown = displayed(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
+        assert set(shown.labels) == {
             lab(G, 0, 0, 0),
             lab(S, 0, 0, 0),
             lab(G, 1, 1, 0, ready=True),
@@ -45,32 +61,41 @@ class TestStrongOnlyChains:
             lab(G, 2, 2, 0, ready=True),
             lab(S, 2, 2, 0, ready=True),
         }
-        assert len(g.edges) == 5
+        assert len(shown.edges) == 5
         # flow is blocked between every consecutive pair of recorded components
-        assert blocked_pairs(g) == {
+        assert blocked_pairs(shown) == {
             (lab(G, 1, 1, 0, True), lab(S, 1, 1, 0, True)),
             (lab(S, 1, 1, 0, True), lab(G, 2, 2, 0, True)),
             (lab(G, 2, 2, 0, True), lab(S, 2, 2, 0, True)),
         }
+        # the live ladder stops at the first recorded component
+        g = build(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
+        assert g.labels == (lab(G, 0, 0, 0), lab(S, 0, 0, 0), lab(G, 1, 1, 0, ready=True))
+        assert len(g.edges) == 2 and not blocked_pairs(g)
+        assert_live_ladder_of(g, shown)
 
     def test_emit_first_chain(self):
         # A0 D0 + A1*D1* (+) A0*D1* (+) A1*D2* (+) A0*D2*
-        g = build(ts.Configuration.LAMBDA, ts.LaserDrive.STRONG_ONLY)
-        assert set(g.labels) == {
+        shown = displayed(ts.Configuration.LAMBDA, ts.LaserDrive.STRONG_ONLY)
+        assert set(shown.labels) == {
             lab(G, 0, 0, 0),
             lab(S, 1, 1, 0, ready=True),
             lab(G, 1, 1, 0, ready=True),
             lab(S, 2, 2, 0, ready=True),
             lab(G, 2, 2, 0, ready=True),
         }
-        assert len(g.edges) == 4
-        assert len(blocked_pairs(g)) == 3
+        assert len(shown.edges) == 4
+        assert len(blocked_pairs(shown)) == 3
+        g = build(ts.Configuration.LAMBDA, ts.LaserDrive.STRONG_ONLY)
+        assert g.labels == (lab(G, 0, 0, 0), lab(S, 1, 1, 0, ready=True))
+        assert len(g.edges) == 1 and not blocked_pairs(g)
+        assert_live_ladder_of(g, shown)
 
     def test_first_edge_carries_flow(self):
         for conf in (ts.Configuration.V, ts.Configuration.LAMBDA):
             g = build(conf, ts.LaserDrive.STRONG_ONLY)
-            state = ts.chain_from_graph(g)
-            live = ts.active_edges(state)
+            live = ts.active_edges(chain_from_graph(g))
+            assert live == g.edges
             assert any(e.source == g.root for e in live)
 
 
@@ -199,12 +224,16 @@ class TestDepthAndExtension:
             build(ts.Configuration.V, depth=0)
 
     def test_extension_equals_deeper_build(self):
-        g2 = build(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY, depth=2)
-        target = next(iter(g2.frontier))
-        g3 = ts.extend_frontier(g2, target)
-        direct = build(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY, depth=3)
-        assert set(g3.labels) == set(direct.labels)
-        assert set(g3.edges) == set(direct.edges)
+        # marked, a strong-only ladder ends at its first click and has no frontier
+        assert not build(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY).frontier
+        for lasers, marks in ((ts.LaserDrive.STRONG_ONLY, False), (ts.LaserDrive.BOTH, True)):
+            kind = ts.ConfigKind(ts.Configuration.V, lasers)
+            g2 = ts.build_epoch(kind, ROOT, RATES, 2, marks)
+            target = next(iter(g2.frontier))
+            g3 = ts.extend_frontier(g2, target)
+            direct = ts.build_epoch(kind, ROOT, RATES, 3, marks)
+            assert set(g3.labels) == set(direct.labels)
+            assert set(g3.edges) == set(direct.edges)
 
     def test_extending_twice_is_depth_plus_two(self):
         g = build(ts.Configuration.V, depth=1)
@@ -253,7 +282,7 @@ def test_root_has_no_inflow():
 def test_graphs_are_acyclic():
     for conf in ts.Configuration:
         g = build(conf, depth=2)
-        state = ts.chain_from_graph(g)
+        state = chain_from_graph(g)
         integrate_exact_oracle(state, g.edges, 0.0)  # raises on cycles
 
 
@@ -274,3 +303,24 @@ def test_every_edge_runs_forward_in_label_order():
                         index = {label: i for i, label in enumerate(g.labels)}
                         backward = [e for e in g.edges if index[e.source] >= index[e.target]]
                         assert not backward, (conf, lasers, marks, depth, atom, backward[0])
+
+
+#: Labels and edges the ladder adds per rung, from a ground root with both lasers.
+RUNG = {
+    ts.Configuration.V: 4,
+    ts.Configuration.CASCADE_WEAK_DOWN: 4,
+    ts.Configuration.LAMBDA: 3,
+    ts.Configuration.CASCADE_WEAK_UP: 3,
+}
+
+
+@pytest.mark.parametrize("depth", (1, 2, 8, 16, 53))
+@pytest.mark.parametrize("conf", list(ts.Configuration), ids=lambda c: c.value)
+def test_live_ladder_grows_linearly_with_depth(conf, depth):
+    """Each weak cycle adds one rung and one ready sink; nothing lies behind a sink."""
+    g = build(conf, depth=depth)
+    n = RUNG[conf] * depth + RUNG[conf] - 1
+    assert len(g.labels) == n
+    assert len(g.edges) == n - 1
+    assert sum(l.ready for l in g.labels) == depth + 1
+    assert not any(e.source.ready for e in g.edges)

@@ -8,7 +8,7 @@ from telegraphsim import configurations, epochs, runner
 from telegraphsim.config import RunConfig
 from telegraphsim.epochs import CompiledEpoch, CrossingStage
 
-from references import template_from_chain
+from references import chain_from_graph, displayed_epoch, template_from_chain
 
 RATES = ts.RateSet(k_weak_absorb=0.1, k_weak_emit=0.1)
 KINDS = [ts.ConfigKind(c, lasers) for c in ts.Configuration for lasers in ts.LaserDrive]
@@ -20,7 +20,7 @@ def kind_id(kind):
 
 def compile_epoch(kind, atom):
     graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), RATES, 2)
-    return CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph)))
+    return CompiledEpoch(graph)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
@@ -47,10 +47,11 @@ def test_compiled_epoch_is_the_live_subgraph_with_the_same_law(monkeypatch):
 
     Every configuration, laser setting and root atom at depths 1, 2, 5 and 8.
     Each compiled label holds positive mass somewhere on the template grid.
-    Each ready target of the full chain that the compiled epoch drops
-    receives exactly nothing in the full chain's template, and the kept
-    targets' delivery curves agree with the full chain's. The grid's size
-    does not matter here, so the templates run on 300 cells a piece.
+    Each ready target of the displayed chain (``references.displayed_epoch``)
+    that the compiled epoch lacks receives exactly nothing in the displayed
+    chain's template, and the kept targets' delivery curves agree with the
+    displayed chain's. The grid's size does not matter here, so the
+    templates run on 300 cells a piece.
     """
     monkeypatch.setattr(epochs, "CELLS_PER_PIECE", 300)
     dropped = 0
@@ -58,10 +59,10 @@ def test_compiled_epoch_is_the_live_subgraph_with_the_same_law(monkeypatch):
         for kind in KINDS:
             for atom in ts.AtomLevel:
                 case = f"{kind_id(kind)} root {atom.name} depth {depth}"
-                graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), RATES, depth)
-                chain = ts.chain_from_graph(graph)
-                tpl = CompiledEpoch(graph, ts.active_edges(chain)).template
+                root = ts.make_label(atom, 0, 0, 0)
+                tpl = CompiledEpoch(ts.build_epoch(kind, root, RATES, depth)).template
                 assert (tpl.masses > 0.0).any(axis=0).all(), case
+                chain = chain_from_graph(displayed_epoch(kind, root, RATES, depth))
                 full = template_from_chain(chain, ts.active_edges(chain))
                 assert tpl.grid.tobytes() == full.grid.tobytes(), case
                 kept = [full.sink_labels.index(lab) for lab in tpl.sink_labels]
@@ -253,7 +254,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
                     graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), rates, depth)
                     if not any(lab.ready for lab in graph.labels):
                         continue  # nothing to cross into
-                    tpl = CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph))).template
+                    tpl = CompiledEpoch(graph).template
                     assert set(tpl.crossing_stages) == set(tpl.sink_labels), case
                     _, taus, _ = tpl.sample_hits(np.array([0.3, 0.7, 0.95, 0.9999, 1 - 1e-6]))
                     for sink, ref in reference_stages(tpl).items():
@@ -289,7 +290,7 @@ def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
     rates = ts.RateSet(k_weak_absorb=0.1, k_weak_emit=0.1)
     kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.BOTH)
     graph = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), rates, 5)
-    tpl = CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph))).template
+    tpl = CompiledEpoch(graph).template
     assert len(calls) == 1
     _, taus, _ = tpl.sample_hits(np.linspace(0.0, 0.999, 7))
     crossed = [sink for sink in tpl.sink_labels for tau in taus if tpl.crossing_times(sink, tau)]

@@ -6,14 +6,14 @@ import telegraphsim as ts
 from telegraphsim.errors import InvalidStep
 
 from conftest import make_single_edge, make_two_branch
-from references import OracleUnsupported, currents, integrate_exact_oracle
+from references import OracleUnsupported, chain_from_graph, currents, integrate_exact_oracle
 
 
 def graph_for(conf, lasers=ts.LaserDrive.BOTH, depth=2, rates=None):
     kind = ts.ConfigKind(conf, lasers)
     root = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
     g = ts.build_epoch(kind, root, rates or ts.RateSet(), depth)
-    return ts.chain_from_graph(g)
+    return chain_from_graph(g)
 
 
 def test_single_edge_drains_completely():

@@ -11,7 +11,9 @@ frontier label, or their order, changes a digest.
 The same graphs compiled as the engines compile them are hashed
 separately: the flow system's labels and edges, in order, and the ready
 targets. A change to which labels and edges an epoch's flow runs on
-changes a ``COMPILED_DIGESTS`` entry.
+changes a ``COMPILED_DIGESTS`` entry. A graph is the live ladder its
+compiled epoch runs on: the flow system holds its labels and edges as
+built, and no edge leaves a ready label.
 
 ``python tests/test_graph_identity.py`` prints both tables, for a
 deliberate re-record.
@@ -35,18 +37,18 @@ ROOTS = (
 )
 
 DIGESTS = {
-    "v-strong_only": "0a0517723d88def0ba6450c96e158ae342a41470a261b55d6f0687329e504385",
+    "v-strong_only": "644f95321856c1462dde996ef449dc2c5e292d18c5c8b8b18a28e10a143a22a8",
     "v-weak_only": "898192033f5bbe38dade4b27383b0a79b0a7f18c2a35a3eb53ac30ff54500082",
-    "v-both": "1f478b7b8264687f629e9d4d8446e74b5099cb8cf4dc8165de04efaea8d44118",
-    "lambda-strong_only": "716615e287afaf90f1895bd453ca055ee22bbd143743e954b8928f2fa2d8516c",
+    "v-both": "35cac3fc9c9f5e0d92a05c58e2edfb160e394950da00186cf6000314642d1ad5",
+    "lambda-strong_only": "2c4175f934e1cc79fd8e62436b5c50e838d9900dc5a66ae38207e2740fe74710",
     "lambda-weak_only": "06513c7cb2c7991513daa36c0a29603a19ab421f0858a2ef82c258733a052a8b",
-    "lambda-both": "9bb2a7814ded94cdaebb81908db320fce237c0aa036043478bcd8104eeece516",
-    "cascade_weak_up-strong_only": "716615e287afaf90f1895bd453ca055ee22bbd143743e954b8928f2fa2d8516c",
+    "lambda-both": "e06e5addd033637a8e5d21f1d727551604a5ab720db457e02048d88354b9a44b",
+    "cascade_weak_up-strong_only": "2c4175f934e1cc79fd8e62436b5c50e838d9900dc5a66ae38207e2740fe74710",
     "cascade_weak_up-weak_only": "898192033f5bbe38dade4b27383b0a79b0a7f18c2a35a3eb53ac30ff54500082",
-    "cascade_weak_up-both": "e0c99ce5a19899cd955d1ab92cf36dde71511ea665e70c16e4404e761da93f03",
-    "cascade_weak_down-strong_only": "0a0517723d88def0ba6450c96e158ae342a41470a261b55d6f0687329e504385",
+    "cascade_weak_up-both": "5ae056c5b1e9e337aa3a1603c00a269419a8397919fa6802c777c94b05d554c8",
+    "cascade_weak_down-strong_only": "644f95321856c1462dde996ef449dc2c5e292d18c5c8b8b18a28e10a143a22a8",
     "cascade_weak_down-weak_only": "06513c7cb2c7991513daa36c0a29603a19ab421f0858a2ef82c258733a052a8b",
-    "cascade_weak_down-both": "67c2b6aa7f535059e794b30db67476a22e68b4251cca42ec325b25a65673c217",
+    "cascade_weak_down-both": "96071a0bfcbf4286db713b8326242fc39dd5aef6905aceaab8a0a7a6662b84e7",
 }
 COMPILED_DIGESTS = {
     "v-strong_only": "e7a6ba72f813d34ff8db532fbb37b7868ed36e0b76713f07cce64b35a8ee2f9d",
@@ -78,7 +80,7 @@ def graph_text(graph):
 
 
 def compiled_text(graph):
-    ep = ts.CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph)))
+    ep = ts.CompiledEpoch(graph)
     labels = [key(lab) for lab in ep.system.labels]
     edges = [(key(e.source), key(e.target), repr(e.rate), e.kind.value) for e in ep.system.edges]
     ready = [key(lab) for lab in ep.ready]
@@ -107,6 +109,17 @@ def test_graphs_match_their_recorded_digest(conf, lasers):
 def test_compiled_epochs_match_their_recorded_digest(conf, lasers):
     kind = ts.ConfigKind(conf, lasers)
     assert digest(kind, compiled_text) == COMPILED_DIGESTS[f"{conf.value}-{lasers.value}"]
+
+
+@pytest.mark.parametrize("conf, lasers", CASES, ids=[f"{c.value}-{d.value}" for c, d in CASES])
+def test_compiled_epoch_runs_on_the_graph_as_built(conf, lasers):
+    for depth in DEPTHS:
+        for marks in (True, False):
+            for root in ROOTS:
+                graph = ts.build_epoch(ts.ConfigKind(conf, lasers), root, RATES, depth, marks)
+                system = ts.CompiledEpoch(graph).system
+                assert system.labels == graph.labels and system.edges == graph.edges
+                assert not any(e.source.ready for e in graph.edges), (depth, marks, root)
 
 
 if __name__ == "__main__":

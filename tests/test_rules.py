@@ -5,8 +5,10 @@ import telegraphsim as ts
 from telegraphsim.runner import derive_rng
 
 from conftest import make_single_edge, make_two_branch, root_shifted, run_hits_until_collapse
+from references import chain_from_graph, displayed_epoch
 
 G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
+STRONG_V = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
 
 
 class TestMarkReady:
@@ -14,25 +16,34 @@ class TestMarkReady:
         parent = ts.make_label(S, 0, 0, 0)
         child = ts.make_label(G, 1, 1, 0)
         assert ts.is_decoherent(parent, child)
-        marked = ts.mark_ready(parent, child, True)
-        assert marked.ready
+        g = ts.build_epoch(STRONG_V, parent, ts.RateSet(), 1)
+        assert child.with_marks() in g.labels and child not in g.labels
 
     def test_weak_absorption_leaves_no_marks(self):
         parent = ts.make_label(G, 0, 0, 0)
         child = ts.make_label(W, 0, 0, 0)
         assert not ts.is_decoherent(parent, child)
-        assert not ts.mark_ready(parent, child, False).ready
+        weak_v = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.WEAK_ONLY)
+        assert child in ts.build_epoch(weak_v, parent, ts.RateSet(), 1).labels
 
     def test_strong_absorption_leaves_no_marks(self):
         parent = ts.make_label(G, 0, 0, 0)
         child = ts.make_label(S, 0, 0, 0)
         assert not ts.is_decoherent(parent, child)
+        assert child in ts.build_epoch(STRONG_V, parent, ts.RateSet(), 1).labels
 
     def test_children_of_ready_components_stay_ready(self):
         # laser absorption inside the recorded sector keeps the marks
         parent = ts.make_label(G, 1, 1, 0, True)
         child = ts.make_label(S, 1, 1, 0)
         assert ts.is_decoherent(parent, child)
+        # so every edge out of a ready label is blocked, and build_epoch takes none
+        root = ts.make_label(G, 0, 0, 0)
+        shown = displayed_epoch(STRONG_V, root, ts.RateSet(), 2)
+        out = [e for e in shown.edges if e.source.ready]
+        assert out and all(e.target.ready for e in out)
+        g = ts.build_epoch(STRONG_V, root, ts.RateSet(), 2)
+        assert not any(e.source.ready for e in g.edges)
 
 
 class TestBlockedEdges:
@@ -41,25 +52,25 @@ class TestBlockedEdges:
         b = ts.make_label(S, 1, 1, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([a, b], [1.0, 0.0], [e])
-        assert ts.blocked_edges(state) == {e}
+        assert ts.active_edges(state) == ()
 
     def test_unmarked_source_is_not_blocked(self):
         a = ts.make_label(S, 1, 1, 0)
         b = ts.make_label(G, 2, 2, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_EMIT)
         state = ts.ChainState([a, b], [1.0, 0.0], [e])
-        assert ts.blocked_edges(state) == set()
+        assert ts.active_edges(state) == (e,)
 
     def test_empty_chain(self):
         root = ts.make_label(G, 0, 0, 0)
-        assert ts.blocked_edges(ts.ChainState([root], [1.0])) == set()
+        assert ts.active_edges(ts.ChainState([root], [1.0])) == ()
 
     def test_deeper_recorded_pair_also_blocked(self):
         a = ts.make_label(G, 2, 2, 0, True)
         b = ts.make_label(S, 2, 2, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([a, b], [0.0, 0.0], [e])
-        assert e in ts.blocked_edges(state)
+        assert e not in ts.active_edges(state)
 
 
 class TestTrigger:
@@ -127,9 +138,8 @@ class TestModes:
         epochs = _CompiledEpochs(RunConfig(kind="v", mode="original_no_observer"))
         for atom in ts.AtomLevel:
             ep = epochs[atom]
-            state = ts.chain_from_graph(ep.graph)
+            state = chain_from_graph(ep.graph)
             assert not any(lab.ready for lab in ep.graph.labels) and not ep.ready_idx
-            assert ts.blocked_edges(state) == set()
             assert ts.active_edges(state) == ep.graph.edges == ep.system.edges
 
     def test_with_observer_equals_full_rules(self):

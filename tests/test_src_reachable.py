@@ -25,6 +25,7 @@ PACKAGE = ROOT / "src" / "telegraphsim"
 
 #: Functions the matrix does not enter, each with why it stays in the package.
 ALLOWLIST = {
+    "state.ChainState.__init__": "builds flow.step's input; perfbench traces flow.step",
     "state.ChainState.with_masses": "builds flow.step's result; perfbench traces flow.step",
     "state.ComponentLabel.__str__": "names labels in error messages",
     "config.format_config": "a breach writes the config into diagnostic.json",

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 import telegraphsim as ts
 from telegraphsim.errors import DuplicateLabel, InvalidLabel
 
+from references import chain_from_graph
+
 atoms = st.sampled_from(list(ts.AtomLevel))
 counts = st.integers(min_value=0, max_value=50)
 
@@ -101,7 +103,7 @@ def test_total_mass_mid_trajectory():
     # conservative integrator keeps the sum at one
     kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.BOTH)
     g = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), ts.RateSet(), 2)
-    state = ts.chain_from_graph(g)
+    state = chain_from_graph(g)
     active = ts.active_edges(state)
     for _ in range(200):
         state, _ = ts.step(state, active, 0.01)

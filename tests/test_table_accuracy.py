@@ -37,7 +37,7 @@ def _template(configuration, ratio, depth):
     kind = ts.ConfigKind(configuration, ts.LaserDrive.BOTH)
     rates = ts.RateSet(k_weak_absorb=ratio, k_weak_emit=ratio)
     graph = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), rates, depth)
-    ep = CompiledEpoch(graph, ts.active_edges(ts.chain_from_graph(graph)))
+    ep = CompiledEpoch(graph)
     return ep, ep.template
 
 
