@@ -15,10 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .configurations import ConfigKind, LaserDrive
+from .config import ConfigKind, LaserDrive, RateSet
 from .errors import EmptyLog, NoWeakBranch
 from .eventlog import WEAK_EDGE_CROSSING, EventKind, EventLog, Records, hits
-from .flow import RateSet
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,10 @@
-"""Command-line interface: seeded runs and log re-analysis."""
+"""Command-line interface: seeded runs and log re-analysis.
+
+``analyze`` loads only this module, ``config``, ``errors``, ``eventlog``
+and ``analysis``; ``run`` imports the simulator, ``runner``, when it is
+called. The analysis that both commands print, ``analyze_log`` and
+``format_timing``, lives here, and ``runner`` imports it from here.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +12,20 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
-from .analysis import LogFold
+# segment_telegraph is unused here: perfbench's traced run looks it up in this module
+from .analysis import (  # noqa: F401
+    LogFold,
+    WeakTiming,
+    classify_weak_timing,
+    interval_stats,
+    segment_telegraph,
+)
 from .config import _PARSERS, RunConfig, parse_config
 from .errors import ConfigError
 # read_log is unused here: perfbench's traced run looks it up in this module
 from .eventlog import iter_log, read_log, validate_log  # noqa: F401
-from .runner import analyze_log, format_timing, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,6 +62,48 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{_flag(key)}: {exc}") from None
     return replace(cfg, **overrides)
+
+
+def analyze_log(cfg: RunConfig, fold: LogFold) -> Optional[dict]:
+    """Interval statistics and weak timing of the log whose records ``fold`` took.
+
+    ``run``'s report and ``analyze`` both print these fields. Returns None
+    when the log holds no hits.
+    """
+    if not fold.hits:
+        return None
+    seg = fold.segmentation()
+    stats = interval_stats(seg)
+    out = {
+        "bright_intervals": stats.bright_count,
+        "dark_intervals": stats.dark_count,
+        "bright_mean": stats.bright_mean,
+        "dark_mean": stats.dark_mean if stats.dark_count else None,
+        "dark_rate_estimate": stats.dark_rate_estimate,
+    }
+    if cfg.lasers == "both" and stats.dark_count:
+        timing = classify_weak_timing(fold.crossings(), seg, cfg.config_kind(), cfg.rate_set())
+        out["timing"] = {
+            "at_end": timing.count(WeakTiming.AT_END),
+            "at_start": timing.count(WeakTiming.AT_START),
+            "ambiguous": timing.count(WeakTiming.AMBIGUOUS),
+        }
+    return out
+
+
+def format_timing(t: dict) -> str:
+    """The weak-timing line of ``run``'s text report and of ``analyze``."""
+    return (
+        f"  weak timing: at_end={t['at_end']} at_start={t['at_start']}"
+        f" ambiguous={t['ambiguous']}"
+    )
+
+
+def run(cfg: RunConfig) -> int:
+    """``runner.run``, imported at call time so that ``analyze`` never loads the simulator."""
+    from .runner import run
+
+    return run(cfg)
 
 
 def _cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:

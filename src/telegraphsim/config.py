@@ -1,23 +1,100 @@
-"""Run configuration: the key=value file format and its defaults."""
+"""Run configuration: the key=value file format, its defaults and its vocabulary.
+
+The value types a config names, ``Configuration``, ``LaserDrive``,
+``ConfigKind``, ``Mode`` and ``RateSet``, live here too, so the analysis
+loads them without the simulator.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .configurations import ConfigKind, Configuration, LaserDrive
 from .errors import ConfigError
-from .flow import RateSet
-from .state import Mode
 
-_CONFIG_NAMES = {
-    "v": Configuration.V,
-    "lambda": Configuration.LAMBDA,
-    "cascade_weak_up": Configuration.CASCADE_WEAK_UP,
-    "cascade_weak_down": Configuration.CASCADE_WEAK_DOWN,
-}
+if TYPE_CHECKING:
+    from .state import EdgeKind
+
+
+class Configuration(Enum):
+    V = "v"
+    LAMBDA = "lambda"
+    CASCADE_WEAK_UP = "cascade_weak_up"
+    CASCADE_WEAK_DOWN = "cascade_weak_down"
+
+
+class LaserDrive(Enum):
+    STRONG_ONLY = "strong_only"
+    WEAK_ONLY = "weak_only"
+    BOTH = "both"
+
+
+@dataclass(frozen=True)
+class ConfigKind:
+    """A level configuration plus which lasers are switched on."""
+
+    configuration: Configuration
+    lasers: LaserDrive = LaserDrive.BOTH
+
+    @property
+    def strong_on(self) -> bool:
+        return self.lasers is not LaserDrive.WEAK_ONLY
+
+    @property
+    def weak_on(self) -> bool:
+        return self.lasers is not LaserDrive.STRONG_ONLY
+
+    @property
+    def strong_absorb_first(self) -> bool:
+        """Strong side pumps up before emitting (excited level above ground)."""
+        return self.configuration in (Configuration.V, Configuration.CASCADE_WEAK_DOWN)
+
+    @property
+    def weak_absorb_first(self) -> bool:
+        """Weak side pumps up before emitting (weak level above ground)."""
+        return self.configuration in (Configuration.V, Configuration.CASCADE_WEAK_UP)
+
+
+class Mode(Enum):
+    """Operating mode of the collapse rules.
+
+    NU_RULES and ORIGINAL_WITH_OBSERVER behave identically for the
+    atom/detector system; ORIGINAL_NO_OBSERVER disables marking,
+    blocking and the trigger, leaving pure deterministic flow.
+    """
+
+    NU_RULES = "nurules"
+    ORIGINAL_WITH_OBSERVER = "original_with_observer"
+    ORIGINAL_NO_OBSERVER = "original_no_observer"
+
+
+@dataclass(frozen=True)
+class RateSet:
+    """The four laser/decay rates, in units of the strong decay rate.
+
+    Physically meaningful telegraph behaviour needs the weak rates far
+    below the strong ones; nothing enforces that here.
+    """
+
+    k_strong_absorb: float = 1.0
+    k_strong_emit: float = 1.0
+    k_weak_absorb: float = 1e-3
+    k_weak_emit: float = 1e-3
+
+    def __post_init__(self) -> None:
+        for name in ("k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
+    def rate_for(self, kind: EdgeKind) -> float:
+        return getattr(self, "k_" + kind.value)  # EdgeKind.WEAK_EMIT -> k_weak_emit
+
+
+_CONFIG_NAMES = {c.value: c for c in Configuration}
 _LASER_NAMES = {d.value: d for d in LaserDrive}
 _MODE_NAMES = {m.value: m for m in Mode}
 _ENGINES = ("auto", "renewal", "steps")
@@ -154,10 +231,11 @@ def parse_config(text: str) -> RunConfig:
     """Parse a key=value document (one pair per line, # comments).
 
     Omitted keys take the documented defaults. Raises ConfigError naming
-    the offending line for unknown keys, malformed values, or violated
-    invariants.
+    the offending line for unknown keys, keys given twice, malformed
+    values, or violated invariants.
     """
     values = {}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -169,6 +247,11 @@ def parse_config(text: str) -> RunConfig:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} given twice (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         try:
             values[key] = parser(value.strip())
         except (ValueError, ConfigError) as exc:

@@ -37,10 +37,9 @@ only in unmarked graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
+from .config import ConfigKind, RateSet
 from .errors import InvalidDepth, NotExtensible
-from .flow import RateSet
 from .rules import is_decoherent
 from .state import (
     AtomLevel,
@@ -49,45 +48,6 @@ from .state import (
     FlowEdge,
     make_label,
 )
-
-
-class Configuration(Enum):
-    V = "v"
-    LAMBDA = "lambda"
-    CASCADE_WEAK_UP = "cascade_weak_up"
-    CASCADE_WEAK_DOWN = "cascade_weak_down"
-
-
-class LaserDrive(Enum):
-    STRONG_ONLY = "strong_only"
-    WEAK_ONLY = "weak_only"
-    BOTH = "both"
-
-
-@dataclass(frozen=True)
-class ConfigKind:
-    """A level configuration plus which lasers are switched on."""
-
-    configuration: Configuration
-    lasers: LaserDrive = LaserDrive.BOTH
-
-    @property
-    def strong_on(self) -> bool:
-        return self.lasers is not LaserDrive.WEAK_ONLY
-
-    @property
-    def weak_on(self) -> bool:
-        return self.lasers is not LaserDrive.STRONG_ONLY
-
-    @property
-    def strong_absorb_first(self) -> bool:
-        """Strong side pumps up before emitting (excited level above ground)."""
-        return self.configuration in (Configuration.V, Configuration.CASCADE_WEAK_DOWN)
-
-    @property
-    def weak_absorb_first(self) -> bool:
-        """Weak side pumps up before emitting (weak level above ground)."""
-        return self.configuration in (Configuration.V, Configuration.CASCADE_WEAK_UP)
 
 
 @dataclass(frozen=True)

@@ -22,39 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidStep
-from .state import ChainState, ComponentLabel, EdgeKind, FlowEdge
+from .state import ChainState, ComponentLabel, FlowEdge
 
 # Per-substep transported fraction is capped so the trigger sees
 # time-resolved currents (sum of J*dt stays well under 0.1).
 SUBSTEP_CURRENT_CAP = 0.05
-
-
-@dataclass(frozen=True)
-class RateSet:
-    """The four laser/decay rates, in units of the strong decay rate.
-
-    Physically meaningful telegraph behaviour needs the weak rates far
-    below the strong ones; nothing enforces that here.
-    """
-
-    k_strong_absorb: float = 1.0
-    k_strong_emit: float = 1.0
-    k_weak_absorb: float = 1e-3
-    k_weak_emit: float = 1e-3
-
-    def __post_init__(self) -> None:
-        for name in ("k_strong_absorb", "k_strong_emit", "k_weak_absorb", "k_weak_emit"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # false for nan too
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    def rate_for(self, kind: EdgeKind) -> float:
-        return {
-            EdgeKind.STRONG_ABSORB: self.k_strong_absorb,
-            EdgeKind.STRONG_EMIT: self.k_strong_emit,
-            EdgeKind.WEAK_ABSORB: self.k_weak_absorb,
-            EdgeKind.WEAK_EMIT: self.k_weak_emit,
-        }[kind]
 
 
 # Higham (2005): the largest 1-norm at which the [m/m] Pade

@@ -58,15 +58,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# segment_telegraph is unused here: perfbench's traced run looks it up in this module
-from .analysis import (  # noqa: F401
-    LogFold,
-    WeakTiming,
-    classify_weak_timing,
-    interval_stats,
-    segment_telegraph,
-)
-from .config import RunConfig, format_config
+from .analysis import LogFold
+from .cli import analyze_log, format_timing
+from .config import Mode, RunConfig, format_config
 # active_edges, extend_frontier, serialize_log, step and trigger are unused here:
 # perfbench's traced run looks them up in this module
 from .configurations import build_epoch, extend_frontier  # noqa: F401
@@ -76,7 +70,7 @@ from .eventlog import _CHUNK, HIT, WEAK_EDGE_CROSSING, EventLog, append_records,
 from .eventlog import serialize_log  # noqa: F401
 from .flow import step  # noqa: F401
 from .rules import active_edges, substep_hit, trigger  # noqa: F401
-from .state import AtomLevel, ComponentLabel, Mode, make_label
+from .state import AtomLevel, ComponentLabel, make_label
 
 MASS_ABORT_TOL = 1e-6
 # the names of the files ``run`` writes, which a run first deletes from its ``out``
@@ -485,33 +479,6 @@ def run_trajectory(
 # -- reporting ----------------------------------------------------------
 
 
-def analyze_log(cfg: RunConfig, fold: LogFold) -> Optional[dict]:
-    """Interval statistics and weak timing of the log whose records ``fold`` took.
-
-    ``run``'s report and ``analyze`` both print these fields. Returns None
-    when the log holds no hits.
-    """
-    if not fold.hits:
-        return None
-    seg = fold.segmentation()
-    stats = interval_stats(seg)
-    out = {
-        "bright_intervals": stats.bright_count,
-        "dark_intervals": stats.dark_count,
-        "bright_mean": stats.bright_mean,
-        "dark_mean": stats.dark_mean if stats.dark_count else None,
-        "dark_rate_estimate": stats.dark_rate_estimate,
-    }
-    if cfg.lasers == "both" and stats.dark_count:
-        timing = classify_weak_timing(fold.crossings(), seg, cfg.config_kind(), cfg.rate_set())
-        out["timing"] = {
-            "at_end": timing.count(WeakTiming.AT_END),
-            "at_start": timing.count(WeakTiming.AT_START),
-            "ambiguous": timing.count(WeakTiming.AMBIGUOUS),
-        }
-    return out
-
-
 def summarize_trajectory(
     cfg: RunConfig, index: int, result: TrajectoryResult, fold: LogFold
 ) -> dict:
@@ -533,14 +500,6 @@ def summarize_trajectory(
         summary["max_interhit_gap"] = float(fold.max_gap)
     summary.update(analyze_log(cfg, fold) or {"bright_intervals": 0, "dark_intervals": 0})
     return summary
-
-
-def format_timing(t: dict) -> str:
-    """The weak-timing line of ``run``'s text report and of ``analyze``."""
-    return (
-        f"  weak timing: at_end={t['at_end']} at_start={t['at_start']}"
-        f" ambiguous={t['ambiguous']}"
-    )
 
 
 def render_text_report(cfg: RunConfig, summaries: list[dict]) -> str:

@@ -33,19 +33,6 @@ class AtomLevel(Enum):
     WEAK = 2
 
 
-class Mode(Enum):
-    """Operating mode of the collapse rules.
-
-    NU_RULES and ORIGINAL_WITH_OBSERVER behave identically for the
-    atom/detector system; ORIGINAL_NO_OBSERVER disables marking,
-    blocking and the trigger, leaving pure deterministic flow.
-    """
-
-    NU_RULES = "nurules"
-    ORIGINAL_WITH_OBSERVER = "original_with_observer"
-    ORIGINAL_NO_OBSERVER = "original_no_observer"
-
-
 @dataclass(frozen=True)
 class ComponentLabel:
     """Identity of one additive term of the system state.

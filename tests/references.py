@@ -29,12 +29,12 @@ from telegraphsim.analysis import (
     interval_stats,
     segment_telegraph,
 )
-from telegraphsim.config import RunConfig
-from telegraphsim.configurations import _EMITS, _WEAK, ConfigKind, EpochGraph, _moves
+from telegraphsim.config import ConfigKind, RateSet, RunConfig
+from telegraphsim.configurations import _EMITS, _WEAK, EpochGraph, _moves
 from telegraphsim.epochs import EpochTemplate
 from telegraphsim.errors import EmptyLog, InvalidStep, TelegraphError
 from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog, hits
-from telegraphsim.flow import CurrentReport, FlowSystem, RateSet
+from telegraphsim.flow import CurrentReport, FlowSystem
 from telegraphsim.rules import is_decoherent
 from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, EdgeKind, FlowEdge, make_label
 
@@ -216,7 +216,7 @@ def analyze_whole_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:
     """A log's hit count, largest gap between hits and telegraph analysis, from all of it at once.
 
     Returns ``hits``, ``max_gap`` (None with fewer than two hits) and
-    ``analysis``: the fields ``runner.analyze_log`` gives, or None without a hit.
+    ``analysis``: the fields ``cli.analyze_log`` gives, or None without a hit.
     """
     hit_times = hits(records).time
     out = {

@@ -375,31 +375,45 @@ class TestAnalyzeCommand:
 
     def test_run_imports_no_numpy_ma(self, tmp_path):
         # numpy.ma costs a run about 17 ms and 1.3 MB; np.unique imports it in numpy 2.x.
-        # Each command runs in a fresh interpreter; analyze classifies the dark periods.
+        # run goes in a fresh interpreter; analyze goes through the package, as users run
+        # it, and classifies the dark periods without loading the simulator.
+        flags = ["--k-weak-absorb", "0.1", "--k-weak-emit", "0.1"]
         script = textwrap.dedent(
             """
             import sys
             import telegraphsim.cli
-            command, out = sys.argv[1:]
-            flags = ["--k-weak-absorb", "0.1", "--k-weak-emit", "0.1"]
-            if command == "run":
-                argv = ["run", *flags, "--duration", "2000", "--seed", "1", "--out", out]
-                assert telegraphsim.cli.main(argv) == 0
-                with open(f"{out}/events_000.tsv", encoding="utf-8") as fh:
-                    assert "weak_edge_crossing" in fh.read()
-            else:
-                argv = ["analyze", *flags, "--threshold-gap", "15", f"{out}/events_000.tsv"]
-                assert telegraphsim.cli.main(argv) == 0
-            assert "numpy.ma" not in sys.modules, f"{command} imported numpy.ma"
+            out = sys.argv[1]
+            flags = sys.argv[2:]
+            argv = ["run", *flags, "--duration", "2000", "--seed", "1", "--out", out]
+            assert telegraphsim.cli.main(argv) == 0
+            with open(f"{out}/events_000.tsv", encoding="utf-8") as fh:
+                assert "weak_edge_crossing" in fh.read()
+            assert "numpy.ma" not in sys.modules, "run imported numpy.ma"
             """
         )
-        for command in ("run", "analyze"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, command, str(tmp_path / "out")],
-                capture_output=True, text=True, timeout=120, env=_child_env(),
-            )
-            assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out), *flags],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "telegraphsim", "analyze", *flags,
+             "--threshold-gap", "15", str(out / "events_000.tsv")],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
         assert "weak timing: " in proc.stdout
+        loaded = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        package = {m for m in loaded if m.partition(".")[0] == "telegraphsim"}
+        analysis = ("cli", "config", "errors", "eventlog", "analysis")
+        assert package == {"telegraphsim", *(f"telegraphsim.{m}" for m in analysis)}
+        unwanted = [m for m in loaded if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])]
+        assert not unwanted, unwanted
 
     def test_run_and_analyze_warn_nothing(self, tmp_path):
         # numpy warnings become errors, and nothing at all may reach stderr

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import telegraphsim as ts
+from telegraphsim.cli import main
 from telegraphsim.config import _PARSERS, RunConfig, format_config, parse_config
 from telegraphsim.errors import ConfigError
 
@@ -199,6 +200,22 @@ def test_text_that_is_not_a_number_gets_the_keys_message(key, value):
 def test_unknown_key_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("kind = v\nfrobnicate = 3\n")
+
+
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError) as raised:
+        parse_config("kind = v\n# comment\nkind = lambda\n")
+    assert str(raised.value) == "line 3: key 'kind' given twice (first on line 1)"
+
+
+def test_repeated_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("duration = 10\nduration = 20\n", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: line 2: key 'duration' given twice (first on line 1)\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_line():

@@ -20,8 +20,8 @@ import pytest
 from references import analyze_whole_log
 from telegraphsim import runner
 from telegraphsim.analysis import LogFold
+from telegraphsim.cli import analyze_log
 from telegraphsim.eventlog import HIT, WEAK_EDGE_CROSSING, EventLog, validate_log
-from telegraphsim.runner import analyze_log
 from test_golden_logs import _cases
 
 #: the logged golden cases with both lasers; the no-observer mode logs nothing

@@ -8,6 +8,7 @@ refactor that deletes or moves one must fail here first.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -19,6 +20,13 @@ def test_every_traced_name_exists(monkeypatch):
 
     tracer = run.install_tracer()
     try:
-        assert tracer.missing == set()
+        missing = tracer.missing
     finally:
         tracer.restore()
+    sites = defaultdict(list)
+    for target, name, *_ in (*run.PATCHES, *run.COUNTED_CALLS):
+        sites[name].append(target)
+    assert missing == set(), (
+        "span names found at none of their lookup sites: "
+        f"{ {name: sites[name] for name in sorted(missing)} }"
+    )
