@@ -74,7 +74,6 @@ _EXPORTS = {
         "ComponentLabel",
         "EdgeKind",
         "FlowEdge",
-        "make_label",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 from .config import ConfigKind, RateSet
 from .errors import InvalidDepth, NotExtensible
 from .rules import is_decoherent
-from .state import (
-    AtomLevel,
-    ComponentLabel,
-    EdgeKind,
-    FlowEdge,
-    make_label,
-)
+from .state import AtomLevel, ComponentLabel, EdgeKind, FlowEdge
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ def build_epoch(
                 frontier.add(lab)
                 continue
             dc, ds, dw = _EMITS.get(ekind, (0, 0, 0))
-            child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
+            child = ComponentLabel(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
             if marks and is_decoherent(lab, child):
                 child = child.with_marks()
             if child not in seen:

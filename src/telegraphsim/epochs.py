@@ -35,8 +35,9 @@ ready targets of one root atom's live ladder at the run's depth,
 compiled once per run for a root with an empty photon ledger and shared
 by its trajectories.
 The ``steps`` engine also shares its HazardTables: the per-substep hit
-hazards of the epoch's full steps from the root, grown in chunks on first
-use by ``hazard_chunk``, which also tabulates each step shorter than that.
+hazards of the epoch's full steps from the root, grown in chunks of about
+``HAZARD_CHUNK_SUBSTEPS`` substeps on first use by ``hazard_chunk``, which
+also tabulates each step shorter than that.
 Every table here is tabulated by one loop, ``propagate``. A template fills
 its rows in blocks: per grid piece it forms the propagator's powers P, P^2,
 ..., P^B once (B from the number of labels, 64 at depth 2), and one batched
@@ -61,8 +62,8 @@ from .state import ComponentLabel, EdgeKind, FlowEdge
 FAST_SPAN_EFOLDS = 60.0
 TAIL_EFOLDS = 50.0
 CELLS_PER_PIECE = 3000
-#: Full steps a ``HazardTable`` grows by at a time.
-HAZARD_CHUNK_STEPS = 1024
+#: Substeps a ``HazardTable`` grows by at a time, at most (one step if it has more).
+HAZARD_CHUNK_SUBSTEPS = 1024
 
 
 def _block_rows(n: int) -> int:
@@ -239,26 +240,18 @@ class EpochTemplate:
     def crossing_stages(self) -> dict[ComponentLabel, tuple[CrossingStage, ...]]:
         """Each sink's stages, ordered by weak-photon count, from one batched pass.
 
-        A stage is a ``WEAK_EMIT`` edge whose target reaches the sink. One
-        propagation carries a unit impulse at each such target, one column
-        each, and records only the reachable (sink, impulse) arrival curves.
+        A stage is a ``WEAK_EMIT`` edge whose target reaches the sink. On the
+        live ladder weak counts only grow along an edge and every branch ends
+        at its first ready label, so the target reaches exactly the sinks of
+        at least its weak count. One propagation carries a unit impulse at
+        each such target, one column each, and records only the (sink,
+        impulse) arrival curves of the stages.
         """
         system = self.system
-        # the sinks each label reaches, as bit sets of sink positions, in one
-        # sweep from the last source to the first: every edge runs forward
-        reach = [0] * len(self.labels)
-        for p, i in enumerate(self.sink_idx):
-            reach[i] = 1 << p
-        for k in np.argsort(-system.src_idx, kind="stable"):
-            s, d = system.src_idx[k], system.dst_idx[k]
-            if d <= s:
-                e = system.edges[k]
-                raise ValueError(f"edge {e.source} -> {e.target} runs backward in label order")
-            reach[s] |= reach[d]
         weak = [i for i, e in enumerate(system.edges) if e.kind is EdgeKind.WEAK_EMIT]
         pairs = sorted(
-            ((i, p) for i in weak for p in range(len(self.sink_labels))
-             if reach[system.dst_idx[i]] >> p & 1),
+            ((i, p) for i in weak for p, sink in enumerate(self.sink_labels)
+             if system.edges[i].target.weak <= sink.weak),
             key=lambda pair: system.edges[pair[0]].target.weak,
         )
         stages: dict[ComponentLabel, list[CrossingStage]] = {lab: [] for lab in self.sink_labels}
@@ -351,30 +344,33 @@ class HazardTable:
     Every epoch of a compiled epoch starts with all mass at its root, so the
     masses after k steps, and with them the trigger's hazards, are the same
     in every epoch of every trajectory. The table steps them once, in chunks
-    of ``HAZARD_CHUNK_STEPS`` steps grown on first use by ``hazard_chunk``.
-    It keeps the ready-target masses per substep, not every mass: a chunk
-    keeps every mass only at its start.
+    grown on first use by ``hazard_chunk``. A chunk holds ``steps`` steps,
+    as many whole steps as fit in ``HAZARD_CHUNK_SUBSTEPS`` substeps and at
+    least one, so its rows do not grow with ``dt``. It keeps the
+    ready-target masses per substep, not every mass: a chunk keeps every
+    mass only at its start.
     """
 
     def __init__(self, system: FlowSystem, ready_idx: Sequence[int], root: np.ndarray, dt: float):
         self._system = system
         self._ready_idx = ready_idx
         self._dt = dt
+        self.steps = max(1, HAZARD_CHUNK_SUBSTEPS // system.substeps(dt))
         self._chunks: list[HazardChunk] = []
         self._next = root  # every mass at the start of the next chunk
 
     def chunk(self, c: int) -> HazardChunk:
-        """Chunk ``c``, which covers full steps ``c * HAZARD_CHUNK_STEPS`` onwards."""
+        """Chunk ``c``, which covers full steps ``c * steps`` onwards."""
         while len(self._chunks) <= c:
             chunk, self._next = hazard_chunk(
-                self._system, self._ready_idx, self._next, self._dt, HAZARD_CHUNK_STEPS
+                self._system, self._ready_idx, self._next, self._dt, self.steps
             )
             self._chunks.append(chunk)
         return self._chunks[c]
 
     def masses_at(self, k: int) -> np.ndarray:
         """Every mass after ``k`` full steps, re-stepped from its chunk's start."""
-        c, off = divmod(k, HAZARD_CHUNK_STEPS)
+        c, off = divmod(k, self.steps)
         chunk = self.chunk(c)
         P = self._system.propagator(chunk.dt_sub)
         return propagate(chunk.start, [(P, off * chunk.n_sub)])[-1].copy()

@@ -10,12 +10,13 @@ they draw an epoch's hit:
 
 * ``steps``   -- honest per-step integration: exact propagator steps and
                  per-substep trigger sampling. Cost grows with duration / dt,
-                 but every step is decided on a table of per-substep
-                 hazards: one array compare per block of uniforms finds the
-                 hit. The full steps share each compiled epoch's table; each
-                 step shorter than ``dt_max``, at the end, is tabulated on
-                 its own. The logs are byte-identical to calling
-                 ``flow.step`` and ``rules.trigger`` on every step.
+                 but one loop decides every block of steps on a table of
+                 per-substep hazards: one array compare per block of
+                 uniforms finds the hit. The full steps share each compiled
+                 epoch's table, in chunks of about 1024 substeps; each step
+                 shorter than ``dt_max``, at the end, is tabulated on its
+                 own. The logs are byte-identical to calling ``flow.step``
+                 and ``rules.trigger`` on every step.
 * ``renewal`` -- event-driven: each epoch's hit (target, time) is drawn
                  in one shot from the epoch template's delivery curves.
                  This is exact for the same law (the per-substep hazards
@@ -64,13 +65,13 @@ from .config import Mode, RunConfig, format_config
 # active_edges, extend_frontier, serialize_log, step and trigger are unused here:
 # perfbench's traced run looks them up in this module
 from .configurations import build_epoch, extend_frontier  # noqa: F401
-from .epochs import HAZARD_CHUNK_STEPS, CompiledEpoch, EpochTemplate, HazardChunk, hazard_chunk
+from .epochs import CompiledEpoch, EpochTemplate, HazardChunk, hazard_chunk
 from .errors import InvariantBreach
 from .eventlog import _CHUNK, HIT, WEAK_EDGE_CROSSING, EventLog, append_records, open_log
 from .eventlog import serialize_log  # noqa: F401
 from .flow import step  # noqa: F401
 from .rules import active_edges, substep_hit, trigger  # noqa: F401
-from .state import AtomLevel, ComponentLabel, make_label
+from .state import AtomLevel, ComponentLabel
 
 MASS_ABORT_TOL = 1e-6
 # the names of the files ``run`` writes, which a run first deletes from its ``out``
@@ -122,7 +123,7 @@ class _CompiledEpochs(dict):
     def __missing__(self, atom: AtomLevel) -> CompiledEpoch:
         kind, rates, depth, marks = self.key
         compiled = self[atom] = CompiledEpoch(
-            build_epoch(kind, make_label(atom, 0, 0, 0), rates, depth, marks)
+            build_epoch(kind, ComponentLabel(atom, 0, 0, 0), rates, depth, marks)
         )
         return compiled
 
@@ -355,62 +356,43 @@ def _steps(
     return n, (j, 0.5 * (t_sub + (t_sub + chunk.dt_sub)), float(m_end[j]))
 
 
-def _full_steps(
-    ep: CompiledEpoch, t: float, cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult
-) -> tuple[int, float, Optional[tuple[int, float, float]]]:
-    """An epoch's full steps (``dt_max`` each) from its root at ``t``, on its hazard table.
-
-    A step is full while ``duration - t >= dt_max``, and the steps are taken
-    a block of them at a time by ``_steps``. Returns the number of steps
-    taken, the time after the last of them and the hit, if any.
-    """
-    table = ep.hazards(cfg.dt_max)
-    dt = cfg.dt_max
-    k = 0
-    while True:
-        c, off = divmod(k, HAZARD_CHUNK_STEPS)
-        n = HAZARD_CHUNK_STEPS - off
-        # the step boundaries, summed one dt at a time as successive steps sum them
-        times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
-        short = np.flatnonzero(cfg.duration - times[:n] < dt)
-        if short.size:
-            n = int(short[0])
-        if n == 0:
-            return k, t, None
-        n, hit = _steps(table.chunk(c), off, times[: n + 1], uniforms, res)
-        k += n
-        t = float(times[n])
-        if hit is not None:
-            return k, t, hit
-
-
 def _stepped(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Callable:
     """The ``steps`` engine's draw: per-step transport and trigger, up to the hit.
 
-    Every epoch steps the canonical chain of its compiled epoch, and every
-    step is decided by ``_steps`` on a table of per-substep hazards: the
-    uniforms, one per substep while the epoch has ready targets, are drawn
-    in blocks and compared with the tabulated hazards, and the first one
-    below its hazard is the hit. The full steps (``dt_max`` each) run on the
-    compiled epoch's hazard table. The last steps of a trajectory, shorter
-    than ``dt_max``, are each tabulated by ``hazard_chunk`` from the masses
-    the steps before them left. Draws, times and masses are those of
-    ``flow.step`` and ``rules.trigger`` on every step, so the logs are
+    Every epoch steps the canonical chain of its compiled epoch in one
+    loop, a block of steps per pass, and every block is decided by
+    ``_steps`` on a table of per-substep hazards: the uniforms, one per
+    substep while the epoch has ready targets, are drawn in blocks and
+    compared with the tabulated hazards, and the first one below its
+    hazard is the hit. While ``duration - t >= dt_max`` a block is the rest
+    of a chunk of the compiled epoch's hazard table, cut before the first
+    step that would be shorter. After that each step, shorter than
+    ``dt_max``, is a block of its own, tabulated by ``hazard_chunk`` from
+    the masses the steps before it left. Draws, times and masses are those
+    of ``flow.step`` and ``rules.trigger`` on every step, so the logs are
     byte-identical to stepping every step with them.
     """
 
     def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
-        t_epoch, k, hit = t, 0, None
-        if cfg.duration - t >= cfg.dt_max:
-            k, t, hit = _full_steps(ep, t, cfg, uniforms, res)
-        if hit is None and t < cfg.duration:
-            # the steps shorter than dt_max follow, from the masses the full steps left
-            m = ep.hazards(cfg.dt_max).masses_at(k) if k else ep.root_masses
-            while hit is None and t < cfg.duration:
-                dt = cfg.duration - t
+        t_epoch, k, hit = t, 0, None  # k counts the epoch's steps
+        m = None  # every mass after the last short step
+        while hit is None and t < cfg.duration:
+            if cfg.duration - t >= cfg.dt_max:
+                table = ep.hazards(cfg.dt_max)
+                c, off = divmod(k, table.steps)
+                chunk, dt, n = table.chunk(c), cfg.dt_max, table.steps - off
+            else:
+                if m is None:
+                    m = ep.hazards(cfg.dt_max).masses_at(k) if k else ep.root_masses
+                dt, off, n = cfg.duration - t, 0, 1
                 chunk, m = hazard_chunk(ep.system, ep.ready_idx, m, dt, 1)
-                _, hit = _steps(chunk, 0, np.array([t, t + dt]), uniforms, res)
-                t += dt
+            # the step boundaries, summed one dt at a time as successive steps sum them
+            times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
+            short = np.flatnonzero(cfg.duration - times[:n] < dt)
+            n = int(short[0]) if short.size else n
+            n, hit = _steps(chunk, off, times[: n + 1], uniforms, res)
+            k += n
+            t = float(times[n])
         if hit is None:
             return [], [], [t], [], t
         j, t_hit, delivered = hit

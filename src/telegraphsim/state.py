@@ -78,16 +78,6 @@ class ComponentLabel:
         return f"A{self.atom.value}{marks}D{self.clicks}{marks}{prime}"
 
 
-def make_label(
-    atom: AtomLevel, clicks: int, strong: int, weak: int, ready: bool = False
-) -> ComponentLabel:
-    """Build a canonical component label; equal inputs give equal labels.
-
-    Raises InvalidLabel as ``ComponentLabel`` does.
-    """
-    return ComponentLabel(atom, clicks, strong, weak, ready)
-
-
 class EdgeKind(Enum):
     """What a flow edge does to the photon ledger.
 

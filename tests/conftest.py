@@ -14,9 +14,9 @@ def make_two_branch(m: float, k_total: float = 2.0):
     """Two ready sinks fed from one source with delivered split m : 1-m."""
     k1 = m * k_total
     k2 = (1.0 - m) * k_total
-    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b1 = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
-    b2 = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, True)
+    src = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    b1 = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    b2 = ts.ComponentLabel(ts.AtomLevel.STRONG, 1, 1, 0, True)
     e1 = ts.FlowEdge(src, b1, k1, ts.EdgeKind.STRONG_EMIT)
     e2 = ts.FlowEdge(src, b2, k2, ts.EdgeKind.STRONG_EMIT)
     state = ts.ChainState([src, b1, b2], [1.0, 0.0, 0.0], [e1, e2])
@@ -24,8 +24,8 @@ def make_two_branch(m: float, k_total: float = 2.0):
 
 
 def make_single_edge(rate: float = 1.0):
-    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    dst = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    src = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    dst = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0, True)
     edge = ts.FlowEdge(src, dst, rate, ts.EdgeKind.STRONG_EMIT)
     state = ts.ChainState([src, dst], [1.0, 0.0], [edge])
     return state, edge, src, dst

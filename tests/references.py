@@ -36,7 +36,7 @@ from telegraphsim.errors import EmptyLog, InvalidStep, TelegraphError
 from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog, hits
 from telegraphsim.flow import CurrentReport, FlowSystem
 from telegraphsim.rules import is_decoherent
-from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, EdgeKind, FlowEdge, make_label
+from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, EdgeKind, FlowEdge
 
 #: Oracle step: 1e-4 of the fastest timescale present in the graph.
 ORACLE_STEP_FRACTION = 1e-4
@@ -75,7 +75,7 @@ def displayed_epoch(
                 frontier.add(lab)
                 continue
             dc, ds, dw = _EMITS.get(ekind, (0, 0, 0))
-            child = make_label(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
+            child = ComponentLabel(atom, lab.clicks + dc, lab.strong + ds, lab.weak + dw)
             if marks and is_decoherent(lab, child):
                 child = child.with_marks()
             if child not in seen:

@@ -49,7 +49,7 @@ def test_criterion_1_conservation_and_collapse_postconditions():
 
 
 def _golden_graphs():
-    mk = ts.make_label
+    mk = ts.ComponentLabel
     return [
         ("strong-only absorb-first", ts.Configuration.V, ts.LaserDrive.STRONG_ONLY, mk(G, 0, 0, 0)),
         ("V both lasers (renewed root)", ts.Configuration.V, ts.LaserDrive.BOTH, mk(G, 1, 1, 0)),
@@ -193,7 +193,7 @@ def test_criterion_5_weak_photon_timing():
     # structural counterpart: photon-edge position in every builder
     for kind, expected in TIMING_EXPECTATIONS:
         graph = ts.build_epoch(
-            RunConfig(kind=kind).config_kind(), ts.make_label(G, 0, 0, 0), RATES, 2
+            RunConfig(kind=kind).config_kind(), ts.ComponentLabel(G, 0, 0, 0), RATES, 2
         )
         for e in graph.edges:
             if e.kind is ts.EdgeKind.WEAK_EMIT:
@@ -209,7 +209,7 @@ def test_criterion_6_eventual_hit_guarantee():
     weak_cycle = 1.0 / RATES.k_weak_absorb + 1.0 / RATES.k_weak_emit
     bound = 50.0 * weak_cycle
     kind = ts.ConfigKind(ts.Configuration.V)
-    graph = ts.build_epoch(kind, ts.make_label(G, 0, 0, 0), RATES, 2)
+    graph = ts.build_epoch(kind, ts.ComponentLabel(G, 0, 0, 0), RATES, 2)
     chain = chain_from_graph(graph)
     tpl = template_from_chain(chain, ts.active_edges(chain))
     carries_weak = np.array([lab.weak > 0 for lab in tpl.sink_labels])
@@ -259,7 +259,7 @@ def test_criterion_8_oracle_equivalence():
     checkpoints = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 40.0, 50.0]
     worst = 0.0
     for conf in ts.Configuration:
-        graph = ts.build_epoch(ts.ConfigKind(conf), ts.make_label(G, 0, 0, 0), RATES, 2)
+        graph = ts.build_epoch(ts.ConfigKind(conf), ts.ComponentLabel(G, 0, 0, 0), RATES, 2)
         state = chain_from_graph(graph)
         active = ts.active_edges(state)
         system = ts.FlowSystem(state.labels, active)

@@ -19,11 +19,11 @@ from references import chain_from_graph, displayed_epoch, integrate_exact_oracle
 
 G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
 RATES = ts.RateSet()
-ROOT = ts.make_label(G, 0, 0, 0)
+ROOT = ts.ComponentLabel(G, 0, 0, 0)
 
 
 def lab(atom, clicks, strong, weak, ready=False):
-    return ts.make_label(atom, clicks, strong, weak, ready)
+    return ts.ComponentLabel(atom, clicks, strong, weak, ready)
 
 
 def build(conf, lasers=ts.LaserDrive.BOTH, depth=2, root=ROOT):

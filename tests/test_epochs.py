@@ -19,7 +19,7 @@ def kind_id(kind):
 
 
 def compile_epoch(kind, atom):
-    graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), RATES, 2)
+    graph = ts.build_epoch(kind, ts.ComponentLabel(atom, 0, 0, 0), RATES, 2)
     return CompiledEpoch(graph)
 
 
@@ -59,7 +59,7 @@ def test_compiled_epoch_is_the_live_subgraph_with_the_same_law(monkeypatch):
         for kind in KINDS:
             for atom in ts.AtomLevel:
                 case = f"{kind_id(kind)} root {atom.name} depth {depth}"
-                root = ts.make_label(atom, 0, 0, 0)
+                root = ts.ComponentLabel(atom, 0, 0, 0)
                 tpl = CompiledEpoch(ts.build_epoch(kind, root, RATES, depth)).template
                 assert (tpl.masses > 0.0).any(axis=0).all(), case
                 chain = chain_from_graph(displayed_epoch(kind, root, RATES, depth))
@@ -140,9 +140,9 @@ def preloaded_sink_template():
     takes the flat-stretch rule (hi <= lo); no configuration's template has
     such a column.
     """
-    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    fed = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
-    preloaded = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, True)
+    src = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    fed = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    preloaded = ts.ComponentLabel(ts.AtomLevel.STRONG, 1, 1, 0, True)
     edge = ts.FlowEdge(src, fed, 1.0, ts.EdgeKind.STRONG_EMIT)
     state = ts.ChainState([src, fed, preloaded], [0.7, 0.0, 0.3], [edge])
     return template_from_chain(state, [edge])
@@ -227,7 +227,7 @@ def reference_stages(tpl):
 
 @pytest.mark.parametrize(
     "cells, ratios, depths, n_pairs",
-    [(300, (1e-3, 0.1, 1.0), (2, 5), 540), (epochs.CELLS_PER_PIECE, (0.1,), (2,), 30)],
+    [(300, (1e-3, 0.1, 1.0), (1, 2, 5, 8), 1650), (epochs.CELLS_PER_PIECE, (0.1,), (2,), 30)],
     ids=["coarse_grid", "template_grid"],
 )
 def test_crossing_stages_equal_the_per_sink_construction(
@@ -235,13 +235,17 @@ def test_crossing_stages_equal_the_per_sink_construction(
 ):
     """Every configuration, laser setting and root atom, against ``reference_stages``.
 
-    Neither construction depends on the grid's size, so the sweep over ratios
-    and depths runs on 300 cells a piece to keep it fast; the template's own
-    grid is checked at ratio 0.1 and depth 2. Crossing times agree to 1e-9 of
-    tau within 20 weak lifetimes. Beyond that the lag densities are near
-    their rounding floor (``np.diff`` of a saturated cumulative curve), and a
-    one-ulp change in one cell moves the median by about 1e-5, so the bound
-    there is 1e-6 of tau.
+    The reference finds stages by search, independently of the template's
+    weak-count rule. Neither construction depends on the grid's size, so the
+    sweep over ratios and depths runs on 300 cells a piece to keep it fast;
+    the template's own grid is checked at ratio 0.1 and depth 2. Crossing
+    times agree to 1e-9 of tau within 20 weak lifetimes. Beyond that the lag
+    densities are near their rounding floor (``np.diff`` of a saturated
+    cumulative curve), and a one-ulp change in one cell moves the median by
+    about 1e-5, so the bound there is 1e-6 of tau, up to depth 5. At depth 8
+    the template's blocks of propagator powers round those densities
+    differently from the reference's single steps, and the medians there
+    differ by up to 2.1e-6 of tau, so they are not compared.
     """
     monkeypatch.setattr(epochs, "CELLS_PER_PIECE", cells)
     pairs = 0
@@ -251,7 +255,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
             for kind in KINDS:
                 for atom in ts.AtomLevel:
                     case = f"{kind_id(kind)} root {atom.name} ratio {ratio} depth {depth}"
-                    graph = ts.build_epoch(kind, ts.make_label(atom, 0, 0, 0), rates, depth)
+                    graph = ts.build_epoch(kind, ts.ComponentLabel(atom, 0, 0, 0), rates, depth)
                     if not any(lab.ready for lab in graph.labels):
                         continue  # nothing to cross into
                     tpl = CompiledEpoch(graph).template
@@ -267,6 +271,8 @@ def test_crossing_stages_equal_the_per_sink_construction(
                         if not ref:
                             continue
                         for tau in taus.tolist():
+                            if depth > 5 and tau * ratio > 20.0:
+                                continue
                             want = [
                                 tpl._conditional_median(CrossingStage(e, flux, dens), tau)
                                 for e, flux, dens in ref
@@ -289,7 +295,7 @@ def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
     monkeypatch.setattr(epochs, "propagate", counting)
     rates = ts.RateSet(k_weak_absorb=0.1, k_weak_emit=0.1)
     kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.BOTH)
-    graph = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), rates, 5)
+    graph = ts.build_epoch(kind, ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0), rates, 5)
     tpl = CompiledEpoch(graph).template
     assert len(calls) == 1
     _, taus, _ = tpl.sample_hits(np.linspace(0.0, 0.999, 7))
@@ -302,12 +308,3 @@ def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
     assert runner.run(cfg) == 0
     assert len(calls) == 1
 
-
-def test_backward_edge_rejected():
-    """The reachability sweep needs every edge to run from an earlier label to a later one."""
-    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    dst = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
-    edge = ts.FlowEdge(src, dst, 1.0, ts.EdgeKind.STRONG_EMIT)
-    tpl = template_from_chain(ts.ChainState([dst, src], [0.0, 1.0], [edge]), [edge])
-    with pytest.raises(ValueError, match="runs backward"):
-        tpl.crossing_stages

@@ -11,7 +11,7 @@ from references import OracleUnsupported, chain_from_graph, currents, integrate_
 
 def graph_for(conf, lasers=ts.LaserDrive.BOTH, depth=2, rates=None):
     kind = ts.ConfigKind(conf, lasers)
-    root = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    root = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     g = ts.build_epoch(kind, root, rates or ts.RateSet(), depth)
     return chain_from_graph(g)
 
@@ -32,9 +32,9 @@ def test_single_edge_closed_form_step():
 
 def test_two_exit_competition_split():
     # asymptotic split follows k1/(k1+k2): 0.999001 vs 0.000999 at 1.0 : 0.001
-    src = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b1 = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
-    b2 = ts.make_label(ts.AtomLevel.STRONG, 1, 1, 0, True)
+    src = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    b1 = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    b2 = ts.ComponentLabel(ts.AtomLevel.STRONG, 1, 1, 0, True)
     e1 = ts.FlowEdge(src, b1, 1.0, ts.EdgeKind.STRONG_EMIT)
     e2 = ts.FlowEdge(src, b2, 1e-3, ts.EdgeKind.STRONG_EMIT)
     state = ts.ChainState([src, b1, b2], [1.0, 0.0, 0.0], [e1, e2])
@@ -69,8 +69,8 @@ def test_oracle_matches_closed_form():
 
 
 def test_oracle_rejects_cycles():
-    a = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
+    a = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    b = ts.ComponentLabel(ts.AtomLevel.STRONG, 0, 0, 0)
     e1 = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
     e2 = ts.FlowEdge(b, a, 1.0, ts.EdgeKind.STRONG_ABSORB)
     state = ts.ChainState([a, b], [1.0, 0.0], [e1, e2])
@@ -154,8 +154,8 @@ def test_dormancy_then_reactivation_in_dark_epoch():
     """
     state = graph_for(ts.Configuration.V, depth=1)
     active = ts.active_edges(state)
-    strong_sink = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
-    weak_sink = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 1, True)
+    strong_sink = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    weak_sink = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 1, True)
     s = state
     for _ in range(2000):  # one weak-cycle time at the default rates
         s, report = ts.step(s, active, 1.0)
@@ -179,10 +179,10 @@ def test_reported_current_matches_average_mass():
 )
 def test_conservation_random_chains(rates, dt):
     # random linear chain with arbitrary rates stays normalized
-    labels = [ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)]
+    labels = [ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)]
     edges = []
     for i, k in enumerate(rates):
-        nxt = ts.make_label(
+        nxt = ts.ComponentLabel(
             ts.AtomLevel.GROUND if i % 2 else ts.AtomLevel.STRONG, i + 1, i + 1, 0
         )
         edges.append(ts.FlowEdge(labels[-1], nxt, k, ts.EdgeKind.STRONG_EMIT))

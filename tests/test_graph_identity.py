@@ -30,10 +30,10 @@ G, S, W = ts.AtomLevel.GROUND, ts.AtomLevel.STRONG, ts.AtomLevel.WEAK
 RATES = ts.RateSet(k_strong_absorb=1.0, k_strong_emit=0.9, k_weak_absorb=0.1, k_weak_emit=1 / 30)
 DEPTHS = (1, 2, 3, 5, 8)
 ROOTS = (
-    ts.make_label(G, 0, 0, 0),
-    ts.make_label(G, 3, 3, 2),
-    ts.make_label(S, 1, 1, 0),
-    ts.make_label(W, 2, 2, 1, True),
+    ts.ComponentLabel(G, 0, 0, 0),
+    ts.ComponentLabel(G, 3, 3, 2),
+    ts.ComponentLabel(S, 1, 1, 0),
+    ts.ComponentLabel(W, 2, 2, 1, True),
 )
 
 DIGESTS = {

@@ -8,7 +8,7 @@ import pytest
 
 import telegraphsim
 
-#: every name the package exported when ``__init__.py`` imported all its modules
+#: every name the package exports
 PUBLIC = (
     "AtomLevel", "ChainState", "CompiledEpoch", "ComponentLabel", "ConfigError", "ConfigKind",
     "Configuration", "CurrentReport", "DuplicateLabel", "EdgeKind", "EmptyLog", "EpochGraph",
@@ -18,7 +18,7 @@ PUBLIC = (
     "RateSet", "RunConfig", "TelegraphError", "TelegraphSegmentation", "TimingReport",
     "TrajectoryResult", "WeakTiming", "active_edges", "analyze_log", "append_records",
     "build_epoch", "classify_weak_timing", "derive_rng", "extend_frontier", "hits",
-    "interval_stats", "is_decoherent", "iter_log", "make_label", "open_log", "parse_config",
+    "interval_stats", "is_decoherent", "iter_log", "open_log", "parse_config",
     "parse_log", "read_log", "run", "run_trajectory", "segment_telegraph", "serialize_log",
     "step", "trigger", "validate_log",
 )

@@ -13,32 +13,32 @@ STRONG_V = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
 
 class TestMarkReady:
     def test_strong_emission_into_detector_sets_both_marks(self):
-        parent = ts.make_label(S, 0, 0, 0)
-        child = ts.make_label(G, 1, 1, 0)
+        parent = ts.ComponentLabel(S, 0, 0, 0)
+        child = ts.ComponentLabel(G, 1, 1, 0)
         assert ts.is_decoherent(parent, child)
         g = ts.build_epoch(STRONG_V, parent, ts.RateSet(), 1)
         assert child.with_marks() in g.labels and child not in g.labels
 
     def test_weak_absorption_leaves_no_marks(self):
-        parent = ts.make_label(G, 0, 0, 0)
-        child = ts.make_label(W, 0, 0, 0)
+        parent = ts.ComponentLabel(G, 0, 0, 0)
+        child = ts.ComponentLabel(W, 0, 0, 0)
         assert not ts.is_decoherent(parent, child)
         weak_v = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.WEAK_ONLY)
         assert child in ts.build_epoch(weak_v, parent, ts.RateSet(), 1).labels
 
     def test_strong_absorption_leaves_no_marks(self):
-        parent = ts.make_label(G, 0, 0, 0)
-        child = ts.make_label(S, 0, 0, 0)
+        parent = ts.ComponentLabel(G, 0, 0, 0)
+        child = ts.ComponentLabel(S, 0, 0, 0)
         assert not ts.is_decoherent(parent, child)
         assert child in ts.build_epoch(STRONG_V, parent, ts.RateSet(), 1).labels
 
     def test_children_of_ready_components_stay_ready(self):
         # laser absorption inside the recorded sector keeps the marks
-        parent = ts.make_label(G, 1, 1, 0, True)
-        child = ts.make_label(S, 1, 1, 0)
+        parent = ts.ComponentLabel(G, 1, 1, 0, True)
+        child = ts.ComponentLabel(S, 1, 1, 0)
         assert ts.is_decoherent(parent, child)
         # so every edge out of a ready label is blocked, and build_epoch takes none
-        root = ts.make_label(G, 0, 0, 0)
+        root = ts.ComponentLabel(G, 0, 0, 0)
         shown = displayed_epoch(STRONG_V, root, ts.RateSet(), 2)
         out = [e for e in shown.edges if e.source.ready]
         assert out and all(e.target.ready for e in out)
@@ -48,26 +48,26 @@ class TestMarkReady:
 
 class TestBlockedEdges:
     def test_recorded_pair_is_blocked(self):
-        a = ts.make_label(G, 1, 1, 0, True)
-        b = ts.make_label(S, 1, 1, 0, True)
+        a = ts.ComponentLabel(G, 1, 1, 0, True)
+        b = ts.ComponentLabel(S, 1, 1, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([a, b], [1.0, 0.0], [e])
         assert ts.active_edges(state) == ()
 
     def test_unmarked_source_is_not_blocked(self):
-        a = ts.make_label(S, 1, 1, 0)
-        b = ts.make_label(G, 2, 2, 0, True)
+        a = ts.ComponentLabel(S, 1, 1, 0)
+        b = ts.ComponentLabel(G, 2, 2, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_EMIT)
         state = ts.ChainState([a, b], [1.0, 0.0], [e])
         assert ts.active_edges(state) == (e,)
 
     def test_empty_chain(self):
-        root = ts.make_label(G, 0, 0, 0)
+        root = ts.ComponentLabel(G, 0, 0, 0)
         assert ts.active_edges(ts.ChainState([root], [1.0])) == ()
 
     def test_deeper_recorded_pair_also_blocked(self):
-        a = ts.make_label(G, 2, 2, 0, True)
-        b = ts.make_label(S, 2, 2, 0, True)
+        a = ts.ComponentLabel(G, 2, 2, 0, True)
+        b = ts.ComponentLabel(S, 2, 2, 0, True)
         e = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([a, b], [0.0, 0.0], [e])
         assert e not in ts.active_edges(state)
@@ -85,9 +85,9 @@ class TestTrigger:
 
     def test_zero_inflow_phantom_never_hit(self):
         # frozen mass on a target with no current: hit probability exactly 0
-        src = ts.make_label(G, 0, 0, 0)
-        phantom = ts.make_label(G, 1, 1, 0, True)
-        other = ts.make_label(S, 0, 0, 0)
+        src = ts.ComponentLabel(G, 0, 0, 0)
+        phantom = ts.ComponentLabel(G, 1, 1, 0, True)
+        other = ts.ComponentLabel(S, 0, 0, 0)
         e = ts.FlowEdge(src, other, 1.0, ts.EdgeKind.STRONG_ABSORB)
         state = ts.ChainState([src, phantom, other], [0.1, 0.9, 0.0], [e])
         rng = derive_rng(1, 0)
@@ -122,9 +122,9 @@ class TestCollapse:
         # collapsing and rebuilding gives the same chain shape one click over
         kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.STRONG_ONLY)
         rates = ts.RateSet()
-        root0 = ts.make_label(G, 0, 0, 0)
+        root0 = ts.ComponentLabel(G, 0, 0, 0)
         g0 = ts.build_epoch(kind, root0, rates, 2)
-        realized = ts.make_label(G, 1, 1, 0)
+        realized = ts.ComponentLabel(G, 1, 1, 0)
         g1 = ts.build_epoch(kind, realized, rates, 2)
         assert root_shifted(g0) == root_shifted(g1)
 

@@ -14,20 +14,20 @@ counts = st.integers(min_value=0, max_value=50)
 
 
 def test_make_label_initial_condition():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     assert lab.atom is ts.AtomLevel.GROUND
     assert (lab.clicks, lab.strong, lab.weak) == (0, 0, 0)
     assert not lab.ready
 
 
 def test_make_label_first_recorded_photon():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0, True)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0, True)
     assert lab.ready
     assert lab.clicks == 1
 
 
 def test_make_label_undetected_weak_photon():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 1)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 1)
     assert lab.weak == 1 and lab.clicks == 0
     assert not lab.ready
 
@@ -35,23 +35,19 @@ def test_make_label_undetected_weak_photon():
 @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, -2, 0), (0, 0, -1)])
 def test_make_label_rejects_negative_counts(bad):
     with pytest.raises(InvalidLabel):
-        ts.make_label(ts.AtomLevel.GROUND, *bad)
-    # direct construction and replace once skipped make_label's check
-    with pytest.raises(InvalidLabel):
         ts.ComponentLabel(ts.AtomLevel.GROUND, *bad)
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    # replace builds a label too, and checks it as construction does
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     with pytest.raises(InvalidLabel):
         replace(lab, **dict(zip(["clicks", "strong", "weak"], bad)))
 
 
 @pytest.mark.parametrize("bad", [(2.7, 0, 0), (-0.5, 0, 0), (0, 1.0, 0), (0, 0, "1"), (True, 0, 0)])
 def test_a_label_rejects_counts_that_are_not_integers(bad):
-    # make_label once truncated these: 2.7 clicks became 2 and -0.5 became 0
-    with pytest.raises(InvalidLabel, match="integers"):
-        ts.make_label(ts.AtomLevel.GROUND, *bad)
+    # int() would truncate these to valid counts: 2.7 clicks to 2 and -0.5 to 0
     with pytest.raises(InvalidLabel, match="integers"):
         ts.ComponentLabel(ts.AtomLevel.GROUND, *bad)
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     with pytest.raises(InvalidLabel, match="integers"):
         replace(lab, **dict(zip(["clicks", "strong", "weak"], bad)))
 
@@ -60,7 +56,7 @@ def test_a_label_rejects_counts_that_are_not_integers(bad):
 def test_a_label_rejects_a_ready_flag_that_is_not_a_bool(bad):
     with pytest.raises(InvalidLabel, match="ready must be a bool"):
         ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0, bad)
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     with pytest.raises(InvalidLabel, match="ready must be a bool"):
         replace(lab, ready=bad)
 
@@ -72,29 +68,29 @@ def test_a_label_rejects_an_atom_that_is_not_an_atom_level():
 
 @given(atoms, counts, counts, counts)
 def test_label_value_semantics(atom, c, s, w):
-    a = ts.make_label(atom, c, s, w)
-    b = ts.make_label(atom, c, s, w)
+    a = ts.ComponentLabel(atom, c, s, w)
+    b = ts.ComponentLabel(atom, c, s, w)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != ts.make_label(atom, c, s, w, True)
+    assert a != ts.ComponentLabel(atom, c, s, w, True)
 
 
 @given(atoms, counts, counts, counts, counts)
 def test_label_shift_roundtrip(atom, c, s, w, d):
-    lab = ts.make_label(atom, c, s, w)
+    lab = ts.ComponentLabel(atom, c, s, w)
     up = replace(lab, clicks=c + d, strong=s + d, weak=w + d)
     assert replace(up, clicks=up.clicks - d, strong=up.strong - d, weak=up.weak - d) == lab
 
 
 def test_total_mass_single():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     state = ts.ChainState([lab], [1.0])
     assert state.masses.sum() == 1.0
 
 
 def test_total_mass_two_components():
-    a = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
+    a = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    b = ts.ComponentLabel(ts.AtomLevel.STRONG, 0, 0, 0)
     state = ts.ChainState([a, b], [0.6, 0.4])
     assert state.masses.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -102,7 +98,7 @@ def test_total_mass_two_components():
 def test_total_mass_mid_trajectory():
     # conservative integrator keeps the sum at one
     kind = ts.ConfigKind(ts.Configuration.V, ts.LaserDrive.BOTH)
-    g = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), ts.RateSet(), 2)
+    g = ts.build_epoch(kind, ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0), ts.RateSet(), 2)
     state = chain_from_graph(g)
     active = ts.active_edges(state)
     for _ in range(200):
@@ -111,15 +107,15 @@ def test_total_mass_mid_trajectory():
 
 
 def test_duplicate_label_rejected():
-    lab = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
+    lab = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
     with pytest.raises(DuplicateLabel):
         ts.ChainState([lab, lab], [0.5, 0.5])
 
 
 def test_edge_ledger_validation():
-    g = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    e = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
-    up = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0)
+    g = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    e = ts.ComponentLabel(ts.AtomLevel.STRONG, 0, 0, 0)
+    up = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0)
     ts.FlowEdge(g, e, 1.0, ts.EdgeKind.STRONG_ABSORB)  # atom-only change: fine
     with pytest.raises(ValueError):
         ts.FlowEdge(g, up, 1.0, ts.EdgeKind.STRONG_ABSORB)  # absorb cannot click
@@ -130,8 +126,8 @@ def test_edge_ledger_validation():
 
 
 def test_chain_rejects_unknown_edge_endpoint():
-    a = ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0)
-    b = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
+    a = ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0)
+    b = ts.ComponentLabel(ts.AtomLevel.STRONG, 0, 0, 0)
     edge = ts.FlowEdge(a, b, 1.0, ts.EdgeKind.STRONG_ABSORB)
     with pytest.raises(ValueError):
         ts.ChainState([a], [1.0], [edge])
@@ -140,7 +136,7 @@ def test_chain_rejects_unknown_edge_endpoint():
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
 def test_an_edge_rejects_a_rate_that_is_not_positive_and_finite(rate):
     # a NaN or infinite rate once passed and gave FlowSystem a NaN or inf generator
-    s = ts.make_label(ts.AtomLevel.STRONG, 0, 0, 0)
-    g = ts.make_label(ts.AtomLevel.GROUND, 1, 1, 0)
+    s = ts.ComponentLabel(ts.AtomLevel.STRONG, 0, 0, 0)
+    g = ts.ComponentLabel(ts.AtomLevel.GROUND, 1, 1, 0)
     with pytest.raises(ValueError, match="positive and finite"):
         ts.FlowEdge(s, g, rate, ts.EdgeKind.STRONG_EMIT)

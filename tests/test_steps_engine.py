@@ -34,7 +34,7 @@ from telegraphsim.runner import (
     derive_rng,
     run_trajectory,
 )
-from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, make_label
+from telegraphsim.state import AtomLevel, ChainState, ComponentLabel
 
 _TINY = np.finfo(float).tiny
 KINDS = ("v", "lambda", "cascade_weak_up", "cascade_weak_down")
@@ -99,7 +99,7 @@ def _oracle_steps(cfg, rng, epochs=None) -> TrajectoryResult:
     epochs = _CompiledEpochs(cfg) if epochs is None else epochs
     records: list[EventRecord] = []
     res = TrajectoryResult(records=EventLog.of(()), epochs=0)
-    root = make_label(AtomLevel.GROUND, 0, 0, 0)
+    root = ComponentLabel(AtomLevel.GROUND, 0, 0, 0)
     t = 0.0
     epoch = 0
     while t < cfg.duration:
@@ -213,22 +213,46 @@ def test_a_hit_inside_the_final_short_step(kind, seed, duration, per_step_calls)
     assert per_step_calls == []
 
 
-@pytest.mark.parametrize("steps", [1, 700, 1024, 2500, 3 * 1024 + 17])
+@pytest.mark.parametrize("steps", [1, 700, 1024, 2500, 3 * 1024 + 17, 300.5])
 def test_duration_cuts_mid_epoch_and_mid_block(steps):
-    """A run of ``steps`` full steps ends in its first epoch, inside a table chunk or at its edge.
+    """A run of ``steps`` steps ends in its first epoch, inside a table chunk or at its edge.
 
-    The strong rates are slow, so the first epoch outlasts the run. The
-    duration is ``steps`` steps of ``dt_max`` summed as successive steps sum
-    them, so no step shorter than ``dt_max`` follows.
+    A full step of ``dt_max`` 0.2 has 4 substeps, so a table chunk holds 256
+    steps. Strong emission is slow, so the first epoch outlasts the run. The
+    duration is ``int(steps)`` steps of ``dt_max`` summed as successive steps
+    sum them, plus the fraction of a step that ``steps`` has: with one, the
+    steps shorter than ``dt_max`` start from masses re-stepped inside chunk 1.
     """
-    duration = float(np.cumsum(np.full(steps, 0.01))[-1])
+    duration = float(np.cumsum(np.full(int(steps), 0.2))[-1]) + steps % 1 * 0.2
     cfg = RunConfig(
-        kind="v", engine="steps", duration=duration, master_seed=3, k_strong_absorb=1e-3,
-        k_strong_emit=1e-3,
+        kind="v", engine="steps", duration=duration, dt_max=0.2, master_seed=3,
+        k_strong_emit=1e-5,
     )
-    res = _assert_same(cfg, 0)
-    assert res.steps_taken == steps
+    epochs = _CompiledEpochs(cfg)
+    res = _assert_same(cfg, 0, epochs=epochs)
+    assert epochs[AtomLevel.GROUND].hazards(cfg.dt_max).steps == 256
+    assert res.steps_taken == int(np.ceil(steps))
     assert res.epochs == 0 and res.final_time == duration  # mid-epoch
+
+
+def test_a_table_chunk_holds_about_1024_substeps():
+    """A table chunk's rows do not grow with ``dt_max``.
+
+    At ``dt_max`` 40 a step has 800 substeps, so each chunk holds one step:
+    1024 steps would hold 819,201 ready rows, about 40,960 time units of
+    epochs a few units long.
+    """
+    cfg = RunConfig(kind="v", engine="steps", duration=200.0, dt_max=40.0, master_seed=3)
+    epochs = _CompiledEpochs(cfg)
+    res = _assert_same(cfg, 0, epochs=epochs)
+    assert res.epochs > 0
+    tables = [t for ep in epochs.values() for t in ep._hazards.values()]
+    assert tables
+    for table in tables:
+        n_sub = table._system.substeps(cfg.dt_max)
+        assert n_sub == 800
+        for chunk in table._chunks:
+            assert len(chunk.ready) <= max(1024, n_sub) + 1
 
 
 @pytest.mark.parametrize("duration", [0.005, 1e-9, 0.01, 0.0199])

@@ -36,7 +36,7 @@ SAMPLES = 41
 def _template(configuration, ratio, depth):
     kind = ts.ConfigKind(configuration, ts.LaserDrive.BOTH)
     rates = ts.RateSet(k_weak_absorb=ratio, k_weak_emit=ratio)
-    graph = ts.build_epoch(kind, ts.make_label(ts.AtomLevel.GROUND, 0, 0, 0), rates, depth)
+    graph = ts.build_epoch(kind, ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0), rates, depth)
     ep = CompiledEpoch(graph)
     return ep, ep.template
 
