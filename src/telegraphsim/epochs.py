@@ -201,8 +201,8 @@ class EpochTemplate:
     def has_sinks(self) -> bool:
         return len(self.sink_labels) > 0 and float(self.cum_final[-1]) > 0.0
 
-    def sample_hits(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Map uniform draws to (sink index, hit time, delivered mass at hit), elementwise.
+    def sample_hits(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map uniform draws to (sink index, hit time), elementwise.
 
         The stacked per-target delivery curves are inverted, so target
         marginals equal the final delivered masses and the hit-time law
@@ -227,12 +227,12 @@ class EpochTemplate:
         frac = np.where(flat, 0.0, (v - lo) / np.where(flat, 1.0, hi - lo))
         t0, t1 = self.grid[k - 1], self.grid[k]
         t = np.where(beyond, self.grid[-1], t0 + frac * (t1 - t0))
-        return j, t, np.where(beyond, self.final_delivered[j], v)
+        return j, t
 
-    def sample_hit(self, u: float) -> tuple[ComponentLabel, float, float]:
+    def sample_hit(self, u: float) -> tuple[ComponentLabel, float]:
         """``sample_hits`` for one draw, returning the target's label."""
-        j, t, delivered = self.sample_hits(np.array([u]))
-        return self.sink_labels[int(j[0])], float(t[0]), float(delivered[0])
+        j, t = self.sample_hits(np.array([u]))
+        return self.sink_labels[int(j[0])], float(t[0])
 
     # -- realized weak-photon crossings --------------------------------
 

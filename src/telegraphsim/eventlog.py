@@ -6,17 +6,16 @@ row of it. Every function here takes an ``EventLog`` or any sequence of
 the hit rows; ``EventLog.of_kind`` selects the rows of either kind.
 
 One line per record: time, kind, epoch, then the label fields (atom
-level, detector clicks, strong count, weak count) and an auxiliary
-value: the delivered mass for hits, and 1.0 for weak-edge crossings,
-which nothing reads. Floats are written with Python's shortest
-round-trip representation so logs are diffable and parse back
-bit-exactly.
+level, detector clicks, strong count, weak count). The time is written
+with Python's shortest round-trip representation so logs are diffable
+and parse back bit-exactly.
 
 Each epoch writes its weak-edge crossings, then its hit. Its start is
 implied: epoch 0 starts at t=0 on the ground level with an empty ledger,
-epoch k at hit k-1's time, atom and ledger. Only this format, version 2,
-is read: a version 1 log's ``epoch_start`` records raise as an unknown
-kind.
+epoch k at hit k-1's time, atom and ledger. Only this format, version 3,
+is read: a log whose first line is a format line naming another version
+raises ``line 1: event log format vN; this reader reads v3``. Text
+without a format line is read as version 3.
 
 Text is made and read ``_CHUNK`` records at a time, so no line list or
 Python object per field of a whole log ever exists. ``append_records``
@@ -27,7 +26,7 @@ converts the rest with numpy's C reader (``np.loadtxt``) into columns,
 so a log can be read without ever holding all of it; ``read_log`` and
 ``parse_log`` put the same chunks together into one log. That reader
 converts every float ``repr`` writes to the same bits as ``float`` does.
-Its errors keep their messages: ``line N: expected 8 tab-separated
+Its errors keep their messages: ``line N: expected 7 tab-separated
 fields`` for a line with a field too many or too few, and ``'flash' is
 not a valid EventKind`` for an unknown kind. A field numpy cannot
 convert, such as an int past int64 or a ``#`` inside a data line,
@@ -47,11 +46,9 @@ from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-FORMAT_VERSION = 2
-_HEADER = (
-    f"# telegraph-event-log v{FORMAT_VERSION}\n"
-    "# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux\n"
-)
+FORMAT_VERSION = 3
+_MAGIC = "# telegraph-event-log "
+_HEADER = f"{_MAGIC}v{FORMAT_VERSION}\n# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\n"
 # records converted to or from text at a time, which bounds the Python objects alive at once
 _CHUNK = 2048
 
@@ -80,25 +77,24 @@ class EventRecord:
     clicks: int
     strong: int
     weak: int
-    aux: float
 
 
 class EventLog:
     """Event records as columns: one numpy array per ``EventRecord`` field.
 
     ``kind`` holds codes into ``KINDS``; the other columns hold the field
-    values (float64 for time and aux, int64 for the rest). Iterating or
+    values (float64 for time, int64 for the rest). Iterating or
     indexing with an int yields ``EventRecord``s; indexing with a slice,
     mask or index array yields another ``EventLog``. Two logs compare equal
     when every column is equal, and a log also compares with a list or tuple
     of records.
     """
 
-    COLUMNS = ("time", "kind", "epoch", "atom", "clicks", "strong", "weak", "aux")
+    COLUMNS = ("time", "kind", "epoch", "atom", "clicks", "strong", "weak")
     __slots__ = COLUMNS
     __hash__ = None  # mutable arrays
 
-    def __init__(self, time, kind, epoch, atom, clicks, strong, weak, aux):
+    def __init__(self, time, kind, epoch, atom, clicks, strong, weak):
         self.time = np.asarray(time, dtype=np.float64)
         self.kind = np.asarray(kind, dtype=np.int8)
         self.epoch = np.asarray(epoch, dtype=np.int64)
@@ -106,7 +102,6 @@ class EventLog:
         self.clicks = np.asarray(clicks, dtype=np.int64)
         self.strong = np.asarray(strong, dtype=np.int64)
         self.weak = np.asarray(weak, dtype=np.int64)
-        self.aux = np.asarray(aux, dtype=np.float64)
 
     @classmethod
     def of(cls, records: "Records") -> "EventLog":
@@ -169,8 +164,7 @@ _ROW = np.dtype(
     [
         ("time", np.float64),
         ("kind", f"U{max(map(len, _CODE_OF_VALUE)) + 1}"),
-        *((name, np.int64) for name in EventLog.COLUMNS[2:7]),
-        ("aux", np.float64),
+        *((name, np.int64) for name in EventLog.COLUMNS[2:]),
     ]
 )
 # the first characters of the lines that hold no record: comments and blank lines
@@ -235,10 +229,7 @@ def _record_text(log: EventLog) -> Iterator[str]:
     for i in range(0, len(log), _CHUNK):
         rows = zip(*(col[i : i + _CHUNK].tolist() for col in log.columns()))
         yield "".join(
-            [
-                f"{t!r}\t{kinds[k]}\t{e}\t{a}\t{c}\t{s}\t{w}\t{x!r}\n"
-                for t, k, e, a, c, s, w, x in rows
-            ]
+            [f"{t!r}\t{kinds[k]}\t{e}\t{a}\t{c}\t{s}\t{w}\n" for t, k, e, a, c, s, w in rows]
         )
 
 
@@ -283,6 +274,12 @@ def _chunks(lines: Iterator[str]) -> Iterator[EventLog]:
     """The records of ``lines``, a log's lines, converted ``_CHUNK`` lines at a time."""
     lineno = 0  # lines before this chunk
     while chunk := list(islice(lines, _CHUNK)):
+        if not lineno and chunk[0].startswith(_MAGIC):
+            version = chunk[0][len(_MAGIC) :].strip()
+            if version != f"v{FORMAT_VERSION}":
+                raise ValueError(
+                    f"line 1: event log format {version}; this reader reads v{FORMAT_VERSION}"
+                )
         data = [line for line in chunk if line[0] not in _NOT_DATA]
         if data:
             yield _records(data, chunk, lineno)
@@ -300,8 +297,8 @@ def _records(data: list[str], chunk: list[str], lineno: int) -> EventLog:
             (n, line) for n, line in enumerate(chunk, lineno + 1) if line[0] not in _NOT_DATA
         ]
         for n, line in numbered:
-            if line.count("\t") != 7:
-                raise ValueError(f"line {n}: expected 8 tab-separated fields") from None
+            if line.count("\t") != 6:
+                raise ValueError(f"line {n}: expected 7 tab-separated fields") from None
         for n, line in numbered:
             try:
                 np.loadtxt([line], dtype=_ROW, delimiter="\t", comments=None)

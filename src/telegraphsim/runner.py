@@ -149,16 +149,11 @@ def _crossings(
     return out
 
 
-def _rows(kind: int, time, epoch, atom, ledger: np.ndarray, aux) -> EventLog:
+def _rows(kind: int, time, epoch, atom, ledger: np.ndarray) -> EventLog:
     """Records of one kind; ``ledger`` holds one (clicks, strong, weak) row per record."""
     n = len(time)
     return EventLog(
-        time,
-        np.full(n, kind),
-        np.broadcast_to(epoch, n),
-        np.broadcast_to(atom, n),
-        *ledger.T,
-        np.broadcast_to(aux, n),
+        time, np.full(n, kind), np.broadcast_to(epoch, n), np.broadcast_to(atom, n), *ledger.T
     )
 
 
@@ -171,11 +166,11 @@ def _trajectory(
     numbered from ``epoch``, up to and including the first hit that moves
     the root to another atom. It returns their hit targets as positions in
     ``ep.ready`` (``sinks``), their sampled lengths ``tau``, ``times`` (the
-    first epoch's start, then each hit time), the delivered mass at each
-    hit, and the trajectory's final time if it ends in this block, else
-    None. The loop keeps the root's atom and photon ledger: a hit's record
-    holds the ledger after it, and each of its weak-edge crossings the
-    ledger before it plus the crossed edge's target's.
+    first epoch's start, then each hit time), and the trajectory's final
+    time if it ends in this block, else None. The loop keeps the root's
+    atom and photon ledger: a hit's record holds the ledger after it, and
+    each of its weak-edge crossings the ledger before it plus the crossed
+    edge's target's.
 
     The records go to ``consume`` in log order, a block of whole epochs at
     a time, once about ``_CHUNK`` of them are drawn, and every epoch drawn
@@ -203,7 +198,7 @@ def _trajectory(
     try:
         while True:
             ep = epochs[atom]
-            sinks, tau, times, delivered, end = draw(ep, t, epoch)
+            sinks, tau, times, end = draw(ep, t, epoch)
             deltas = ep.sink_ledger[sinks]
             after = ledger + np.cumsum(deltas, axis=0)
             # every crossing of the draw's weak epochs, by epoch and then by time
@@ -226,12 +221,9 @@ def _trajectory(
                         epoch + q,
                         [lab.atom.value for _, _, lab in crossed],
                         after[q] - deltas[q] + shifts,
-                        1.0,
                     )
                 )
-            rows.append(
-                _rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after, delivered)
-            )
+            rows.append(_rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after))
             buffered += n + len(crossed)
             epoch += n
             if end is not None:
@@ -295,8 +287,8 @@ def _renewal(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Call
         tpl = _template(ep)
         res.max_mass_residual = max(res.max_mass_residual, tpl.conservation_residual)
         if not tpl.has_sinks:
-            return [], [], [t], [], cfg.duration
-        j, tau, delivered = tpl.sample_hits(uniforms.rest())
+            return [], [], [t], cfg.duration
+        j, tau = tpl.sample_hits(uniforms.rest())
         # this template holds up to and including the first hit on another atom
         moves = np.flatnonzero(ep.sink_atoms[j] != ep.graph.root.atom.value)
         n = int(moves[0]) + 1 if moves.size else len(j)
@@ -305,24 +297,23 @@ def _renewal(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Call
         # the first hit at or past the duration ends the trajectory; one past it is not logged
         late = np.flatnonzero(times[1:] >= cfg.duration)
         if not late.size:
-            return j[:n], tau[:n], times, delivered[:n], None
+            return j[:n], tau[:n], times, None
         n = int(late[0]) + int(times[late[0] + 1] == cfg.duration)
-        return j[:n], tau[:n], times[: n + 1], delivered[:n], cfg.duration
+        return j[:n], tau[:n], times[: n + 1], cfg.duration
 
     return draw
 
 
 def _steps(
     chunk: HazardChunk, off: int, times: np.ndarray, uniforms: _Uniforms, res: TrajectoryResult
-) -> tuple[int, Optional[tuple[int, float, float]]]:
+) -> tuple[int, Optional[tuple[int, float]]]:
     """Steps ``off`` onwards of ``chunk``, one per interval of ``times``, up to the hit.
 
     While the chunk has ready targets each substep uses one uniform, and
     the first that falls below its substep's hazard is the hit; its target
-    and delivered mass come from ``rules.substep_hit`` on the two ready rows
-    around the substep. Returns the number of steps taken and the hit, if
-    any, as its target's position in the ready targets, its time and its
-    delivered mass.
+    comes from ``rules.substep_hit`` on the two ready rows around the
+    substep. Returns the number of steps taken and the hit, if any, as its
+    target's position in the ready targets and its time.
     """
     n, n_sub = len(times) - 1, chunk.n_sub
     s = None  # the hit's substep
@@ -353,7 +344,7 @@ def _steps(
     row = off * n_sub + s
     m_start, m_end = chunk.ready[row], chunk.ready[row + 1]
     j = substep_hit(m_start, m_end, range(len(m_start)), float(u[s]))
-    return n, (j, 0.5 * (t_sub + (t_sub + chunk.dt_sub)), float(m_end[j]))
+    return n, (j, 0.5 * (t_sub + (t_sub + chunk.dt_sub)))
 
 
 def _stepped(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Callable:
@@ -394,9 +385,9 @@ def _stepped(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Call
             k += n
             t = float(times[n])
         if hit is None:
-            return [], [], [t], [], t
-        j, t_hit, delivered = hit
-        return [j], [t_hit - t_epoch], [t_epoch, t_hit], [delivered], None
+            return [], [], [t], t
+        j, t_hit = hit
+        return [j], [t_hit - t_epoch], [t_epoch, t_hit], None
 
     return draw
 

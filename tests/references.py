@@ -33,7 +33,7 @@ from telegraphsim.config import ConfigKind, RateSet, RunConfig
 from telegraphsim.configurations import _EMITS, _WEAK, EpochGraph, _moves
 from telegraphsim.epochs import EpochTemplate
 from telegraphsim.errors import EmptyLog, InvalidStep, TelegraphError
-from telegraphsim.eventlog import _CODE_OF_VALUE, EventLog, hits
+from telegraphsim.eventlog import _CODE_OF_VALUE, FORMAT_VERSION, EventLog, hits
 from telegraphsim.flow import CurrentReport, FlowSystem
 from telegraphsim.rules import is_decoherent
 from telegraphsim.state import AtomLevel, ChainState, ComponentLabel, EdgeKind, FlowEdge
@@ -183,33 +183,33 @@ def parse_log_by_fields(text: str) -> EventLog:
     """The records of a log's text, converted one field at a time.
 
     It reads what ``eventlog.parse_log`` reads and raises ``ValueError``
-    where it does; its messages for a line with a field too many or too
-    few and for an unknown kind are the same.
+    where it does; its messages for a first line naming another format
+    version, for a line with a field too many or too few and for an
+    unknown kind are the same.
     """
+    magic, first = "# telegraph-event-log ", next(iter(text.splitlines()), "")
+    version = first[len(magic) :].strip()
+    if first.startswith(magic) and version != f"v{FORMAT_VERSION}":
+        raise ValueError(f"line 1: event log format {version}; this reader reads v{FORMAT_VERSION}")
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    if list(map(str.count, lines, repeat("\t"))).count(7) != len(lines):
+    if list(map(str.count, lines, repeat("\t"))).count(6) != len(lines):
         lineno = next(
             n for n, line in enumerate(text.splitlines(), start=1)
-            if line and not line.startswith("#") and line.count("\t") != 7
+            if line and not line.startswith("#") and line.count("\t") != 6
         )
-        raise ValueError(f"line {lineno}: expected 8 tab-separated fields")
-    # field i of every line sits at i, i + 8, ...
+        raise ValueError(f"line {lineno}: expected 7 tab-separated fields")
+    # field i of every line sits at i, i + 7, ...
     fields = "\t".join(lines).split("\t") if lines else []
     n = len(lines)
     try:
-        kinds = [_CODE_OF_VALUE[k] for k in fields[1::8]]
+        kinds = [_CODE_OF_VALUE[k] for k in fields[1::7]]
     except KeyError as exc:
         raise ValueError(f"{exc.args[0]!r} is not a valid EventKind") from None
     try:
-        ints = [np.fromiter(map(int, fields[i::8]), np.int64, n) for i in range(2, 7)]
+        ints = [np.fromiter(map(int, fields[i::7]), np.int64, n) for i in range(2, 7)]
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
-    return EventLog(
-        np.fromiter(map(float, fields[0::8]), np.float64, n),
-        kinds,
-        *ints,
-        np.fromiter(map(float, fields[7::8]), np.float64, n),
-    )
+    return EventLog(np.fromiter(map(float, fields[0::7]), np.float64, n), kinds, *ints)
 
 
 def analyze_whole_log(cfg: RunConfig, records: EventLog) -> Optional[dict]:

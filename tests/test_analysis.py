@@ -10,11 +10,11 @@ from telegraphsim.runner import run_trajectory
 
 
 def hit_at(t, epoch=0):
-    return EventRecord(t, EventKind.HIT, epoch, 0, epoch + 1, epoch + 1, 0, 1.0)
+    return EventRecord(t, EventKind.HIT, epoch, 0, epoch + 1, epoch + 1, 0)
 
 
-def crossing_at(t, epoch=0, weak=1, aux=1.0):
-    return EventRecord(t, EventKind.WEAK_EDGE_CROSSING, epoch, 0, 0, 0, weak, aux)
+def crossing_at(t, epoch=0, weak=1):
+    return EventRecord(t, EventKind.WEAK_EDGE_CROSSING, epoch, 0, 0, 0, weak)
 
 
 class TestSegmentation:
@@ -117,12 +117,12 @@ class TestTimingClassification:
         assert list(rep.classification) == [ts.WeakTiming.AT_END]
 
     def test_each_dark_periods_time_is_the_median_of_its_epochs_crossings(self):
-        # three dark periods: three crossings, two, and none; the aux values are ignored
+        # three dark periods: three crossings, two, and none
         recs = [
             hit_at(0.0, 0),
-            crossing_at(100.0, 1, 1, 5.0), crossing_at(101.0, 1, 2, 0.0),
+            crossing_at(100.0, 1, 1), crossing_at(101.0, 1, 2),
             crossing_at(180.0, 1, 3), hit_at(200.0, 1),
-            crossing_at(250.0, 2, 1, 9.0), crossing_at(390.0, 2, 2, 0.5), hit_at(400.0, 2),
+            crossing_at(250.0, 2, 1), crossing_at(390.0, 2, 2), hit_at(400.0, 2),
             hit_at(600.0, 3),
         ]
         validate_log(recs)
@@ -151,7 +151,7 @@ class TestTimingClassification:
 
         c = 7.0
         scaled = [
-            EventRecord(r.time * c, r.kind, r.epoch, r.atom, r.clicks, r.strong, r.weak, r.aux)
+            EventRecord(r.time * c, r.kind, r.epoch, r.atom, r.clicks, r.strong, r.weak)
             for r in recs
         ]
         rates_c = ts.RateSet(1.0 / c, 1.0 / c, 1e-3 / c, 1e-3 / c)

@@ -33,8 +33,8 @@ def run_cli(*args):
 class TestLogFormat:
     def test_roundtrip_simple(self):
         recs = [
-            EventRecord(1.25, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1, 1.0),
-            EventRecord(2.5, EventKind.HIT, 0, 0, 1, 1, 1, 0.73),
+            EventRecord(1.25, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1),
+            EventRecord(2.5, EventKind.HIT, 0, 0, 1, 1, 1),
         ]
         assert parse_log(serialize_log(recs)) == recs
 
@@ -47,15 +47,13 @@ class TestLogFormat:
                 st.integers(min_value=0, max_value=10**6),
                 st.integers(min_value=0, max_value=2),
                 st.integers(min_value=0, max_value=10**6),
-                st.floats(min_value=0, max_value=1, allow_nan=False),
+                st.integers(min_value=0, max_value=10**6),
             ),
             max_size=30,
         )
     )
     def test_roundtrip_random(self, rows):
-        recs = [
-            EventRecord(t, k, e, a, c, c, 0, aux) for (t, k, e, a, c, aux) in rows
-        ]
+        recs = [EventRecord(t, k, e, a, c, c, w) for (t, k, e, a, c, w) in rows]
         assert parse_log(serialize_log(recs)) == recs
 
     def test_malformed_line_rejected(self):
@@ -64,8 +62,8 @@ class TestLogFormat:
 
     def test_validate_ordering(self):
         good = [
-            EventRecord(0.5, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1, 1.0),
-            EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 1, 0.5),
+            EventRecord(0.5, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1),
+            EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 1),
         ]
         validate_log(good)
         bad = list(reversed(good))
@@ -278,7 +276,7 @@ class TestAnalyzeCommand:
         assert "bright=" in text
 
     def test_v1_log_is_not_read(self, tmp_path, capsys):
-        # v1 logs also held an epoch_start record per epoch; only v2 is read
+        # v1 logs also held an epoch_start record per epoch; only v3 is read
         v1 = textwrap.dedent(
             """\
             # telegraph-event-log v1
@@ -293,7 +291,9 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", str(log)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"cannot read {log}: 'epoch_start' is not a valid EventKind\n"
+        assert captured.err == (
+            f"cannot read {log}: line 1: event log format v1; this reader reads v3\n"
+        )
 
     @pytest.mark.parametrize("kind", ["v", "lambda", "cascade_weak_up", "cascade_weak_down"])
     def test_analyze_prints_what_the_run_reported(self, tmp_path, capsys, kind):
@@ -336,9 +336,9 @@ class TestAnalyzeCommand:
 
     def test_analyze_rejects_non_finite_times(self, tmp_path, capsys):
         log = tmp_path / "non_finite.tsv"
-        # a v2 log's hits in epochs 0-3, with hit times 1.0, nan, 3.0 and inf
+        # a log's hits in epochs 0-3, with hit times 1.0, nan, 3.0 and inf
         lines = [
-            f"{t}\thit\t{e}\t0\t{e + 1}\t{e + 1}\t0\t1.0\n"
+            f"{t}\thit\t{e}\t0\t{e + 1}\t{e + 1}\t0\n"
             for e, t in enumerate(("1.0", "nan", "3.0", "inf"))
         ]
         log.write_text(serialize_log([]) + "".join(lines), encoding="utf-8")
@@ -498,7 +498,7 @@ class TestFlags:
     def test_non_finite_flag_value_exits_one(self, tmp_path, capsys, flags):
         # through analyze, which reads a one-hit log and simulates nothing
         log = tmp_path / "events_000.tsv"
-        log.write_text(serialize_log([EventRecord(1.5, EventKind.HIT, 0, 0, 1, 1, 0, 0.5)]))
+        log.write_text(serialize_log([EventRecord(1.5, EventKind.HIT, 0, 0, 1, 1, 0)]))
         assert run_cli("analyze", *flags, str(log)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -104,7 +104,7 @@ def reference_sample_hit(tpl, u):
     total = float(tpl.cum_final[-1])
     if u >= total:
         j = int(np.argmax(tpl.final_delivered))
-        return (j, float(tpl.grid[-1]), float(tpl.final_delivered[j])), "beyond"
+        return (j, float(tpl.grid[-1])), "beyond"
     j = int(np.searchsorted(tpl.cum_final, u, side="right"))
     v = u - (float(tpl.cum_final[j - 1]) if j > 0 else 0.0)
     col = np.ascontiguousarray(tpl.delivered[:, j])
@@ -113,7 +113,7 @@ def reference_sample_hit(tpl, u):
     lo, hi = col[k - 1], col[k]
     frac = 0.0 if hi <= lo else (v - lo) / (hi - lo)
     t = float(tpl.grid[k - 1] + frac * (tpl.grid[k] - tpl.grid[k - 1]))
-    return (j, t, float(v)), "flat" if hi <= lo else "slope"
+    return (j, t), "flat" if hi <= lo else "slope"
 
 
 def inversion_inputs(tpl):
@@ -162,17 +162,13 @@ def test_sample_hits_equals_scalar_inversion():
             assert not tpl.has_sinks, case
             continue
         u = inversion_inputs(tpl)
-        j, t, delivered = tpl.sample_hits(u)
+        j, t = tpl.sample_hits(u)
         for i, x in enumerate(u.tolist()):
-            (rj, rt, rd), branch = reference_sample_hit(tpl, x)
+            (rj, rt), branch = reference_sample_hit(tpl, x)
             branches.add(branch)
-            assert (int(j[i]), t[i].tobytes(), delivered[i].tobytes()) == (
-                rj, np.float64(rt).tobytes(), np.float64(rd).tobytes()
-            ), f"{case}: u={x!r}"
+            assert (int(j[i]), t[i].tobytes()) == (rj, np.float64(rt).tobytes()), f"{case}: u={x!r}"
         # the one-draw form is a view of the same inversion
-        assert tpl.sample_hit(float(u[1])) == (
-            tpl.sink_labels[j[1]], float(t[1]), float(delivered[1])
-        ), case
+        assert tpl.sample_hit(float(u[1])) == (tpl.sink_labels[j[1]], float(t[1])), case
     # interpolation, the flat-stretch rule (hi <= lo) and the residual branch all ran
     assert branches == {"slope", "flat", "beyond"}
 
@@ -260,7 +256,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
                         continue  # nothing to cross into
                     tpl = CompiledEpoch(graph).template
                     assert set(tpl.crossing_stages) == set(tpl.sink_labels), case
-                    _, taus, _ = tpl.sample_hits(np.array([0.3, 0.7, 0.95, 0.9999, 1 - 1e-6]))
+                    _, taus = tpl.sample_hits(np.array([0.3, 0.7, 0.95, 0.9999, 1 - 1e-6]))
                     for sink, ref in reference_stages(tpl).items():
                         got = tpl.crossing_stages[sink]
                         assert [s.edge for s in got] == [e for e, _, _ in ref], case
@@ -298,7 +294,7 @@ def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
     graph = ts.build_epoch(kind, ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0), rates, 5)
     tpl = CompiledEpoch(graph).template
     assert len(calls) == 1
-    _, taus, _ = tpl.sample_hits(np.linspace(0.0, 0.999, 7))
+    _, taus = tpl.sample_hits(np.linspace(0.0, 0.999, 7))
     crossed = [sink for sink in tpl.sink_labels for tau in taus if tpl.crossing_times(sink, tau)]
     assert len(set(crossed)) > 1
     assert calls == [1, 2]  # the root's vector, then one matrix of impulses

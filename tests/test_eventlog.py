@@ -29,7 +29,6 @@ records = st.lists(
         clicks=INT64,
         strong=INT64,
         weak=INT64,
-        aux=FLOATS,
     ),
     max_size=40,
 )
@@ -86,7 +85,7 @@ def test_round_trip_and_record_view(recs):
     assert type(differs) is bool and not differs
     assert list(log) == recs
     for r in log:
-        assert type(r.time) is float and type(r.epoch) is int and type(r.aux) is float
+        assert type(r.time) is float and type(r.epoch) is int and type(r.weak) is int
     if recs:
         assert log[-1] == recs[-1]
         assert list(log[1:]) == recs[1:]
@@ -97,7 +96,7 @@ def test_round_trip_and_record_view(recs):
 @settings(max_examples=300, deadline=None)
 @given(near_valid)
 def test_validate_matches_record_by_record_check(rows):
-    recs = [EventRecord(t, k, e, 0, 0, 0, 0, 0.0) for t, k, e in rows]
+    recs = [EventRecord(t, k, e, 0, 0, 0, 0) for t, k, e in rows]
     for candidate in (recs, sorted(recs, key=lambda r: (r.epoch, r.time))):
         assert outcome(validate_log, candidate) == outcome(reference_validate, candidate)
         assert outcome(validate_log, EventLog.of(candidate)) == outcome(
@@ -106,9 +105,9 @@ def test_validate_matches_record_by_record_check(rows):
 
 
 def test_validate_rejects_each_violation():
-    crossing = EventRecord(0.5, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1, 1.0)
-    hit = EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 1, 0.5)
-    next_hit = EventRecord(2.0, EventKind.HIT, 1, 0, 2, 2, 1, 0.5)
+    crossing = EventRecord(0.5, EventKind.WEAK_EDGE_CROSSING, 0, 0, 0, 0, 1)
+    hit = EventRecord(1.0, EventKind.HIT, 0, 0, 1, 1, 1)
+    next_hit = EventRecord(2.0, EventKind.HIT, 1, 0, 2, 2, 1)
     validate_log([crossing, hit, next_hit])
     with pytest.raises(ValueError, match="times decrease at t=0.5"):
         validate_log([hit, crossing])
@@ -124,11 +123,11 @@ def test_validate_rejects_each_violation():
 
 
 def test_parse_rejects_bad_lines():
-    with pytest.raises(ValueError, match="line 3: expected 8 tab-separated fields"):
-        parse_log("# header\n0.0\thit\t0\t0\t0\t0\t0\t0.0\n1.0\thit\t0\n")
+    with pytest.raises(ValueError, match="line 3: expected 7 tab-separated fields"):
+        parse_log("# header\n0.0\thit\t0\t0\t0\t0\t0\n1.0\thit\t0\n")
     with pytest.raises(ValueError, match="not a valid EventKind"):
-        parse_log("0.0\tflash\t0\t0\t0\t0\t0\t0.0\n")
+        parse_log("0.0\tflash\t0\t0\t0\t0\t0\n")
     with pytest.raises(ValueError):
-        parse_log("0.0\thit\tzero\t0\t0\t0\t0\t0.0\n")
+        parse_log("0.0\thit\tzero\t0\t0\t0\t0\n")
     with pytest.raises(ValueError):
-        parse_log(f"0.0\thit\t{2**64}\t0\t0\t0\t0\t0.0\n")
+        parse_log(f"0.0\thit\t{2**64}\t0\t0\t0\t0\n")

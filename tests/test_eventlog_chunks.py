@@ -35,7 +35,7 @@ from telegraphsim.eventlog import (
 from test_golden_logs import _cases
 
 HEADER_LINES = 2
-LINE = "0.0\thit\t0\t0\t0\t0\t0\t0.5"
+LINE = "0.0\thit\t0\t0\t0\t0\t0"
 
 
 def assert_same_columns(got: EventLog, want: EventLog) -> None:
@@ -95,7 +95,6 @@ edge_records = st.lists(
         clicks=EDGE_INTS,
         strong=EDGE_INTS,
         weak=EDGE_INTS,
-        aux=EDGE_FLOATS,
     ),
     max_size=30,
 )
@@ -116,9 +115,7 @@ def long_log(n_records: int) -> EventLog:
     epoch = np.arange(n_records) // 4
     kind = np.where(np.arange(n_records) % 4 == 3, eventlog.HIT, eventlog.WEAK_EDGE_CROSSING)
     ints = rng.integers(0, 2**40, size=(4, n_records))
-    return EventLog(
-        np.cumsum(rng.exponential(size=n_records)), kind, epoch, *ints, rng.random(n_records)
-    )
+    return EventLog(np.cumsum(rng.exponential(size=n_records)), kind, epoch, *ints)
 
 
 def test_chunk_boundaries_inside_epochs_with_crossings(tmp_path):
@@ -154,7 +151,7 @@ def test_comments_and_blank_lines_across_chunk_edges(reader, tmp_path):
     assert_same_columns(got, log)
     bad = with_lines(text, {2 * _CHUNK + 7: "1.0\thit\t0"})
     assert str(outcome(lambda t: READERS[reader](t, tmp_path), bad)) == (
-        f"line {2 * _CHUNK + 7}: expected 8 tab-separated fields"
+        f"line {2 * _CHUNK + 7}: expected 7 tab-separated fields"
     )
 
 
@@ -170,15 +167,18 @@ def test_an_unknown_kind_in_a_later_chunk(reader, tmp_path):
 MALFORMED = {
     "short line": (f"# header\n{LINE}\n1.0\thit\t0\n", None),
     "long line": (f"{LINE}\n{LINE}\t1\n", None),
-    "unknown kind": ("0.0\tflash\t0\t0\t0\t0\t0\t0.0\n", None),
+    "unknown kind": ("0.0\tflash\t0\t0\t0\t0\t0\n", None),
     "kind one character long": (LINE.replace("hit", "weak_edge_crossingX") + "\n", None),
     "kind longer than the kind column": (
         LINE.replace("hit", "weak_edge_crossingXYZ") + "\n", None
     ),
-    "v1 start in a v2 log": (LINE.replace("hit", "epoch_start") + "\n", None),
+    "v1 start in a v3 log": (LINE.replace("hit", "epoch_start") + "\n", None),
     "# in the kind": (LINE.replace("hit", "hit#x") + "\n", None),
     # Python's float and int named no line
-    "# in a float": (LINE + "#x\n", "line 1: could not convert string '0.5#x' to float64"),
+    "# in a float": (
+        LINE.replace("0.0", "0.0#x", 1) + "\n",
+        "line 1: could not convert string '0.0#x' to float64",
+    ),
     "# in an int": (
         LINE.replace("\t0\t", "\t0#\t", 1) + "\n",
         "line 1: could not convert string '0#' to int64",
@@ -205,7 +205,7 @@ def test_malformed_logs_raise_where_the_per_field_parser_raises(case, tmp_path):
 
 
 @pytest.mark.parametrize("bad, message", [
-    ("1.0\thit\t0", "expected 8 tab-separated fields"),
+    ("1.0\thit\t0", "expected 7 tab-separated fields"),
     (LINE.replace("\t0\t", "\tzero\t", 1), "could not convert string 'zero' to int64"),
 ])
 def test_a_bad_line_in_a_later_chunk_is_named_by_its_number(bad, message, tmp_path):
@@ -225,13 +225,12 @@ def test_analyze_names_a_bad_line_in_the_second_chunk(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"cannot read {path}: line {_CHUNK + 5}: expected 8 tab-separated fields\n"
+    assert captured.err == f"cannot read {path}: line {_CHUNK + 5}: expected 7 tab-separated fields\n"
 
 
 @pytest.mark.parametrize("text", [
     "",
     serialize_log([]),
-    "# telegraph-event-log v1\n# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux\n",
     serialize_log([]) + "\n\n# a comment\n",
 ])
 def test_a_log_without_records_parses_empty_and_warns_nothing(text):
@@ -240,6 +239,28 @@ def test_a_log_without_records_parses_empty_and_warns_nothing(text):
         log = parse_log(text)
     assert len(log) == 0
     assert_same_columns(log, parse_log_by_fields(text))
+
+
+@pytest.mark.parametrize("records", [
+    "",
+    "0.5\tweak_edge_crossing\t0\t0\t0\t0\t1\t1.0\n1.0\thit\t0\t0\t1\t1\t1\t0.25\n",
+], ids=["no records", "records"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_log_of_another_format_version_is_refused(version, records, tmp_path, capsys):
+    text = (
+        f"# telegraph-event-log v{version}\n"
+        "# time\tkind\tepoch\tatom\tclicks\tstrong\tweak\taux\n" + records
+    )
+    message = f"line 1: event log format v{version}; this reader reads v3"
+    for read in READERS.values():
+        assert str(outcome(lambda t: read(t, tmp_path), text)) == message
+    assert str(outcome(parse_log_by_fields, text)) == message
+    path = tmp_path / "events_000.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot read {path}: {message}\n"
 
 
 def test_numpy_reader_gets_at_most_a_chunk_of_lines(monkeypatch, tmp_path):

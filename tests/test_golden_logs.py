@@ -28,9 +28,11 @@ commit unpacked into DIR, run::
 
 which runs every case on both trees (DIR's through its own command line) and
 prints, for each file that differs, an event log's row counts, whether its
-integer columns are equal and its largest time and aux differences, a
+integer columns are equal and its largest time difference, a
 ``report.jsonl``'s moved keys and each count that differs with its
 trajectory (or ``aggregate``), or the lines of a ``report.txt`` that differ.
+Event logs are compared as tab-separated text, their columns named by each
+file's own column line, so two trees whose log formats differ compare too.
 """
 
 from __future__ import annotations
@@ -161,9 +163,25 @@ def test_compare_finds_one_perturbed_float(tmp_path):
     delta = abs(float(read_log(old / "events_001.tsv").time[len(log) // 2]) - log.time[len(log) // 2])
     assert compare_outputs(tmp_path / "old", tmp_path / "new") == [
         f"{case} events_001.tsv: rows {len(log)} -> {len(log)}; integer columns equal; "
-        f"max |dtime| {delta:.3g}; max |daux| 0",
+        f"max |dtime| {delta:.3g}",
         f"{case} report.jsonl: moved keys dark_mean, hits; "
         f"counts differ: trajectory 0: hits {first['hits'] - 1} -> {first['hits']}",
+    ]
+
+
+def test_compare_reads_logs_across_a_format_change(tmp_path):
+    """A v2 log, which has an eighth field, ``aux``, compares with its v3 log."""
+    case = "v-both-renewal"
+    old, new = tmp_path / "old" / case, tmp_path / "new" / case
+    _run(_cases()[case], new)
+    shutil.copytree(new, old)
+    v3 = (new / "events_000.tsv").read_text(encoding="utf-8").splitlines()
+    v2 = ["# telegraph-event-log v2", v3[1] + "\taux", *(line + "\t0.5" for line in v3[2:])]
+    (old / "events_000.tsv").write_text("\n".join(v2) + "\n", encoding="utf-8")
+    rows = len(v3) - 2
+    assert rows > 0
+    assert compare_outputs(tmp_path / "old", tmp_path / "new") == [
+        f"{case} events_000.tsv: rows {rows} -> {rows}; integer columns equal; max |dtime| 0"
     ]
 
 
@@ -195,18 +213,28 @@ def _labelled(doc: dict) -> tuple[str, dict]:
     return f"trajectory {doc['trajectory']}", _flat(doc)
 
 
+def _log_columns(path: Path) -> dict[str, list[str]]:
+    """An events file's fields as text, by the names on the file's own column line.
+
+    Any format version's file reads this way, so logs compare across a format change.
+    """
+    lines = path.read_text("utf-8").splitlines()
+    names = next(line[2:].split("\t") for line in lines if line.startswith("# time\t"))
+    rows = [line.split("\t") for line in lines if line and not line.startswith("#")]
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
 def _compare_file(old: Path, new: Path) -> str:
     """How ``new`` differs from ``old``, a file of the same name from another tree."""
     if old.suffix == ".tsv":
-        a, b = read_log(old), read_log(new)
-        parts = [f"rows {len(a)} -> {len(b)}"]
-        if len(a) == len(b):
-            ints = [c for c in EventLog.COLUMNS if c not in ("time", "aux")]
-            same = all(np.array_equal(getattr(a, c), getattr(b, c)) for c in ints)
+        a, b = _log_columns(old), _log_columns(new)
+        parts = [f"rows {len(a['time'])} -> {len(b['time'])}"]
+        if len(a["time"]) == len(b["time"]):
+            # the kind and the integer columns of this tree's format, compared as written
+            same = all(a[c] == b[c] for c in EventLog.COLUMNS[1:])
             parts.append("integer columns " + ("equal" if same else "differ"))
-            for c in ("time", "aux"):
-                delta = np.abs(getattr(a, c) - getattr(b, c)).max(initial=0.0)
-                parts.append(f"max |d{c}| {delta:.3g}")
+            delta = np.abs(np.array(a["time"], float) - np.array(b["time"], float))
+            parts.append(f"max |dtime| {delta.max(initial=0.0):.3g}")
         return "; ".join(parts)
     if old.name == "report.jsonl":
         a, b = ([_labelled(json.loads(line)) for line in f.read_text("utf-8").splitlines()]

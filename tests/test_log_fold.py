@@ -147,7 +147,7 @@ def test_a_crossing_logged_after_its_dark_periods_closing_hit_counts():
     ]
     time, kind, epoch = map(np.array, zip(*records))
     zeros = np.zeros(len(time), np.int64)
-    log = EventLog(time, kind, epoch, zeros, zeros, zeros, zeros, np.ones(len(time)))
+    log = EventLog(time, kind, epoch, zeros, zeros, zeros, zeros)
     validate_log(log)
     want = analyze_whole_log(cfg, log)
     assert want["analysis"]["timing"] == {"at_end": 1, "at_start": 0, "ambiguous": 0}

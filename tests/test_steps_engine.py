@@ -52,10 +52,9 @@ def _shift_to(label: ComponentLabel, root: ComponentLabel) -> ComponentLabel:
     )
 
 
-def _record(time, kind: EventKind, epoch: int, label: ComponentLabel, aux: float) -> EventRecord:
+def _record(time, kind: EventKind, epoch: int, label: ComponentLabel) -> EventRecord:
     return EventRecord(
-        float(time), kind, epoch, label.atom.value, label.clicks, label.strong, label.weak,
-        float(aux),
+        float(time), kind, epoch, label.atom.value, label.clicks, label.strong, label.weak
     )
 
 
@@ -124,17 +123,17 @@ def _oracle_steps(cfg, rng, epochs=None) -> TrajectoryResult:
                     break
         if hit is None:
             break
+        # a clean hit: its target holds mass, and no more than all of it
+        assert 0.0 < hit.delivered_mass_at_hit <= 1.0, hit
         if hit.target.weak > 0:
             tau = hit.time - t_epoch
             for t_cross, target in _crossings(_template(ep), hit.target, tau, t_epoch):
                 records.append(
-                    _record(
-                        t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root), 1.0
-                    )
+                    _record(t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root))
                 )
         # the hit realizes its target, without its ready marks, as the next root
         root = _shift_to(hit.target.without_marks(), root)
-        records.append(_record(hit.time, EventKind.HIT, epoch, root, hit.delivered_mass_at_hit))
+        records.append(_record(hit.time, EventKind.HIT, epoch, root))
         t = hit.time
         epoch += 1
     res.records = EventLog.of(records)
