@@ -312,14 +312,21 @@ class EpochTemplate:
 
 @dataclass(frozen=True)
 class HazardChunk:
-    """Steps of one size from a mass vector, as ``flow.step`` would take them."""
+    """Steps of one size from a mass vector, as ``flow.step`` would take them.
+
+    ``drift_max[i]`` is the largest |total mass - 1| after any of steps 0
+    to i, a running maximum taken once per chunk. Every pass over a chunk
+    starts at its step 0, so one read gives the worst drift of the steps it
+    took, and the first step whose drift passes a tolerance is the first
+    at which the running maximum does, with the same value.
+    """
 
     start: np.ndarray  # every mass at the first step boundary
     n_sub: int  # substeps per step
     dt_sub: float  # the substeps' length
     ready: np.ndarray  # ready-target masses at each substep boundary, one row each
     hazard: np.ndarray  # ``rules.hazards`` of ``ready``: one per substep
-    drift: np.ndarray  # |total mass - 1| after each step
+    drift_max: np.ndarray  # running maximum of |total mass - 1| after each step
 
 
 def hazard_chunk(
@@ -333,9 +340,9 @@ def hazard_chunk(
     n_sub = system.substeps(dt)
     dt_sub = dt / n_sub
     rows = propagate(start, [(system.propagator(dt_sub), steps * n_sub)])
-    drift = np.abs(rows[n_sub::n_sub].sum(axis=1) - 1.0)
+    drift_max = np.maximum.accumulate(np.abs(rows[n_sub::n_sub].sum(axis=1) - 1.0))
     ready = rows[:, np.array(ready_idx, dtype=np.intp)]
-    return HazardChunk(start, n_sub, dt_sub, ready, hazards(ready), drift), rows[-1].copy()
+    return HazardChunk(start, n_sub, dt_sub, ready, hazards(ready), drift_max), rows[-1].copy()
 
 
 class HazardTable:

@@ -28,12 +28,16 @@ Both run every epoch on the same compiled epoch, the live ladder cut at
 ``depth`` weak cycles: mass that reaches a frontier label stays there
 until the hit.
 Both draw from one stream of uniforms per trajectory, ``_Uniforms``, and
-hand their hits to one trajectory loop, ``_trajectory``, which keeps the
-root's atom and photon ledger and makes the log as columns: each hit
-and the weak-edge crossings before it. It hands them on a block of epochs
-at a time; ``run`` writes each block to the log file and folds it into
-the trajectory's summary (``analysis.LogFold``), so no whole log is ever
-held.
+hand their hits to one trajectory loop, ``_trajectory``, a block of
+epochs per draw: every epoch up to and including the first hit that
+moves the root to another atom, the end of the run, or ``UNIFORM_BLOCK``
+epochs. A ``steps`` draw that meets a breach after completing epochs
+returns them and raises on its next call, so the log keeps them. The
+loop keeps the root's atom and photon ledger and makes the log as
+columns, once per block: each hit and the weak-edge crossings before
+it. It hands them on a block of epochs at a time; ``run`` writes each
+block to the log file and folds it into the trajectory's summary
+(``analysis.LogFold``), so no whole log is ever held.
 
 The no-observer mode has no stochastic events at all. On every engine
 it runs the flow driver, ``_flow``, which moves the flow forward in large
@@ -76,7 +80,8 @@ from .state import AtomLevel, ComponentLabel
 MASS_ABORT_TOL = 1e-6
 # the names of the files ``run`` writes, which a run first deletes from its ``out``
 _RUN_OUTPUT = re.compile(r"report\.jsonl|report\.txt|diagnostic\.json|events_[0-9]+\.tsv")
-#: Uniforms a trajectory draws from its generator at a time, at least.
+#: Uniforms a trajectory draws from its generator at a time, at least, and the most
+#: epochs one draw returns.
 UNIFORM_BLOCK = 4096
 
 
@@ -164,13 +169,16 @@ def _trajectory(
 
     ``draw(ep, t, epoch)`` samples the epochs that start at ``t`` on ``ep``,
     numbered from ``epoch``, up to and including the first hit that moves
-    the root to another atom. It returns their hit targets as positions in
-    ``ep.ready`` (``sinks``), their sampled lengths ``tau``, ``times`` (the
-    first epoch's start, then each hit time), and the trajectory's final
-    time if it ends in this block, else None. The loop keeps the root's
-    atom and photon ledger: a hit's record holds the ledger after it, and
-    each of its weak-edge crossings the ledger before it plus the crossed
-    edge's target's.
+    the root to another atom, the end of the run, or ``UNIFORM_BLOCK``
+    epochs. It returns their hit targets as positions in ``ep.ready``
+    (``sinks``), their sampled lengths ``tau``, ``times`` (the first
+    epoch's start, then each hit time), and the trajectory's final time if
+    it ends in this block, else None. A draw that meets a breach after
+    completing epochs returns them and raises it on its next call. The
+    loop keeps the root's atom and photon ledger, one cumulative sum per
+    block: a hit's record holds the ledger after it, and each of its
+    weak-edge crossings the ledger before it plus the crossed edge's
+    target's.
 
     The records go to ``consume`` in log order, a block of whole epochs at
     a time, once about ``_CHUNK`` of them are drawn, and every epoch drawn
@@ -305,89 +313,126 @@ def _renewal(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Call
 
 
 def _steps(
-    chunk: HazardChunk, off: int, times: np.ndarray, uniforms: _Uniforms, res: TrajectoryResult
-) -> tuple[int, Optional[tuple[int, float]]]:
-    """Steps ``off`` onwards of ``chunk``, one per interval of ``times``, up to the hit.
+    chunk: HazardChunk, t: float, dt: float, duration: float, uniforms: _Uniforms,
+    res: TrajectoryResult,
+) -> tuple[int, Optional[int], float]:
+    """The steps of ``chunk`` from ``t``, up to the hit or a step shorter than ``dt``.
 
     While the chunk has ready targets each substep uses one uniform, and
     the first that falls below its substep's hazard is the hit; its target
     comes from ``rules.substep_hit`` on the two ready rows around the
-    substep. Returns the number of steps taken and the hit, if any, as its
-    target's position in the ready targets and its time.
+    substep. The step times are summed only up to the hit step, and
+    searched for a step that would be shorter than ``dt`` only when the
+    last of them reaches ``duration - dt``. Returns the number of steps
+    taken, the hit's target as its position in the ready targets (None
+    without a hit), and the hit's time, or without one the time after the
+    steps.
     """
-    n, n_sub = len(times) - 1, chunk.n_sub
+    n, n_sub = len(chunk.drift_max), chunk.n_sub
     s = None  # the hit's substep
     if chunk.ready.shape[1]:
         u = uniforms.peek(n * n_sub)
-        below = u < chunk.hazard[off * n_sub : (off + n) * n_sub]
+        below = u < chunk.hazard
         s = int(below.argmax())
         if below[s]:
             n = s // n_sub + 1
         else:
             s = None
+    # the step boundaries, summed one dt at a time as successive steps sum them
+    times = np.empty(n + 1)
+    times.fill(dt)
+    times[0] = t
+    times.cumsum(out=times)
+    if duration - times[n - 1] < dt:
+        # the first step shorter than dt, and every step after it, is not taken here
+        n, s = int(np.flatnonzero(duration - times[:n] < dt)[0]), None
+    if chunk.ready.shape[1]:
         uniforms.use(n * n_sub if s is None else s + 1)
-    drift = chunk.drift[off : off + n]
-    breach = np.flatnonzero(drift > MASS_ABORT_TOL)
-    if breach.size:
-        b = int(breach[0])
+    worst = chunk.drift_max[n - 1]
+    if worst > MASS_ABORT_TOL:
+        b = int(np.flatnonzero(chunk.drift_max > MASS_ABORT_TOL)[0])
+        residual = chunk.drift_max[b]
         raise InvariantBreach(
-            f"mass conservation broke at t={float(times[b + 1])}: residual {drift[b]:.3e}"
+            f"mass conservation broke at t={float(times[b + 1])}: residual {residual:.3e}"
         )
-    res.max_mass_residual = max(res.max_mass_residual, float(drift.max()))
+    res.max_mass_residual = max(res.max_mass_residual, float(worst))
     res.steps_taken += n
     if s is None:
-        return n, None
+        return n, None, float(times[n])
     # the substep's bounds as flow.step sums them; the hit is at their midpoint
     t_sub = float(times[n - 1])
     for _ in range(s % n_sub):
         t_sub += chunk.dt_sub
-    row = off * n_sub + s
-    m_start, m_end = chunk.ready[row], chunk.ready[row + 1]
+    m_start, m_end = chunk.ready[s], chunk.ready[s + 1]
     j = substep_hit(m_start, m_end, range(len(m_start)), float(u[s]))
-    return n, (j, 0.5 * (t_sub + (t_sub + chunk.dt_sub)))
+    return n, j, 0.5 * (t_sub + (t_sub + chunk.dt_sub))
 
 
 def _stepped(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Callable:
-    """The ``steps`` engine's draw: per-step transport and trigger, up to the hit.
+    """The ``steps`` engine's draw: per-step transport and trigger, a block of epochs per call.
 
-    Every epoch steps the canonical chain of its compiled epoch in one
-    loop, a block of steps per pass, and every block is decided by
-    ``_steps`` on a table of per-substep hazards: the uniforms, one per
-    substep while the epoch has ready targets, are drawn in blocks and
-    compared with the tabulated hazards, and the first one below its
-    hazard is the hit. While ``duration - t >= dt_max`` a block is the rest
-    of a chunk of the compiled epoch's hazard table, cut before the first
-    step that would be shorter. After that each step, shorter than
-    ``dt_max``, is a block of its own, tabulated by ``hazard_chunk`` from
-    the masses the steps before it left. Draws, times and masses are those
-    of ``flow.step`` and ``rules.trigger`` on every step, so the logs are
-    byte-identical to stepping every step with them.
+    A draw steps epoch after epoch on one compiled epoch, up to and
+    including the first hit that moves the root to another atom, the end
+    of the run, or ``UNIFORM_BLOCK`` epochs, whichever comes first. Every
+    epoch steps the canonical chain of its compiled epoch from its root,
+    a block of steps per pass, and every block is decided by ``_steps`` on
+    a table of per-substep hazards: the uniforms, one per substep while the
+    epoch has ready targets, are drawn in blocks and compared with the
+    tabulated hazards, and the first one below its hazard is the hit.
+    While ``duration - t >= dt_max`` a block is a chunk of the compiled
+    epoch's hazard table, cut before the first step that would be shorter.
+    After that each step, shorter than ``dt_max``, is a block of its own,
+    tabulated by ``hazard_chunk`` from the masses the steps before it left.
+    A breach in an epoch after others of the block were completed returns
+    those epochs, and the next call raises it, so the log keeps them.
+    Draws, times and masses are those of ``flow.step`` and
+    ``rules.trigger`` on every step, so the logs are byte-identical to
+    stepping every step with them.
     """
+    breach: Optional[InvariantBreach] = None  # met after the epochs the last call returned
+
+    def epoch_hit(ep: CompiledEpoch, t: float) -> tuple[Optional[int], float]:
+        """The hit's target and time of the epoch that starts at ``t``, or None and the end."""
+        k = 0  # the epoch's full steps
+        while cfg.duration - t >= cfg.dt_max:
+            table = ep.hazards(cfg.dt_max)
+            chunk = table.chunk(k // table.steps)
+            n, j, t = _steps(chunk, t, cfg.dt_max, cfg.duration, uniforms, res)
+            if j is not None:
+                return j, t
+            k += n
+        m = ep.hazards(cfg.dt_max).masses_at(k) if k else ep.root_masses
+        while t < cfg.duration:
+            dt = cfg.duration - t
+            chunk, m = hazard_chunk(ep.system, ep.ready_idx, m, dt, 1)
+            _, j, t = _steps(chunk, t, dt, cfg.duration, uniforms, res)
+            if j is not None:
+                return j, t
+        return None, t
 
     def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
-        t_epoch, k, hit = t, 0, None  # k counts the epoch's steps
-        m = None  # every mass after the last short step
-        while hit is None and t < cfg.duration:
-            if cfg.duration - t >= cfg.dt_max:
-                table = ep.hazards(cfg.dt_max)
-                c, off = divmod(k, table.steps)
-                chunk, dt, n = table.chunk(c), cfg.dt_max, table.steps - off
-            else:
-                if m is None:
-                    m = ep.hazards(cfg.dt_max).masses_at(k) if k else ep.root_masses
-                dt, off, n = cfg.duration - t, 0, 1
-                chunk, m = hazard_chunk(ep.system, ep.ready_idx, m, dt, 1)
-            # the step boundaries, summed one dt at a time as successive steps sum them
-            times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
-            short = np.flatnonzero(cfg.duration - times[:n] < dt)
-            n = int(short[0]) if short.size else n
-            n, hit = _steps(chunk, off, times[: n + 1], uniforms, res)
-            k += n
-            t = float(times[n])
-        if hit is None:
-            return [], [], [t], t
-        j, t_hit = hit
-        return [j], [t_hit - t_epoch], [t_epoch, t_hit], None
+        nonlocal breach
+        if breach is not None:
+            raise breach
+        root = ep.graph.root.atom.value
+        sinks, times, end = [], [t], None
+        while len(sinks) < UNIFORM_BLOCK:
+            try:
+                j, t = epoch_hit(ep, t)
+            except InvariantBreach as exc:
+                if not sinks:
+                    raise
+                breach = exc
+                break
+            if j is None:
+                end = t
+                break
+            sinks.append(j)
+            times.append(t)
+            if ep.sink_atoms[j] != root:
+                break
+        times = np.array(times)
+        return np.array(sinks, dtype=np.intp), np.diff(times), times, end
 
     return draw
 

@@ -6,7 +6,9 @@ every step with ``flow.step`` and drew every uniform inside the trigger,
 with that trigger's arithmetic written out. It realizes each hit and logs it with its
 own label bookkeeping (``_shift_to`` and ``_record``), apart from the
 engine's column writer. The two must give byte-identical logs and equal
-result fields, and raise the same breach.
+result fields, and raise the same breach, after logging the same epochs.
+The engine's draw hands over a block of epochs per call; the ``draws``
+fixture records what each call returned.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from telegraphsim import runner
 from telegraphsim.config import RunConfig
 from telegraphsim.errors import InvariantBreach
 from telegraphsim.eventlog import (
-    HIT, WEAK_EDGE_CROSSING, EventKind, EventLog, EventRecord, serialize_log,
+    HIT, WEAK_EDGE_CROSSING, EventKind, EventLog, EventRecord, read_log, serialize_log,
 )
 from telegraphsim.flow import step
 from telegraphsim.rules import HitEvent, hazards, substep_hit
@@ -30,6 +32,7 @@ from telegraphsim.runner import (
     TrajectoryResult,
     _CompiledEpochs,
     _crossings,
+    _stepped,
     _template,
     derive_rng,
     run_trajectory,
@@ -94,7 +97,11 @@ def _oracle_trigger(report, ready_idx, rng) -> Optional[HitEvent]:
 
 
 def _oracle_steps(cfg, rng, epochs=None) -> TrajectoryResult:
-    """One ``flow.step`` and one trigger call per step, one scalar draw per substep."""
+    """One ``flow.step`` and one trigger call per step, one scalar draw per substep.
+
+    A breach carries the records of the epochs completed before it, as
+    ``records``.
+    """
     epochs = _CompiledEpochs(cfg) if epochs is None else epochs
     records: list[EventRecord] = []
     res = TrajectoryResult(records=EventLog.of(()), epochs=0)
@@ -115,7 +122,9 @@ def _oracle_steps(cfg, rng, epochs=None) -> TrajectoryResult:
             t = state.time
             drift = abs(float(state.masses.sum()) - 1.0)
             if drift > runner.MASS_ABORT_TOL:
-                raise InvariantBreach(f"mass conservation broke at t={t}: residual {drift:.3e}")
+                breach = InvariantBreach(f"mass conservation broke at t={t}: residual {drift:.3e}")
+                breach.records = EventLog.of(records)
+                raise breach
             res.max_mass_residual = max(res.max_mass_residual, drift)
             if ep.ready_idx:
                 hit = _oracle_trigger(report, ep.ready_idx, rng)
@@ -153,6 +162,30 @@ def per_step_calls(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """What each ``steps`` draw returned: its epochs, its final time and whether it moved the root.
+
+    One list per trajectory, in call order.
+    """
+    calls = []
+
+    def counted(cfg, uniforms, res):
+        real = _stepped(cfg, uniforms, res)
+        calls.append([])
+
+        def draw(ep, t, epoch):
+            sinks, tau, times, end = real(ep, t, epoch)
+            moved = len(sinks) > 0 and ep.sink_atoms[sinks[-1]] != ep.graph.root.atom.value
+            calls[-1].append((len(sinks), end, bool(moved)))
+            return sinks, tau, times, end
+
+        return draw
+
+    monkeypatch.setattr(runner, "_stepped", counted)
     return calls
 
 
@@ -299,3 +332,65 @@ def test_tabulated_hazards_decide_as_the_scalar_trigger():
         for u in (0.0, hazard, np.nextafter(hazard, 0.0), 0.5, 0.999):
             hit = substep_hit(ready[k], ready[k + 1], range(3), float(u))
             assert (hit is not None) == (u < hazard)
+
+
+def test_a_breach_after_completed_epochs_keeps_them(monkeypatch, tmp_path):
+    """The draw that meets the breach hands over the two epochs it completed before it."""
+    monkeypatch.setattr(runner, "MASS_ABORT_TOL", 1.2e-14)
+    cfg = RunConfig(kind="v", engine="steps", duration=200.0, master_seed=4242)
+    with pytest.raises(InvariantBreach) as want:
+        _oracle_steps(cfg, derive_rng(cfg.master_seed, 0))
+    error = "mass conservation broke at t=4.849999999999941: residual 1.210e-14"
+    assert str(want.value) == error
+    out = tmp_path / "out"
+    assert runner.run(replace(cfg, out=str(out))) == 2
+    diagnostic = json.loads((out / "diagnostic.json").read_text(encoding="utf-8"))
+    assert diagnostic["error"] == error
+    assert diagnostic["epochs_logged"] == 2
+    log = read_log(out / diagnostic["partial_log"])
+    assert log.time.tolist() == [2.0450000000000004, 2.5599999999999894]
+    assert serialize_log(log) == serialize_log(want.value.records)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_cut_at_the_cap_match_the_loop(kind, monkeypatch, draws):
+    """With at most 3 epochs a draw, blocks end by the cap, an atom move and the duration.
+
+    Some lambda hit moves the root off the ground atom.
+    """
+    monkeypatch.setattr(runner, "UNIFORM_BLOCK", 3)
+    epochs = _CompiledEpochs(RunConfig(kind=kind, **FAST_WEAK))
+    for dt_max in (0.01, 0.2):
+        cfg = RunConfig(
+            kind=kind, engine="steps", duration=30.3, dt_max=dt_max, master_seed=5, **FAST_WEAK
+        )
+        for i in range(2):
+            _assert_same(cfg, i, epochs=epochs)
+    blocks = [block for trajectory in draws for block in trajectory]
+    assert all(n <= 3 for n, _, _ in blocks)
+    ends = {
+        "cap" if n == 3 and end is None and not moved else
+        "move" if moved else
+        "duration" if end is not None else "other"
+        for n, end, moved in blocks
+    }
+    assert {"cap", "duration"} <= ends <= {"cap", "duration", "move"}
+    if kind == "lambda":
+        assert "move" in ends
+
+
+def test_draws_are_blocks(draws):
+    """A draw returns every epoch up to the first atom move, the end of the run or the cap.
+
+    Every V hit returns the root to the ground atom, so a trajectory of
+    about 60 epochs takes one or two draws, not one per epoch.
+    """
+    cfg = RunConfig(kind="v", engine="steps", duration=125.0, master_seed=4242)
+    epochs = _CompiledEpochs(cfg)
+    for i in range(2):
+        res = run_trajectory(cfg, i, epochs)
+        hits = res.records.atom[res.records.kind == HIT]
+        moves = int((hits != np.concatenate(([AtomLevel.GROUND.value], hits[:-1]))).sum())
+        assert res.epochs > 40
+        assert len(draws[i]) <= moves + res.epochs // runner.UNIFORM_BLOCK + 2
+        assert sum(n for n, _, _ in draws[i]) == res.epochs
