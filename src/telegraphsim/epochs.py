@@ -134,6 +134,7 @@ class CrossingStage:
     """One weak-photon-creating edge feeding a ready target."""
 
     edge: FlowEdge
+    target: int  # the edge's target, as a position in the template's labels
     flux_rate: np.ndarray  # rate * m_source(t) on the template grid
     lag_density: np.ndarray  # arrival density at the target of a unit impulse
 
@@ -243,44 +244,48 @@ class EpochTemplate:
         A stage is a ``WEAK_EMIT`` edge whose target reaches the sink. On the
         live ladder weak counts only grow along an edge and every branch ends
         at its first ready label, so the target reaches exactly the sinks of
-        at least its weak count. One propagation carries a unit impulse at
-        each such target, one column each, and records only the (sink,
-        impulse) arrival curves of the stages.
+        at least its weak count. Each weak edge has a target of its own, so
+        one propagation carries a unit impulse at the target of each weak
+        edge that reaches a sink, one column per edge, and records only the
+        (sink, impulse) arrival curves of the stages.
         """
         system = self.system
-        weak = [i for i, e in enumerate(system.edges) if e.kind is EdgeKind.WEAK_EMIT]
-        pairs = sorted(
-            ((i, p) for i in weak for p, sink in enumerate(self.sink_labels)
-             if system.edges[i].target.weak <= sink.weak),
-            key=lambda pair: system.edges[pair[0]].target.weak,
+        deepest = max((sink.weak for sink in self.sink_labels), default=-1)
+        weak = sorted(
+            (i for i, e in enumerate(system.edges)
+             if e.kind is EdgeKind.WEAK_EMIT and e.target.weak <= deepest),
+            key=lambda i: system.edges[i].target.weak,
         )
+        # (impulse column, sink position) of each stage
+        pairs = [(c, p) for c, i in enumerate(weak) for p, sink in enumerate(self.sink_labels)
+                 if system.edges[i].target.weak <= sink.weak]
         stages: dict[ComponentLabel, list[CrossingStage]] = {lab: [] for lab in self.sink_labels}
         if pairs:
-            targets = list(dict.fromkeys(system.dst_idx[i] for i, _ in pairs))
-            impulses = np.zeros((len(self.labels), len(targets)))
-            impulses[targets, range(len(targets))] = 1.0
-            cols = np.array([targets.index(system.dst_idx[i]) for i, _ in pairs])
-            take = (self.sink_idx[[p for _, p in pairs]], cols)
-            lag_cum = propagate(impulses, self._pieces, take, self._block)
+            impulses = np.zeros((len(self.labels), len(weak)))
+            impulses[system.dst_idx[weak], range(len(weak))] = 1.0
+            cols, sinks = np.array(pairs).T
+            lag_cum = propagate(impulses, self._pieces, (self.sink_idx[sinks], cols), self._block)
             np.maximum.accumulate(lag_cum, axis=0, out=lag_cum)
             dens = np.zeros(lag_cum.shape[::-1])  # one contiguous row per pair
             dens[:, 1:] = np.diff(lag_cum.T, axis=1) / np.diff(self.grid)
-            flux = {i: system.rates[i] * self.masses[:, system.src_idx[i]] for i, _ in pairs}
-            for (i, p), lag in zip(pairs, dens):
-                stages[self.sink_labels[p]].append(CrossingStage(system.edges[i], flux[i], lag))
+            flux = [system.rates[i] * self.masses[:, system.src_idx[i]] for i in weak]
+            for (c, p), lag in zip(pairs, dens):
+                i = weak[c]
+                stages[self.sink_labels[p]].append(
+                    CrossingStage(system.edges[i], int(system.dst_idx[i]), flux[c], lag)
+                )
         return {sink: tuple(st) for sink, st in stages.items()}
 
-    def crossing_times(
-        self, sink: ComponentLabel, tau: float
-    ) -> list[tuple[FlowEdge, float]]:
+    def crossing_times(self, sink: ComponentLabel, tau: float) -> list[tuple[int, float]]:
         """Flux-weighted median emission time of each realized weak photon.
 
         For a hit on ``sink`` at epoch time ``tau``, each weak edge on
         the realized path contributes a crossing-time density
         flux(c) * lag(tau - c); its weighted median is returned per
-        stage, ordered by weak-photon count.
+        stage, ordered by weak-photon count, with the edge's target as a
+        position in ``labels``.
         """
-        return [(st.edge, self._conditional_median(st, tau)) for st in self.crossing_stages[sink]]
+        return [(st.target, self._conditional_median(st, tau)) for st in self.crossing_stages[sink]]
 
     def _conditional_median(self, stage: CrossingStage, tau: float) -> float:
         # Candidate crossing times from both natural grids: the flux
@@ -391,11 +396,12 @@ class CompiledEpoch:
     epoch to the next it only translates with the root's photon ledger.
     An epoch is therefore compiled once per root atom and depth: the graph,
     one FlowSystem over its labels and edges as ``build_epoch`` returns
-    them (whose propagators every step and the template share), and the
-    ready targets in chain order, with each one's atom and photon ledger
-    as arrays. The graph is the live ladder: ``build_epoch`` takes no move
-    out of a ready label, since Rule (4) blocks every edge out of one, so
-    every edge is active. The engines run on these canonical labels; the
+    them (whose propagators every step and the template share), every
+    label's atom and photon ledger as arrays, and the ready targets in
+    chain order, with their slices of those arrays. The root is label 0,
+    so ``atoms[0]`` is its atom. The graph is the live ladder:
+    ``build_epoch`` takes no move out of a ready label, since Rule (4)
+    blocks every edge out of one, so every edge is active. The engines run on these canonical labels; the
     trajectory loop adds the root's ledger to what it records.
     The template and the hazard tables, one per step size, are built on
     first use.
@@ -406,11 +412,14 @@ class CompiledEpoch:
         self.system = FlowSystem(graph.labels, graph.edges)
         self.ready = tuple(lab for lab in self.system.labels if lab.ready)
         self.ready_idx = tuple(self.system.index[lab] for lab in self.ready)
-        # each ready target's atom and photon ledger (clicks, strong, weak), as arrays
-        self.sink_atoms = np.array([lab.atom.value for lab in self.ready], dtype=np.int64)
-        self.sink_ledger = np.array(
-            [(lab.clicks, lab.strong, lab.weak) for lab in self.ready], dtype=np.int64
+        # each label's atom and photon ledger (clicks, strong, weak), and the ready targets'
+        labels = self.system.labels
+        self.atoms = np.array([lab.atom.value for lab in labels], dtype=np.int64)
+        self.ledgers = np.array(
+            [(lab.clicks, lab.strong, lab.weak) for lab in labels], dtype=np.int64
         ).reshape(-1, 3)
+        self.sink_atoms = self.atoms[list(self.ready_idx)]
+        self.sink_ledger = self.ledgers[list(self.ready_idx)]
         self.root_masses = np.zeros(len(self.system.labels))
         self.root_masses[0] = 1.0  # build_epoch lists the root first
         self._hazards: dict[float, HazardTable] = {}

@@ -114,20 +114,12 @@ class EventLog:
         return cls(*columns)
 
     @classmethod
-    def gather(cls, logs: list["EventLog"], order: Union[np.ndarray, slice]) -> "EventLog":
-        """The rows of ``logs`` put end to end, taken in ``order``.
-
-        One column is gathered at a time, so besides ``logs`` and the result
-        at most one column's copy is alive.
-        """
-        columns = (np.concatenate([getattr(g, name) for g in logs]) for name in cls.COLUMNS)
-        return cls(*(col[order] for col in columns))
-
-    @classmethod
     def concat(cls, logs: Iterable["EventLog"]) -> "EventLog":
         """The rows of ``logs`` put end to end."""
         logs = list(logs)
-        return cls.gather(logs, slice(None)) if logs else cls.of(())
+        if not logs:
+            return cls.of(())
+        return cls(*(np.concatenate([getattr(g, name) for g in logs]) for name in cls.COLUMNS))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.COLUMNS)

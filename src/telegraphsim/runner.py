@@ -142,24 +142,9 @@ def _template(ep: CompiledEpoch) -> EpochTemplate:
     return tpl
 
 
-def _crossings(
-    tpl: EpochTemplate, sink: ComponentLabel, tau: float, t_epoch: float
-) -> list[tuple[float, ComponentLabel]]:
-    """Time and canonical target of each weak-edge crossing of a hit on ``sink``, by time."""
-    out = [
-        (min(max(t_epoch + c, t_epoch), t_epoch + tau), edge.target)
-        for edge, c in tpl.crossing_times(sink, tau)
-    ]
-    out.sort(key=lambda tc: tc[0])
-    return out
-
-
 def _rows(kind: int, time, epoch, atom, ledger: np.ndarray) -> EventLog:
     """Records of one kind; ``ledger`` holds one (clicks, strong, weak) row per record."""
-    n = len(time)
-    return EventLog(
-        time, np.full(n, kind), np.broadcast_to(epoch, n), np.broadcast_to(atom, n), *ledger.T
-    )
+    return EventLog(time, np.full(len(time), kind), epoch, atom, *ledger.T)
 
 
 def _trajectory(
@@ -186,15 +171,13 @@ def _trajectory(
     ``consume`` they are put together into ``res.records``.
     """
     blocks = []
-    rows = []  # whole epochs, each draw's crossings and then its hits
+    rows = []  # whole epochs, each draw's rows in log order
     buffered = 0  # records in rows
 
     def flush() -> None:
         nonlocal buffered
         if buffered:
-            # stably sorted by epoch, the rows give the log's order
-            order = np.argsort(np.concatenate([g.epoch for g in rows]), kind="stable")
-            block = EventLog.gather(rows, order)
+            block = EventLog.concat(rows)
             rows.clear()
             buffered = 0
             (consume or blocks.append)(block)
@@ -209,30 +192,34 @@ def _trajectory(
             sinks, tau, times, end = draw(ep, t, epoch)
             deltas = ep.sink_ledger[sinks]
             after = ledger + np.cumsum(deltas, axis=0)
-            # every crossing of the draw's weak epochs, by epoch and then by time
-            crossed = [
-                (q, c, lab)
-                for q in np.flatnonzero(deltas[:, 2] > 0)
-                for c, lab in _crossings(
-                    _template(ep), ep.ready[sinks[q]], float(tau[q]), float(times[q])
-                )
-            ]
             n = len(sinks)
-            # only whole epochs are buffered: a breach above leaves none half logged
+            block = _rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after)
+            weak = np.flatnonzero(deltas[:, 2] > 0).tolist()
+            tpl = _template(ep) if weak else None
+            # every crossing of the draw's weak epochs: its epoch in the draw, target and time
+            crossed = [
+                (w, i, c)
+                for w in weak
+                for i, c in tpl.crossing_times(ep.ready[sinks[w]], float(tau[w]))
+            ]
             if crossed:
-                q = np.array([q for q, _, _ in crossed])
-                shifts = np.array([(lab.clicks, lab.strong, lab.weak) for _, _, lab in crossed])
-                rows.append(
-                    _rows(
-                        WEAK_EDGE_CROSSING,
-                        [c for _, c, _ in crossed],
-                        epoch + q,
-                        [lab.atom.value for _, _, lab in crossed],
-                        after[q] - deltas[q] + shifts,
-                    )
+                q, target, c = map(np.array, zip(*crossed))
+                start = times[q]
+                # each clamped into its epoch, then ordered by epoch and by time within it
+                c = np.minimum(np.maximum(start + c, start), start + tau[q])
+                order = np.lexsort((c, q))
+                q, target, c = q[order], target[order], c[order]
+                crossings = _rows(
+                    WEAK_EDGE_CROSSING, c, epoch + q, ep.atoms[target],
+                    after[q] - deltas[q] + ep.ledgers[target],
                 )
-            rows.append(_rows(HIT, times[1:], epoch + np.arange(n), ep.sink_atoms[sinks], after))
-            buffered += n + len(crossed)
+                # each epoch's crossings go just before its hit
+                block = EventLog(
+                    *(np.insert(h, q, x) for h, x in zip(block.columns(), crossings.columns()))
+                )
+            # only whole epochs are buffered: a breach above leaves none half logged
+            rows.append(block)
+            buffered += len(block)
             epoch += n
             if end is not None:
                 t = end
@@ -271,12 +258,6 @@ class _Uniforms:
             self._u, self._pos = np.concatenate((self._u[self._pos :], fresh)), 0
         return self._u[self._pos : self._pos + n]
 
-    def rest(self) -> np.ndarray:
-        """The unused uniforms of the current block, or a fresh block if none are left."""
-        if self._pos == len(self._u):
-            self._u, self._pos = self._rng.random(UNIFORM_BLOCK), 0
-        return self._u[self._pos :]
-
     def use(self, n: int) -> None:
         self._pos += n
 
@@ -284,11 +265,11 @@ class _Uniforms:
 def _renewal(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Callable:
     """The ``renewal`` engine's draw: one uniform per epoch, ``UNIFORM_BLOCK`` at a time.
 
-    Each draw inverts the unused rest of the block at once under the
-    template of the root atom. A hit that lands on another atom cuts it, and
-    the rest of the block is inverted under that atom's template. Hit times
-    are cumulative sums of the sampled epoch lengths. The tail of the last
-    block is never used.
+    Each draw inverts the next ``UNIFORM_BLOCK`` uniforms of the stream at
+    once under the template of the root atom and uses them up to and
+    including the first hit that lands on another atom; the next draw
+    inverts the uniforms after that hit under that atom's template. Hit
+    times are cumulative sums of the sampled epoch lengths.
     """
 
     def draw(ep: CompiledEpoch, t: float, epoch: int) -> tuple:
@@ -296,9 +277,9 @@ def _renewal(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Call
         res.max_mass_residual = max(res.max_mass_residual, tpl.conservation_residual)
         if not tpl.has_sinks:
             return [], [], [t], cfg.duration
-        j, tau = tpl.sample_hits(uniforms.rest())
+        j, tau = tpl.sample_hits(uniforms.peek(UNIFORM_BLOCK))
         # this template holds up to and including the first hit on another atom
-        moves = np.flatnonzero(ep.sink_atoms[j] != ep.graph.root.atom.value)
+        moves = np.flatnonzero(ep.sink_atoms[j] != ep.atoms[0])
         n = int(moves[0]) + 1 if moves.size else len(j)
         uniforms.use(n)
         times = np.cumsum(np.concatenate(([t], tau[:n])))
@@ -414,7 +395,7 @@ def _stepped(cfg: RunConfig, uniforms: _Uniforms, res: TrajectoryResult) -> Call
         nonlocal breach
         if breach is not None:
             raise breach
-        root = ep.graph.root.atom.value
+        root = ep.atoms[0]
         sinks, times, end = [], [t], None
         while len(sinks) < UNIFORM_BLOCK:
             try:

@@ -270,7 +270,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
                             if depth > 5 and tau * ratio > 20.0:
                                 continue
                             want = [
-                                tpl._conditional_median(CrossingStage(e, flux, dens), tau)
+                                tpl._conditional_median(CrossingStage(e, tpl.index[e.target], flux, dens), tau)
                                 for e, flux, dens in ref
                             ]
                             c = [c for _, c in tpl.crossing_times(sink, tau)]

@@ -31,9 +31,7 @@ from telegraphsim.rules import HitEvent, hazards, substep_hit
 from telegraphsim.runner import (
     TrajectoryResult,
     _CompiledEpochs,
-    _crossings,
     _stepped,
-    _template,
     derive_rng,
     run_trajectory,
 )
@@ -136,7 +134,15 @@ def _oracle_steps(cfg, rng, epochs=None) -> TrajectoryResult:
         assert 0.0 < hit.delivered_mass_at_hit <= 1.0, hit
         if hit.target.weak > 0:
             tau = hit.time - t_epoch
-            for t_cross, target in _crossings(_template(ep), hit.target, tau, t_epoch):
+            # each crossing clamped into the epoch, in time order
+            crossed = sorted(
+                [
+                    (min(max(t_epoch + c, t_epoch), t_epoch + tau), ep.system.labels[i])
+                    for i, c in ep.template.crossing_times(hit.target, tau)
+                ],
+                key=lambda crossing: crossing[0],
+            )
+            for t_cross, target in crossed:
                 records.append(
                     _record(t_cross, EventKind.WEAK_EDGE_CROSSING, epoch, _shift_to(target, root))
                 )
