@@ -28,7 +28,8 @@ commit unpacked into DIR, run::
 
 which runs every case on both trees (DIR's through its own command line) and
 prints, for each file that differs, an event log's row counts, whether its
-integer columns are equal and its largest time difference, a
+integer columns are equal and the largest time difference of each kind's
+rows (``hit``, then ``weak_edge_crossing``), a
 ``report.jsonl``'s moved keys and each count that differs with its
 trajectory (or ``aggregate``), or the lines of a ``report.txt`` that differ.
 Event logs are compared as tab-separated text, their columns named by each
@@ -51,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from telegraphsim.config import RunConfig, format_config
-from telegraphsim.eventlog import EventLog, read_log, serialize_log
+from telegraphsim.eventlog import EventKind, EventLog, read_log, serialize_log
 from telegraphsim.runner import UNIFORM_BLOCK, run
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -142,8 +143,11 @@ def test_golden_logs(tmp_path):
     assert atom_moves == 2  # both lambda trajectories
 
 
-def test_compare_finds_one_perturbed_float(tmp_path):
-    """``--compare``'s report on a copy of a case's outputs with one time and one report field moved."""
+def _perturb_one_time(tmp_path: Path, kind: EventKind) -> None:
+    """``--compare``'s report on a copy of a case's outputs with one time and one report field moved.
+
+    The moved time is that of a row of ``kind``, and the report names its kind.
+    """
     case = "v-both-renewal"
     old, new = tmp_path / "old" / case, tmp_path / "new" / case
     _run(_cases()[case], old)
@@ -151,7 +155,9 @@ def test_compare_finds_one_perturbed_float(tmp_path):
     assert compare_outputs(tmp_path / "old", tmp_path / "new") == []
 
     log = read_log(new / "events_001.tsv")
-    log.time[len(log) // 2] += 1e-9
+    rows = np.flatnonzero(log.kind == list(EventKind).index(kind))
+    row = rows[len(rows) // 2]
+    log.time[row] += 1e-9
     (new / "events_001.tsv").write_text(serialize_log(log), encoding="utf-8")
     report = (new / "report.jsonl").read_text(encoding="utf-8").splitlines()
     first = json.loads(report[0])
@@ -160,13 +166,23 @@ def test_compare_finds_one_perturbed_float(tmp_path):
     report[0] = json.dumps(first, sort_keys=True)
     (new / "report.jsonl").write_text("\n".join(report) + "\n", encoding="utf-8")
 
-    delta = abs(float(read_log(old / "events_001.tsv").time[len(log) // 2]) - log.time[len(log) // 2])
+    delta = abs(float(read_log(old / "events_001.tsv").time[row]) - log.time[row])
+    moved = {k: f"{delta:.3g}" if k is kind else "0" for k in EventKind}
     assert compare_outputs(tmp_path / "old", tmp_path / "new") == [
         f"{case} events_001.tsv: rows {len(log)} -> {len(log)}; integer columns equal; "
-        f"max |dtime| {delta:.3g}",
+        f"max |dtime| hit {moved[EventKind.HIT]}, "
+        f"weak_edge_crossing {moved[EventKind.WEAK_EDGE_CROSSING]}",
         f"{case} report.jsonl: moved keys dark_mean, hits; "
         f"counts differ: trajectory 0: hits {first['hits'] - 1} -> {first['hits']}",
     ]
+
+
+def test_compare_finds_one_perturbed_float(tmp_path):
+    _perturb_one_time(tmp_path, EventKind.HIT)
+
+
+def test_compare_finds_one_perturbed_crossing(tmp_path):
+    _perturb_one_time(tmp_path, EventKind.WEAK_EDGE_CROSSING)
 
 
 def test_compare_reads_logs_across_a_format_change(tmp_path):
@@ -181,7 +197,8 @@ def test_compare_reads_logs_across_a_format_change(tmp_path):
     rows = len(v3) - 2
     assert rows > 0
     assert compare_outputs(tmp_path / "old", tmp_path / "new") == [
-        f"{case} events_000.tsv: rows {rows} -> {rows}; integer columns equal; max |dtime| 0"
+        f"{case} events_000.tsv: rows {rows} -> {rows}; integer columns equal; "
+        "max |dtime| hit 0, weak_edge_crossing 0"
     ]
 
 
@@ -233,8 +250,12 @@ def _compare_file(old: Path, new: Path) -> str:
             # the kind and the integer columns of this tree's format, compared as written
             same = all(a[c] == b[c] for c in EventLog.COLUMNS[1:])
             parts.append("integer columns " + ("equal" if same else "differ"))
+            # the largest time difference of each kind's rows
             delta = np.abs(np.array(a["time"], float) - np.array(b["time"], float))
-            parts.append(f"max |dtime| {delta.max(initial=0.0):.3g}")
+            kind = np.array(a["kind"])
+            parts.append("max |dtime| " + ", ".join(
+                f"{k.value} {delta[kind == k.value].max(initial=0.0):.3g}" for k in EventKind
+            ))
         return "; ".join(parts)
     if old.name == "report.jsonl":
         a, b = ([_labelled(json.loads(line)) for line in f.read_text("utf-8").splitlines()]
