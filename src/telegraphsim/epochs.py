@@ -264,10 +264,13 @@ class EpochTemplate:
             impulses = np.zeros((len(self.labels), len(weak)))
             impulses[system.dst_idx[weak], range(len(weak))] = 1.0
             cols, sinks = np.array(pairs).T
-            lag_cum = propagate(impulses, self._pieces, (self.sink_idx[sinks], cols), self._block)
-            np.maximum.accumulate(lag_cum, axis=0, out=lag_cum)
-            dens = np.zeros(lag_cum.shape[::-1])  # one contiguous row per pair
-            dens[:, 1:] = np.diff(lag_cum.T, axis=1) / np.diff(self.grid)
+            # a sink's arrival density is the current along its one incoming edge
+            into = [np.flatnonzero(system.dst_idx == j) for j in self.sink_idx[sinks]]
+            if any(len(e) != 1 for e in into):
+                raise ValueError("a sink of a crossing stage has more than one incoming edge")
+            into = np.concatenate(into)
+            feed = propagate(impulses, self._pieces, (system.src_idx[into], cols), self._block)
+            dens = np.ascontiguousarray(feed.T * system.rates[into][:, None])  # a row per pair
             flux = [system.rates[i] * self.masses[:, system.src_idx[i]] for i in weak]
             for (c, p), lag in zip(pairs, dens):
                 i = weak[c]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import telegraphsim as ts
 from telegraphsim import configurations, epochs, runner
@@ -177,17 +178,19 @@ def reference_stages(tpl):
     """Every sink's crossing stages as they were first built, one sink at a time.
 
     For each sink, each weak edge whose target reaches the sink by a
-    depth-first search is a stage. Its lag curve is read at the sink from a
-    1-D impulse propagation at the edge's target; that propagation does not
-    depend on the sink, so it is made once per target. Returns, per sink,
-    (edge, flux rate, lag density) triples ordered by weak-photon count.
+    depth-first search is a stage. Its lag density is the current into the
+    sink, read from a 1-D impulse propagation at the edge's target: the
+    rate of the sink's one incoming edge times the mass at that edge's
+    source. The propagation does not depend on the sink, so it is made
+    once per target. Returns, per sink, (edge, flux rate, lag density)
+    triples ordered by weak-photon count.
     """
     adj = {}
     for e in tpl.system.edges:
         adj.setdefault(e.source, []).append(e.target)
-    arrivals = {}
+    masses = {}
     for e in tpl.system.edges:
-        if e.kind is ts.EdgeKind.WEAK_EMIT and e.target not in arrivals:
+        if e.kind is ts.EdgeKind.WEAK_EMIT and e.target not in masses:
             m = np.zeros(len(tpl.labels))
             m[tpl.index[e.target]] = 1.0
             rows = [m]
@@ -195,8 +198,7 @@ def reference_stages(tpl):
                 for _ in range(count):
                     m = P @ m
                     rows.append(m)
-            arrivals[e.target] = np.array(rows)
-    cells = np.diff(tpl.grid)
+            masses[e.target] = np.array(rows)
     out = {}
     for sink in tpl.sink_labels:
         stages = []
@@ -212,9 +214,8 @@ def reference_stages(tpl):
             if sink not in seen:
                 continue
             flux = tpl.system.rates[i] * tpl.masses[:, tpl.index[e.source]]
-            lag_cum = np.maximum.accumulate(arrivals[e.target][:, tpl.index[sink]])
-            dens = np.zeros_like(lag_cum)
-            dens[1:] = np.diff(lag_cum) / cells
+            (feed,) = [f for f in tpl.system.edges if f.target == sink]
+            dens = feed.rate * masses[e.target][:, tpl.index[feed.source]]
             stages.append((e, flux, dens))
         stages.sort(key=lambda s: s[0].target.weak)
         out[sink] = stages
@@ -232,16 +233,14 @@ def test_crossing_stages_equal_the_per_sink_construction(
     """Every configuration, laser setting and root atom, against ``reference_stages``.
 
     The reference finds stages by search, independently of the template's
-    weak-count rule. Neither construction depends on the grid's size, so the
-    sweep over ratios and depths runs on 300 cells a piece to keep it fast;
-    the template's own grid is checked at ratio 0.1 and depth 2. Crossing
-    times agree to 1e-9 of tau within 20 weak lifetimes. Beyond that the lag
-    densities are near their rounding floor (``np.diff`` of a saturated
-    cumulative curve), and a one-ulp change in one cell moves the median by
-    about 1e-5, so the bound there is 1e-6 of tau, up to depth 5. At depth 8
-    the template's blocks of propagator powers round those densities
-    differently from the reference's single steps, and the medians there
-    differ by up to 2.1e-6 of tau, so they are not compared.
+    weak-count rule, and propagates each impulse one step at a time where
+    the template takes blocks of propagator powers. Neither construction
+    depends on the grid's size, so the sweep over ratios and depths runs
+    on 300 cells a piece to keep it fast; the template's own grid is
+    checked at ratio 0.1 and depth 2. Crossing times agree to 1e-11 of tau
+    at every depth and tau, past 20 weak lifetimes too: a density is a
+    current, read from the masses, so it has no cancellation (the largest
+    difference seen is 1.4e-15 of tau).
     """
     monkeypatch.setattr(epochs, "CELLS_PER_PIECE", cells)
     pairs = 0
@@ -260,6 +259,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
                     for sink, ref in reference_stages(tpl).items():
                         got = tpl.crossing_stages[sink]
                         assert [s.edge for s in got] == [e for e, _, _ in ref], case
+                        assert [tpl.labels[s.target] for s in got] == [e.target for e, _, _ in ref]
                         pairs += len(ref)
                         for s, (_, flux, dens) in zip(got, ref):
                             assert s.flux_rate.tobytes() == flux.tobytes(), case
@@ -267,16 +267,68 @@ def test_crossing_stages_equal_the_per_sink_construction(
                         if not ref:
                             continue
                         for tau in taus.tolist():
-                            if depth > 5 and tau * ratio > 20.0:
-                                continue
                             want = [
-                                tpl._conditional_median(CrossingStage(e, tpl.index[e.target], flux, dens), tau)
+                                tpl._conditional_median(
+                                    CrossingStage(e, tpl.index[e.target], flux, dens), tau
+                                )
                                 for e, flux, dens in ref
                             ]
                             c = [c for _, c in tpl.crossing_times(sink, tau)]
-                            tol = (1e-9 if tau * ratio <= 20.0 else 1e-6) * tau
-                            assert np.abs(np.subtract(c, want)).max() <= tol, f"{case} tau={tau}"
+                            gap = np.abs(np.subtract(c, want)).max()
+                            assert gap <= 1e-11 * tau, f"{case} tau={tau}"
     assert pairs == n_pairs
+
+
+def _one_weak_photon(configuration):
+    """The default-rate, both-laser template from the ground root, and its sink with one weak photon."""
+    kind = ts.ConfigKind(configuration, ts.LaserDrive.BOTH)
+    graph = ts.build_epoch(kind, ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0), ts.RateSet(), 2)
+    tpl = CompiledEpoch(graph).template
+    (sink,) = [lab for lab in tpl.sink_labels if lab.weak == 1]
+    return tpl, sink
+
+
+def _v_lag_median() -> float:
+    """The median of e^(0.001 x) (e^-x - e^(-1.001 x)) on x >= 0.
+
+    That is V's law of the time from its weak photon to the hit at the
+    default rates, past the first few strong cycles: the lag through
+    absorption (rate 1, raced by weak absorption at 0.001) and emission
+    (rate 1), weighted by the flux of the slowly draining weak state.
+    """
+    k = 0.001
+
+    def above_half(x):
+        # the law's mass below x, whose density integrates to k / (1 - k), less one half
+        below = -np.expm1(-(1 - k) * x) / (1 - k) + np.expm1(-x)
+        return below * (1 - k) / k - 0.5
+
+    return brentq(above_half, 0.0, 50.0, xtol=1e-12)
+
+
+def test_crossing_offsets_match_their_closed_forms():
+    """A weak photon's offset from the edge of its epoch, at the default rates.
+
+    The photon of V and of the weak-up cascade comes just before the hit:
+    tau - c is V's lag median (1.67919) and ln 2 for the cascade, within
+    2e-4 at every tau. The photon of Lambda and of the weak-down cascade
+    comes at the start: at tau = 4e4, 40 weak lifetimes, it lies within one
+    strong cycle of the epoch's start.
+    """
+    rates = ts.RateSet()
+    strong_cycle = 1 / rates.k_strong_absorb + 1 / rates.k_strong_emit
+    for configuration, offset in (
+        (ts.Configuration.V, _v_lag_median()),
+        (ts.Configuration.CASCADE_WEAK_UP, np.log(2.0)),
+    ):
+        tpl, sink = _one_weak_photon(configuration)
+        for tau in (20.0, 1e3, 2e4):
+            ((_, c),) = tpl.crossing_times(sink, tau)
+            assert abs((tau - c) - offset) <= 2e-4, (configuration, tau, tau - c)
+    for configuration in (ts.Configuration.LAMBDA, ts.Configuration.CASCADE_WEAK_DOWN):
+        tpl, sink = _one_weak_photon(configuration)
+        ((_, c),) = tpl.crossing_times(sink, 4e4)
+        assert 0.0 <= c <= strong_cycle, (configuration, c)
 
 
 def test_one_propagation_for_every_stage(monkeypatch, tmp_path):
