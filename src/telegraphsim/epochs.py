@@ -26,7 +26,8 @@ of the mass parcel arriving at the hit is proportional to
 
 whose weighted median localizes the emission at the end of the dark
 period when the slow stage precedes the weak edge, and at the beginning
-when the slow stage follows it. The lag curves of all sinks come from one
+when the slow stage follows it. As in the hit law, the lag density is
+the current into the target. The densities of all sinks come from one
 batched propagation of unit impulses at the weak edges' targets, made on
 the first crossing query, so a template is immutable once built.
 
@@ -57,7 +58,7 @@ import numpy as np
 from .configurations import EpochGraph
 from .flow import FlowSystem
 from .rules import hazards
-from .state import ComponentLabel, EdgeKind, FlowEdge
+from .state import ComponentLabel, EdgeKind
 
 FAST_SPAN_EFOLDS = 60.0
 TAIL_EFOLDS = 50.0
@@ -133,10 +134,9 @@ def propagate(
 class CrossingStage:
     """One weak-photon-creating edge feeding a ready target."""
 
-    edge: FlowEdge
     target: int  # the edge's target, as a position in the template's labels
     flux_rate: np.ndarray  # rate * m_source(t) on the template grid
-    lag_density: np.ndarray  # arrival density at the target of a unit impulse
+    lag_density: np.ndarray  # current into the sink from a unit impulse at ``target``
 
 
 class EpochTemplate:
@@ -244,10 +244,10 @@ class EpochTemplate:
         A stage is a ``WEAK_EMIT`` edge whose target reaches the sink. On the
         live ladder weak counts only grow along an edge and every branch ends
         at its first ready label, so the target reaches exactly the sinks of
-        at least its weak count. Each weak edge has a target of its own, so
-        one propagation carries a unit impulse at the target of each weak
-        edge that reaches a sink, one column per edge, and records only the
-        (sink, impulse) arrival curves of the stages.
+        at least its weak count. Each weak edge has a target of its own, and
+        one propagation carries a unit impulse at each, one column per edge.
+        A stage's lag density is the current into its sink: the rate of the
+        sink's one incoming edge times the impulse's mass at its source.
         """
         system = self.system
         deepest = max((sink.weak for sink in self.sink_labels), default=-1)
@@ -261,22 +261,19 @@ class EpochTemplate:
                  if system.edges[i].target.weak <= sink.weak]
         stages: dict[ComponentLabel, list[CrossingStage]] = {lab: [] for lab in self.sink_labels}
         if pairs:
+            target = system.dst_idx[weak]
             impulses = np.zeros((len(self.labels), len(weak)))
-            impulses[system.dst_idx[weak], range(len(weak))] = 1.0
+            impulses[target, range(len(weak))] = 1.0
             cols, sinks = np.array(pairs).T
-            # a sink's arrival density is the current along its one incoming edge
-            into = [np.flatnonzero(system.dst_idx == j) for j in self.sink_idx[sinks]]
-            if any(len(e) != 1 for e in into):
-                raise ValueError("a sink of a crossing stage has more than one incoming edge")
-            into = np.concatenate(into)
+            # each pair's sink's incoming edges, which must be exactly one
+            feeds, into = np.nonzero(system.dst_idx == self.sink_idx[sinks, None])
+            if not np.array_equal(feeds, np.arange(len(pairs))):
+                raise ValueError("a sink of a crossing stage has other than one incoming edge")
             feed = propagate(impulses, self._pieces, (system.src_idx[into], cols), self._block)
             dens = np.ascontiguousarray(feed.T * system.rates[into][:, None])  # a row per pair
             flux = [system.rates[i] * self.masses[:, system.src_idx[i]] for i in weak]
             for (c, p), lag in zip(pairs, dens):
-                i = weak[c]
-                stages[self.sink_labels[p]].append(
-                    CrossingStage(system.edges[i], int(system.dst_idx[i]), flux[c], lag)
-                )
+                stages[self.sink_labels[p]].append(CrossingStage(int(target[c]), flux[c], lag))
         return {sink: tuple(st) for sink, st in stages.items()}
 
     def crossing_times(self, sink: ComponentLabel, tau: float) -> list[tuple[int, float]]:
@@ -288,7 +285,8 @@ class EpochTemplate:
         stage, ordered by weak-photon count, with the edge's target as a
         position in ``labels``.
         """
-        return [(st.target, self._conditional_median(st, tau)) for st in self.crossing_stages[sink]]
+        stages = self.crossing_stages[sink]
+        return [(st.target, self._conditional_median(st, tau)) for st in stages]
 
     def _conditional_median(self, stage: CrossingStage, tau: float) -> float:
         # Candidate crossing times from both natural grids: the flux
@@ -404,8 +402,9 @@ class CompiledEpoch:
     chain order, with their slices of those arrays. The root is label 0,
     so ``atoms[0]`` is its atom. The graph is the live ladder:
     ``build_epoch`` takes no move out of a ready label, since Rule (4)
-    blocks every edge out of one, so every edge is active. The engines run on these canonical labels; the
-    trajectory loop adds the root's ledger to what it records.
+    blocks every edge out of one, so every edge is active. The engines run
+    on these canonical labels; the trajectory loop adds the root's ledger
+    to what it records.
     The template and the hazard tables, one per step size, are built on
     first use.
     """

@@ -10,12 +10,14 @@ level, detector clicks, strong count, weak count). The time is written
 with Python's shortest round-trip representation so logs are diffable
 and parse back bit-exactly.
 
-Each epoch writes its weak-edge crossings, then its hit. Its start is
-implied: epoch 0 starts at t=0 on the ground level with an empty ledger,
-epoch k at hit k-1's time, atom and ledger. Only this format, version 3,
-is read: a log whose first line is a format line naming another version
-raises ``line 1: event log format vN; this reader reads v3``. Text
-without a format line is read as version 3.
+Each epoch writes its weak-edge crossings, by time, then its hit, the
+order in which ``runner`` makes them, so blocks only ever need
+``EventLog.concat``. An epoch's start is implied: epoch 0 starts at t=0
+on the ground level with an empty ledger, epoch k at hit k-1's time,
+atom and ledger. Only this format, version 3, is read: a log whose first
+line is a format line naming another version raises ``line 1: event log
+format vN; this reader reads v3``. Text without a format line is read as
+version 3.
 
 Text is made and read ``_CHUNK`` records at a time, so no line list or
 Python object per field of a whole log ever exists. ``append_records``
@@ -115,10 +117,10 @@ class EventLog:
 
     @classmethod
     def concat(cls, logs: Iterable["EventLog"]) -> "EventLog":
-        """The rows of ``logs`` put end to end."""
+        """The rows of ``logs`` put end to end; one log is returned as it is, not copied."""
         logs = list(logs)
-        if not logs:
-            return cls.of(())
+        if len(logs) < 2:
+            return logs[0] if logs else cls.of(())
         return cls(*(np.concatenate([getattr(g, name) for g in logs]) for name in cls.COLUMNS))
 
     def columns(self) -> tuple[np.ndarray, ...]:

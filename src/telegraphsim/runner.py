@@ -34,10 +34,11 @@ moves the root to another atom, the end of the run, or ``UNIFORM_BLOCK``
 epochs. A ``steps`` draw that meets a breach after completing epochs
 returns them and raises on its next call, so the log keeps them. The
 loop keeps the root's atom and photon ledger and makes the log as
-columns, once per block: each hit and the weak-edge crossings before
-it. It hands them on a block of epochs at a time; ``run`` writes each
-block to the log file and folds it into the trajectory's summary
-(``analysis.LogFold``), so no whole log is ever held.
+columns, once per draw and in log order: each hit and the weak-edge
+crossings before it. It hands them on a block of epochs at a time;
+``run`` writes each block to the log file and folds it into the
+trajectory's summary (``analysis.LogFold``), so no whole log is ever
+held.
 
 The no-observer mode has no stochastic events at all. On every engine
 it runs the flow driver, ``_flow``, which moves the flow forward in large
@@ -163,7 +164,10 @@ def _trajectory(
     loop keeps the root's atom and photon ledger, one cumulative sum per
     block: a hit's record holds the ledger after it, and each of its
     weak-edge crossings the ledger before it plus the crossed edge's
-    target's.
+    target's, read from the compiled epoch's per-label arrays. A weak
+    epoch's crossings, from one ``crossing_times`` call and clamped into
+    the epoch, go by time just before its hit: a draw's rows are made in
+    log order.
 
     The records go to ``consume`` in log order, a block of whole epochs at
     a time, once about ``_CHUNK`` of them are drawn, and every epoch drawn

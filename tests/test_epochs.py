@@ -258,8 +258,9 @@ def test_crossing_stages_equal_the_per_sink_construction(
                     _, taus = tpl.sample_hits(np.array([0.3, 0.7, 0.95, 0.9999, 1 - 1e-6]))
                     for sink, ref in reference_stages(tpl).items():
                         got = tpl.crossing_stages[sink]
-                        assert [s.edge for s in got] == [e for e, _, _ in ref], case
-                        assert [tpl.labels[s.target] for s in got] == [e.target for e, _, _ in ref]
+                        # each weak edge has a target of its own, so its target names it
+                        targets = [tpl.labels[s.target] for s in got]
+                        assert targets == [e.target for e, _, _ in ref], case
                         pairs += len(ref)
                         for s, (_, flux, dens) in zip(got, ref):
                             assert s.flux_rate.tobytes() == flux.tobytes(), case
@@ -269,7 +270,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
                         for tau in taus.tolist():
                             want = [
                                 tpl._conditional_median(
-                                    CrossingStage(e, tpl.index[e.target], flux, dens), tau
+                                    CrossingStage(tpl.index[e.target], flux, dens), tau
                                 )
                                 for e, flux, dens in ref
                             ]
@@ -280,7 +281,7 @@ def test_crossing_stages_equal_the_per_sink_construction(
 
 
 def _one_weak_photon(configuration):
-    """The default-rate, both-laser template from the ground root, and its sink with one weak photon."""
+    """The default-rate, both-laser, ground-root template and its one-weak-photon sink."""
     kind = ts.ConfigKind(configuration, ts.LaserDrive.BOTH)
     graph = ts.build_epoch(kind, ts.ComponentLabel(ts.AtomLevel.GROUND, 0, 0, 0), ts.RateSet(), 2)
     tpl = CompiledEpoch(graph).template

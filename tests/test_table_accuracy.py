@@ -60,8 +60,7 @@ def test_tables_match_expm(configuration, ratio, depth):
         (feed,) = [e for e in tpl.system.edges if e.target == sink]
         source = tpl.index[feed.source]
         for st in staged:
-            impulse = tpl.index[st.edge.target]
-            want = np.array([feed.rate * E[source, impulse] for E in exact.values()])
+            want = np.array([feed.rate * E[source, st.target] for E in exact.values()])
             lag_gap = max(lag_gap, float(np.abs(st.lag_density[rows] - want).max()))
             stages += 1
     assert stages > 0
