@@ -5,7 +5,8 @@ of per-substep hazards. ``_oracle_steps`` below is the loop that stepped
 every step with ``flow.step`` and drew every uniform inside the trigger,
 with that trigger's arithmetic written out. It realizes each hit and logs it with its
 own label bookkeeping (``_shift_to`` and ``_record``), apart from the
-engine's column writer. The two must give byte-identical logs and equal
+engine's column writer, and places each weak epoch's crossings itself from
+the template's ``crossing_times``: clamped into the epoch, in time order. The two must give byte-identical logs and equal
 result fields, and raise the same breach, after logging the same epochs.
 The engine's draw hands over a block of epochs per call; the ``draws``
 fixture records what each call returned.
